@@ -22,7 +22,6 @@ from .agents import (
 )
 from .cache import (
     CacheDecision,
-    CacheEntry,
     CacheOrigin,
     RejectionCache,
     fingerprint,
@@ -77,7 +76,6 @@ from .protocol import (
     parse_evaluation,
 )
 from .solver import (
-    BudgetLedger,
     Decision,
     EventKind,
     Outcome,

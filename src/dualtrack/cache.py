@@ -11,7 +11,6 @@ reject redundant or known-bad candidates without an Evaluator call.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .protocol import Evaluation
@@ -42,12 +41,6 @@ class CacheDecision(str, Enum):
 class CacheOrigin(str, Enum):
     ACCEPTED_DUPLICATE_SOURCE = "accepted_duplicate_source"
     LOW_SCORE = "low_score"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    fingerprint: str
-    origin: CacheOrigin
 
 
 def fingerprint(step_text: str) -> str:
@@ -81,9 +74,6 @@ class RejectionCache:
 
     def __contains__(self, fp: str) -> bool:
         return fp in self._entries
-
-    def entries(self) -> list[CacheEntry]:
-        return [CacheEntry(fp, origin) for fp, origin in self._entries.items()]
 
     def check(self, fp: str) -> CacheDecision:
         """Classify a fingerprint against the cache."""

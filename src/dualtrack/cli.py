@@ -68,7 +68,6 @@ _INT_KEYS = {
     "decomposer_max_new_tokens",
     "evaluator_max_new_tokens",
     "workers",
-    "seed",
 }
 _FLOAT_KEYS = {
     "temperature",
@@ -114,7 +113,6 @@ class RunConfig:
     timeout: float = 60.0
     workers: int = 1
     out_dir: str = "runs"
-    seed: int = 0
     method: str = "dual_cot"
     script_path: str | None = field(default=None, repr=False)
 

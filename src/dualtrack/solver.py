@@ -7,9 +7,11 @@ acceptance once the retry limit is reached. The loop terminates on an
 accepted FINAL_ANSWER, on token-budget exhaustion, on the step cap, or
 on a backend failure, and records every event in a replayable trace.
 
-Budget discipline: the ledger is checked before every agent call and
-never mid-call, so total spend can overshoot the limit by at most the
-cost of the final call.
+Budget discipline: every agent call leaves exactly one event
+(``generated`` or ``evaluated``) carrying its raw reply and the tokens
+it charged, and spend is the sum of those events. The budget is checked
+before every agent call and never mid-call, so total spend can overshoot
+the limit by at most the cost of the final call.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .agents import (
-    AgentReply,
-    BackendError,
-    DecodeParams,
-    Role,
-    ScriptExhausted,
-)
+from .agents import BackendError, DecodeParams, Role, ScriptExhausted
 from .cache import CacheDecision, CacheOrigin, RejectionCache, fingerprint, synth_rejection
 from .protocol import (
     AcceptedStep,
@@ -128,30 +124,6 @@ class SolverConfig:
 
 
 @dataclass
-class BudgetLedger:
-    """Approximate-token accounting shared by both agents for one solve."""
-
-    limit: int
-    spent_decomposer: int = 0
-    spent_evaluator: int = 0
-
-    @property
-    def spent_total(self) -> int:
-        return self.spent_decomposer + self.spent_evaluator
-
-    def exhausted(self) -> bool:
-        return self.spent_total >= self.limit
-
-    def charge(self, role: Role | str, reply: AgentReply) -> None:
-        """Add a reply's prompt+completion tokens to the role's counter."""
-        cost = reply.prompt_tokens + reply.completion_tokens
-        if Role(role) is Role.DECOMPOSER:
-            self.spent_decomposer += cost
-        else:
-            self.spent_evaluator += cost
-
-
-@dataclass
 class TraceEvent:
     kind: EventKind
     payload: dict
@@ -233,6 +205,13 @@ def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Deci
     return Decision.FORCED_ACCEPT
 
 
+class _Stop(Exception):
+    """Ends a solve with the outcome (and error) it carries."""
+
+    def __init__(self, outcome: Outcome, error: str | None = None):
+        self.outcome, self.error = outcome, error
+
+
 def solve(
     problem: Problem,
     config: SolverConfig,
@@ -246,145 +225,131 @@ def solve(
     the solve with outcome ``backend_failure`` and the partial trace
     preserved.
     """
-    ledger = BudgetLedger(limit=config.token_budget)
     cache = RejectionCache()
     trace = SolveTrace(problem_id=problem.id, config=config.to_dict())
     accepted = trace.accepted_steps
-    hint: str | None = None
-    retries = 0
+    agents = {
+        Role.DECOMPOSER: (decomposer_backend, config.decomposer_params, EventKind.GENERATED),
+        Role.EVALUATOR: (evaluator_backend, config.evaluator_params, EventKind.EVALUATED),
+    }
+    spent = 0
 
     def emit(kind: EventKind, payload: dict, tokens: int = 0) -> None:
         trace.events.append(TraceEvent(kind, payload, tokens))
 
-    def budget_stop() -> None:
-        emit(EventKind.BUDGET_STOP, {"spent": ledger.spent_total, "limit": ledger.limit})
-        trace.outcome = Outcome.BUDGET_EXHAUSTED
-
-    while True:
-        slot = len(accepted) + 1
-        if ledger.exhausted():
-            budget_stop()
-            break
-
-        prompt = build_decomposer_prompt(problem, accepted, hint)
+    def call(role: Role, prompt: str, payload: dict) -> str:
+        """The only way to spend tokens: check the budget, call the agent,
+        and record the call as one event carrying its raw reply and cost."""
+        nonlocal spent
+        if spent >= config.token_budget:
+            emit(EventKind.BUDGET_STOP, {"spent": spent, "limit": config.token_budget})
+            raise _Stop(Outcome.BUDGET_EXHAUSTED)
+        backend, params, kind = agents[role]
         try:
-            reply = decomposer_backend.complete(Role.DECOMPOSER, prompt, config.decomposer_params)
+            reply = backend.complete(role, prompt, params)
         except (BackendError, ScriptExhausted) as exc:
-            trace.outcome = Outcome.BACKEND_FAILURE
-            trace.error = f"decomposer: {exc}"
-            break
-        ledger.charge(Role.DECOMPOSER, reply)
-        emit(
-            EventKind.GENERATED,
-            {"slot": slot, "attempt": retries, "raw": reply.raw_text},
-            reply.total_tokens,
-        )
+            raise _Stop(Outcome.BACKEND_FAILURE, f"{role.value}: {exc}")
+        payload["raw"] = reply.raw_text
+        emit(kind, payload, reply.total_tokens)
+        spent += reply.total_tokens
+        return reply.raw_text
 
-        candidate: StepCandidate | None
-        evaluation: Evaluation
-        fp = ""
+    def synthetic(feedback: str, kind: str) -> Evaluation:
+        emit(
+            EventKind.EVALUATED,
+            {"score": 0, "feedback": feedback, "fingerprint": "", "synthetic": kind},
+        )
+        return Evaluation(0, feedback)
+
+    def judge(raw: str) -> tuple[StepCandidate | None, str, Evaluation]:
+        """Score a generation: parse it, screen it against the cache, or
+        have the Evaluator score it. Returns no candidate if unparseable."""
         try:
-            candidate = parse_agent_step(reply.raw_text)
+            candidate = parse_agent_step(raw)
         except MalformedStep:
-            candidate = None
-            evaluation = Evaluation(0, MALFORMED_STEP_FEEDBACK)
+            return None, "", synthetic(MALFORMED_STEP_FEEDBACK, "malformed_step")
+        if candidate.kind is StepKind.FINAL and candidate.unparseable_final:
+            return None, "", synthetic(UNPARSEABLE_FINAL_FEEDBACK, "unparseable_final")
+
+        fp = fingerprint(candidate.text)
+        cache_hit = cache.check(fp) if config.cache_enabled else CacheDecision.MISS
+        if cache_hit is not CacheDecision.MISS:
+            evaluation = synth_rejection(cache_hit)
             emit(
-                EventKind.EVALUATED,
-                {"score": 0, "feedback": evaluation.feedback, "fingerprint": "",
-                 "synthetic": "malformed_step"},
+                EventKind.CACHE_REJECTED,
+                {"decision": cache_hit.value, "fingerprint": fp,
+                 "score": evaluation.score, "feedback": evaluation.feedback},
             )
-        else:
-            if candidate.kind is StepKind.FINAL and candidate.unparseable_final:
-                candidate = None
-                evaluation = Evaluation(0, UNPARSEABLE_FINAL_FEEDBACK)
+            return candidate, fp, evaluation
+
+        # score and feedback stay null in the trace if the reply fails to parse
+        payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None}
+        raw = call(Role.EVALUATOR, build_evaluator_prompt(problem, accepted, candidate), payload)
+        try:
+            evaluation = parse_evaluation(raw)
+        except ProtocolError as exc:
+            raise _Stop(Outcome.BACKEND_FAILURE, f"evaluator protocol violation: {exc}")
+        payload.update(score=evaluation.score, feedback=evaluation.feedback)
+        if config.cache_enabled and evaluation.score <= config.cache_bad_threshold:
+            cache.record(fp, CacheOrigin.LOW_SCORE)
+        return candidate, fp, evaluation
+
+    hint: str | None = None
+    retries = 0
+    try:
+        while True:
+            slot = len(accepted) + 1
+            raw = call(
+                Role.DECOMPOSER,
+                build_decomposer_prompt(problem, accepted, hint),
+                {"slot": slot, "attempt": retries},
+            )
+            candidate, fp, evaluation = judge(raw)
+
+            decision = step_decision(evaluation.score, retries, config)
+            if decision is Decision.RETRY:
+                retries += 1
                 emit(
-                    EventKind.EVALUATED,
-                    {"score": 0, "feedback": evaluation.feedback, "fingerprint": "",
-                     "synthetic": "unparseable_final"},
+                    EventKind.RETRIED,
+                    {"slot": slot, "hint": evaluation.feedback, "retries_used": retries},
                 )
-            else:
-                fp = fingerprint(candidate.text)
-                cache_hit = cache.check(fp) if config.cache_enabled else CacheDecision.MISS
-                if cache_hit is not CacheDecision.MISS:
-                    evaluation = synth_rejection(cache_hit)
-                    emit(
-                        EventKind.CACHE_REJECTED,
-                        {"decision": cache_hit.value, "fingerprint": fp,
-                         "score": evaluation.score, "feedback": evaluation.feedback},
-                    )
-                else:
-                    if ledger.exhausted():
-                        budget_stop()
-                        break
-                    evaluator_prompt = build_evaluator_prompt(problem, accepted, candidate)
-                    try:
-                        evaluator_reply = evaluator_backend.complete(
-                            Role.EVALUATOR, evaluator_prompt, config.evaluator_params
-                        )
-                    except (BackendError, ScriptExhausted) as exc:
-                        trace.outcome = Outcome.BACKEND_FAILURE
-                        trace.error = f"evaluator: {exc}"
-                        break
-                    ledger.charge(Role.EVALUATOR, evaluator_reply)
-                    try:
-                        evaluation = parse_evaluation(evaluator_reply.raw_text)
-                    except ProtocolError as exc:
-                        trace.outcome = Outcome.BACKEND_FAILURE
-                        trace.error = f"evaluator protocol violation: {exc}"
-                        break
-                    emit(
-                        EventKind.EVALUATED,
-                        {"score": evaluation.score, "feedback": evaluation.feedback,
-                         "fingerprint": fp, "synthetic": None},
-                        evaluator_reply.total_tokens,
-                    )
-                    if config.cache_enabled and evaluation.score <= config.cache_bad_threshold:
-                        cache.record(fp, CacheOrigin.LOW_SCORE)
+                hint = evaluation.feedback or None
+                continue
 
-        decision = step_decision(evaluation.score, retries, config)
-        if decision is Decision.RETRY:
-            retries += 1
-            emit(
-                EventKind.RETRIED,
-                {"slot": slot, "hint": evaluation.feedback, "retries_used": retries},
+            forced = decision is Decision.FORCED_ACCEPT
+            if candidate is None:
+                # Force-accepting an unparseable generation: keep the raw text as a
+                # degraded intermediate step so the slot can terminate.
+                text = raw.strip() or "(unparseable output)"
+                candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text=text, raw=raw)
+                fp = fingerprint(text)
+            step = AcceptedStep(
+                index=slot,
+                kind=candidate.kind,
+                text=candidate.text,
+                fingerprint=fp,
+                score=evaluation.score,
+                forced=forced,
             )
-            hint = evaluation.feedback or None
-            continue
+            accepted.append(step)
+            if config.cache_enabled:
+                cache.record(fp, CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
+            emit(
+                EventKind.FORCED_ACCEPT if forced else EventKind.ACCEPTED,
+                {"index": step.index, "kind": step.kind.value, "text": step.text,
+                 "fingerprint": step.fingerprint, "score": step.score},
+            )
+            hint = None
+            retries = 0
 
-        forced = decision is Decision.FORCED_ACCEPT
-        if candidate is None:
-            # Force-accepting an unparseable generation: keep the raw text as a
-            # degraded intermediate step so the slot can terminate.
-            text = reply.raw_text.strip() or "(unparseable output)"
-            candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text=text, raw=reply.raw_text)
-            fp = fingerprint(text)
-        step = AcceptedStep(
-            index=slot,
-            kind=candidate.kind,
-            text=candidate.text,
-            fingerprint=fp,
-            score=evaluation.score,
-            forced=forced,
-        )
-        accepted.append(step)
-        if config.cache_enabled:
-            cache.record(fp, CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
-        emit(
-            EventKind.FORCED_ACCEPT if forced else EventKind.ACCEPTED,
-            {"index": step.index, "kind": step.kind.value, "text": step.text,
-             "fingerprint": step.fingerprint, "score": step.score},
-        )
-        hint = None
-        retries = 0
-
-        if step.kind is StepKind.FINAL:
-            trace.final_answer = normalize_answer(step.text)
-            emit(EventKind.FINISHED, {"final_answer": str(trace.final_answer)})
-            trace.outcome = Outcome.SOLVED
-            break
-        if len(accepted) >= config.max_steps:
-            emit(EventKind.STEP_LIMIT_STOP, {"steps": len(accepted)})
-            trace.outcome = Outcome.STEP_LIMIT
-            break
-
+            if step.kind is StepKind.FINAL:
+                trace.final_answer = normalize_answer(step.text)
+                emit(EventKind.FINISHED, {"final_answer": str(trace.final_answer)})
+                raise _Stop(Outcome.SOLVED)
+            if len(accepted) >= config.max_steps:
+                emit(EventKind.STEP_LIMIT_STOP, {"steps": len(accepted)})
+                raise _Stop(Outcome.STEP_LIMIT)
+    except _Stop as stop:
+        trace.outcome = stop.outcome
+        trace.error = stop.error
     return trace

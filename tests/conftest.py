@@ -72,15 +72,19 @@ def henry_backend() -> ScriptedBackend:
 
 
 class RecordingBackend:
-    """Wraps a backend, capturing every prompt it is asked to complete."""
+    """Wraps a backend, capturing every prompt it is asked to complete and
+    every reply it serves, in order, as ``(role, reply)`` pairs."""
 
     def __init__(self, inner):
         self.inner = inner
         self.prompts: dict[Role, list[str]] = {role: [] for role in Role}
+        self.replies: list = []
 
     def complete(self, role, prompt, params=None):
         self.prompts[Role(role)].append(prompt)
-        return self.inner.complete(role, prompt, params)
+        reply = self.inner.complete(role, prompt, params)
+        self.replies.append((Role(role), reply))
+        return reply
 
 
 def scripted_provider(fixture: dict):
@@ -175,7 +179,8 @@ def check_cache_soundness(trace, cache_enabled: bool, bad_threshold: int = 1):
             fp = payload["fingerprint"]
             if cache_enabled:
                 assert not (fp and fp in model), f"evaluator called for cached {fp!r}"
-                if fp and payload["score"] <= bad_threshold:
+                # a reply that failed to parse has no score and ends the solve
+                if fp and payload["score"] is not None and payload["score"] <= bad_threshold:
                     model.setdefault(fp, "low_score")
         elif event.kind is EventKind.CACHE_REJECTED:
             assert cache_enabled, "cache rejection despite cache disabled"
@@ -202,3 +207,14 @@ def assert_budget_discipline(trace, limit: int):
             last_charge = event.tokens_charged
     if spent > limit:
         assert spent - limit < last_charge
+
+
+def assert_calls_match_events(trace, replies):
+    """Every served reply left exactly one event charging its tokens, in
+    order, and the trace's spend is the sum of what the backends charged."""
+    kinds = {Role.DECOMPOSER: EventKind.GENERATED, Role.EVALUATOR: EventKind.EVALUATED}
+    charged = [event for event in trace.events if event.tokens_charged > 0]
+    assert [(event.kind, event.payload["raw"], event.tokens_charged) for event in charged] == [
+        (kinds[role], reply.raw_text, reply.total_tokens) for role, reply in replies
+    ]
+    assert trace.tokens_spent == sum(reply.total_tokens for _, reply in replies)

@@ -34,8 +34,10 @@ from conftest import (
     NATALIA_QUESTION,
     WENG_ANSWER,
     WENG_QUESTION,
+    RecordingBackend,
     assert_budget_discipline,
     assert_budget_prefix,
+    assert_calls_match_events,
     build_bench_case,
     build_sweep_case,
     check_cache_soundness,
@@ -111,6 +113,25 @@ def _random_scripts(rng: random.Random) -> dict:
     evaluator = [
         f"Score: {rng.choice([0, 1, 2, 3, 3, 3])}\nFeedback: noted"
         for _ in decomposer
+    ]
+    return {"decomposer": decomposer, "evaluator": evaluator}
+
+
+_MALFORMED_STEPS = ["STEP:", "FINAL_ANSWER: about a dozen", "I think it is near 40."]
+_MALFORMED_SCORES = ["Score: 7\nFeedback: x", "Looks right to me.", "Score: high\nFeedback: x"]
+
+
+def _with_malformed(scripts: dict, rng: random.Random) -> dict:
+    """Random scripts with malformed replies spliced into both roles: steps
+    the solver scores itself, and Evaluator replies that end the solve."""
+    decomposer: list[str] = []
+    for reply in scripts["decomposer"]:
+        if rng.random() < 0.2:
+            decomposer.append(rng.choice(_MALFORMED_STEPS))
+        decomposer.append(reply)
+    evaluator = [
+        rng.choice(_MALFORMED_SCORES) if rng.random() < 0.1 else reply
+        for reply in scripts["evaluator"]
     ]
     return {"decomposer": decomposer, "evaluator": evaluator}
 
@@ -214,6 +235,35 @@ def test_criterion_4_budget_suite():
             # (c) never exceed the budget before a call; overshoot < one call.
             for budget in budgets:
                 assert_budget_discipline(traces[budget], budget)
+
+        # (d) random scripts with malformed replies from both roles: (b) and
+        # (c) still hold, and every reply served leaves exactly one event
+        # charging its tokens, so a trace's spend is what the agents charged.
+        rng = random.Random(404)
+        budgets = (0,) + budgets + (BIG_BUDGET,)
+        unparsed_evaluations = 0
+        for _ in range(60):
+            scripts = _with_malformed(_random_scripts(rng), rng)
+            for cache in (False, True):
+                for retries in (1, 3):
+                    base = SolverConfig(token_budget=BIG_BUDGET, max_steps=40,
+                                        max_retries_per_step=retries, cache_enabled=cache)
+                    traces = {}
+                    for budget in budgets:
+                        backend = RecordingBackend(ScriptedBackend(scripts))
+                        trace = traces[budget] = solve(
+                            Problem(id="r", question="Count it all up?"),
+                            base.with_overrides(token_budget=budget), backend, backend,
+                        )
+                        assert_calls_match_events(trace, backend.replies)
+                        assert_budget_discipline(trace, budget)
+                        check_cache_soundness(trace, cache_enabled=cache)
+                    for smaller, larger in zip(budgets, budgets[1:]):
+                        assert_budget_prefix(traces[smaller], traces[larger])
+                    unparsed_evaluations += "protocol violation" in (
+                        traces[BIG_BUDGET].error or ""
+                    )
+        assert unparsed_evaluations > 0
 
 
 def test_criterion_5_dataset_golden_files():

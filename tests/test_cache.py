@@ -147,14 +147,6 @@ class TestRejectionCache:
         first.record("9/3=3", CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
         assert second.check("9/3=3") is CacheDecision.MISS
 
-    def test_entries_snapshot(self):
-        cache = RejectionCache()
-        cache.record("1+2=3", CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
-        entries = cache.entries()
-        assert len(entries) == 1
-        assert entries[0].fingerprint == "1+2=3"
-        assert entries[0].origin is CacheOrigin.ACCEPTED_DUPLICATE_SOURCE
-
 
 class TestSynthRejection:
     def test_duplicate_fixed_feedback(self):

@@ -118,13 +118,15 @@ class TestSolve:
         assert code == EXIT_BACKEND
 
     def test_unknown_config_key_listed(self, tmp_path, henry_fixture_file, capsys):
-        config = write_json(tmp_path / "config.json", {"max_retirez": 3})
-        code = main(
-            ["solve", HENRY_QUESTION, "--script", henry_fixture_file, "--config", config]
-        )
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "max_retirez" in err
+        # `seed` is not a run setting; `prep --seed` seeds the split
+        for key in ("max_retirez", "seed"):
+            config = write_json(tmp_path / "config.json", {key: 3})
+            code = main(
+                ["solve", HENRY_QUESTION, "--script", henry_fixture_file, "--config", config]
+            )
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert key in err
 
     def test_mistyped_config_value_names_field(self, tmp_path, henry_fixture_file, capsys):
         config = write_json(tmp_path / "config.json", {"token_budget": "lots"})

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dualtrack.agents import ScriptedBackend
 from dualtrack.dataset import DataError
 from dualtrack.harness import (
     CSV_COLUMNS,
@@ -20,7 +21,7 @@ from dualtrack.harness import (
 from dualtrack.protocol import CanonicalNumber, Problem
 from dualtrack.solver import Outcome, SolverConfig
 
-from conftest import build_bench_case, build_sweep_case, scripted_provider
+from conftest import RecordingBackend, build_bench_case, build_sweep_case, scripted_provider
 
 BIG_BUDGET = 1_000_000
 
@@ -148,6 +149,25 @@ class TestRunBenchmark:
         assert report.summary.n == 4
         assert report.summary.correct == 3
 
+    def test_unparseable_evaluator_reply_is_counted(self):
+        problems, fixture = build_bench_case(n=2, n_correct=2)
+        fixture["p001"]["evaluator"] = ["Score: 7\nFeedback: x"]
+        recorders = {}
+
+        def provider(problem):
+            backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+            recorders[problem.id] = backend
+            return backend, backend
+
+        report = run_benchmark(problems, SolverConfig(token_budget=BIG_BUDGET), provider)
+        by_id = {result.problem_id: result for result in report.results}
+        assert by_id["p001"].outcome is Outcome.BACKEND_FAILURE
+        assert by_id["p001"].evaluator_calls == 1
+        assert by_id["p001"].tokens_spent == sum(
+            reply.total_tokens for _, reply in recorders["p001"].replies
+        )
+        assert report.summary.evaluator_calls == 3
+
     def test_worker_parallelism_preserves_results(self):
         problems, fixture = build_bench_case(n=12, n_correct=7)
         config = SolverConfig(token_budget=BIG_BUDGET)
@@ -158,8 +178,6 @@ class TestRunBenchmark:
 
     def test_shared_backend_pair_accepted(self):
         problems, fixture = build_bench_case(n=1, n_correct=1)
-        from dualtrack.agents import ScriptedBackend
-
         backend = ScriptedBackend(fixture["p000"])
         report = run_benchmark(
             problems, SolverConfig(token_budget=BIG_BUDGET), (backend, backend)

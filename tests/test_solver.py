@@ -6,7 +6,6 @@ from dualtrack.agents import DecodeParams, Role, ScriptedBackend
 from dualtrack.cache import DUPLICATE_FEEDBACK, KNOWN_BAD_FEEDBACK
 from dualtrack.protocol import CanonicalNumber, Problem, StepKind
 from dualtrack.solver import (
-    BudgetLedger,
     Decision,
     EventKind,
     MALFORMED_STEP_FEEDBACK,
@@ -24,6 +23,7 @@ from conftest import (
     RecordingBackend,
     assert_budget_discipline,
     assert_budget_prefix,
+    assert_calls_match_events,
     check_cache_soundness,
 )
 
@@ -65,28 +65,6 @@ class TestStepDecision:
         strict = config(accept_threshold=2, cache_bad_threshold=1)
         assert step_decision(2, 0, strict) is Decision.RETRY
         assert step_decision(3, 0, strict) is Decision.ACCEPT
-
-
-class TestBudgetLedger:
-    def test_charge_accumulates_per_role(self):
-        from dualtrack.agents import AgentReply
-
-        ledger = BudgetLedger(limit=600)
-        ledger.charge(Role.DECOMPOSER, AgentReply("x", 60, 40))
-        assert ledger.spent_decomposer == 100
-        assert ledger.spent_total == 100
-        assert not ledger.exhausted()
-
-    def test_overshoot_allowed_then_exhausted(self):
-        from dualtrack.agents import AgentReply
-
-        ledger = BudgetLedger(limit=100, spent_decomposer=90)
-        ledger.charge(Role.EVALUATOR, AgentReply("x", 30, 7))
-        assert ledger.spent_total == 127
-        assert ledger.exhausted()
-
-    def test_zero_limit_starts_exhausted(self):
-        assert BudgetLedger(limit=0).exhausted()
 
 
 class TestSolverConfig:
@@ -201,15 +179,27 @@ class TestTermination:
         assert kinds(trace) == ["generated"]
 
     def test_evaluator_protocol_violation_is_backend_failure(self):
-        backend = ScriptedBackend(
-            {
-                "decomposer": ["STEP: add 1 + 1 = 2 coins"],
-                "evaluator": ["I liked this step a lot"],
+        for reply in ("I liked this step a lot", "Score: 7\nFeedback: x"):
+            backend = RecordingBackend(
+                ScriptedBackend(
+                    {"decomposer": ["STEP: add 1 + 1 = 2 coins"], "evaluator": [reply]}
+                )
+            )
+            trace = solve(Problem(id="p", question="q?"), config(), backend, backend)
+            assert trace.outcome is Outcome.BACKEND_FAILURE
+            assert "protocol violation" in trace.error
+            # the failed call is still charged and recorded
+            assert len(backend.replies) == 2
+            assert trace.tokens_spent == sum(r.total_tokens for _, r in backend.replies)
+            assert trace.evaluator_calls == 1
+            assert kinds(trace) == ["generated", "evaluated"]
+            assert trace.events[-1].payload == {
+                "score": None,
+                "feedback": None,
+                "fingerprint": "1+1=2",
+                "synthetic": None,
+                "raw": reply,
             }
-        )
-        trace = solve(Problem(id="p", question="q?"), config(), backend, backend)
-        assert trace.outcome is Outcome.BACKEND_FAILURE
-        assert "protocol violation" in trace.error
 
 
 class TestRetryAndForcedAccept:
@@ -421,9 +411,81 @@ class TestDeterminismAndBudget:
             assert_budget_discipline(trace, budget)
 
     def test_tokens_spent_matches_event_charges(self, henry_problem, henry_backend):
-        trace = solve(henry_problem, config(), henry_backend, henry_backend)
+        backend = RecordingBackend(henry_backend)
+        trace = solve(henry_problem, config(), backend, backend)
         assert trace.tokens_spent == sum(event.tokens_charged for event in trace.events)
         assert trace.tokens_spent > 0
+        assert_calls_match_events(trace, backend.replies)
+
+
+# Exact trace bytes of the Henry solve, unlimited and stopped at budget 400
+# (after the second generation, before its evaluation).
+HENRY_TRACE_JSON = (
+    '{"accepted_steps": [{"fingerprint": "40-15=25", "forced": false, "index": 1'
+    ', "kind": "intermediate", "score": 3'
+    ', "text": "Henry traveled 40 - 15 = 25 miles between his first and second stops."}'
+    ', {"fingerprint": "25", "forced": false, "index": 2, "kind": "final", "score": 3'
+    ', "text": "25"}], "config": {"accept_threshold": 1, "cache_bad_threshold": 1'
+    ', "cache_enabled": true, "decomposer_params": {"max_new_tokens": 128'
+    ', "temperature": 0.0}, "evaluator_params": {"max_new_tokens": 128'
+    ', "temperature": 0.0}, "max_retries_per_step": 3, "max_steps": 12'
+    ', "token_budget": 1000000}, "error": null, "events": [{"kind": "generated"'
+    ', "payload": {"attempt": 0'
+    ', "raw": "STEP: Henry traveled 60 - 45 = 15 miles between his first and second stops."'
+    ', "slot": 1}, "tokens_charged": 79}, {"kind": "evaluated"'
+    ', "payload": {"feedback": "The calculation is wrong; he traveled 60 - 20 = 40 miles before his first stop'
+    ', so he traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "fingerprint": "60-45=15"'
+    ', "raw": "Raw score: 0.0/3\\nFeedback: The calculation is wrong; he traveled 60 - 20 = 40 miles before his first stop'
+    ', so he traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "score": 0, "synthetic": null}, "tokens_charged": 289}, {"kind": "retried"'
+    ', "payload": {"hint": "The calculation is wrong; he traveled 60 - 20 = 40 miles before his first stop'
+    ', so he traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "retries_used": 1, "slot": 1}, "tokens_charged": 0}, {"kind": "generated"'
+    ', "payload": {"attempt": 1'
+    ', "raw": "STEP: Henry traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "slot": 1}, "tokens_charged": 118}, {"kind": "evaluated"'
+    ', "payload": {"feedback": "Correct.", "fingerprint": "40-15=25"'
+    ', "raw": "Score: 3\\nFeedback: Correct.", "score": 3, "synthetic": null}'
+    ', "tokens_charged": 252}, {"kind": "accepted"'
+    ', "payload": {"fingerprint": "40-15=25", "index": 1, "kind": "intermediate"'
+    ', "score": 3'
+    ', "text": "Henry traveled 40 - 15 = 25 miles between his first and second stops."}'
+    ', "tokens_charged": 0}, {"kind": "generated", "payload": {"attempt": 0'
+    ', "raw": "FINAL_ANSWER: 25", "slot": 2}, "tokens_charged": 84}'
+    ', {"kind": "evaluated", "payload": {"feedback": "Correct.", "fingerprint": "25"'
+    ', "raw": "Score: 3\\nFeedback: Correct.", "score": 3, "synthetic": null}'
+    ', "tokens_charged": 256}, {"kind": "accepted", "payload": {"fingerprint": "25"'
+    ', "index": 2, "kind": "final", "score": 3, "text": "25"}, "tokens_charged": 0}'
+    ', {"kind": "finished", "payload": {"final_answer": "25"}, "tokens_charged": 0}]'
+    ', "final_answer": "25", "labels": [], "outcome": "solved", "problem_id": "henry"}'
+)
+
+HENRY_BUDGET_400_TRACE_JSON = (
+    '{"accepted_steps": [], "config": {"accept_threshold": 1, "cache_bad_threshold": 1'
+    ', "cache_enabled": true, "decomposer_params": {"max_new_tokens": 128'
+    ', "temperature": 0.0}, "evaluator_params": {"max_new_tokens": 128'
+    ', "temperature": 0.0}, "max_retries_per_step": 3, "max_steps": 12'
+    ', "token_budget": 400}, "error": null, "events": [{"kind": "generated"'
+    ', "payload": {"attempt": 0'
+    ', "raw": "STEP: Henry traveled 60 - 45 = 15 miles between his first and second stops."'
+    ', "slot": 1}, "tokens_charged": 79}, {"kind": "evaluated"'
+    ', "payload": {"feedback": "The calculation is wrong; he traveled 60 - 20 = 40 miles before his first stop'
+    ', so he traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "fingerprint": "60-45=15"'
+    ', "raw": "Raw score: 0.0/3\\nFeedback: The calculation is wrong; he traveled 60 - 20 = 40 miles before his first stop'
+    ', so he traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "score": 0, "synthetic": null}, "tokens_charged": 289}, {"kind": "retried"'
+    ', "payload": {"hint": "The calculation is wrong; he traveled 60 - 20 = 40 miles before his first stop'
+    ', so he traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "retries_used": 1, "slot": 1}, "tokens_charged": 0}, {"kind": "generated"'
+    ', "payload": {"attempt": 1'
+    ', "raw": "STEP: Henry traveled 40 - 15 = 25 miles between his first and second stops."'
+    ', "slot": 1}, "tokens_charged": 118}, {"kind": "budget_stop"'
+    ', "payload": {"limit": 400, "spent": 486}, "tokens_charged": 0}]'
+    ', "final_answer": null, "labels": [], "outcome": "budget_exhausted"'
+    ', "problem_id": "henry"}'
+)
 
 
 class TestTraceSerialization:
@@ -443,3 +505,12 @@ class TestTraceSerialization:
         assert steps[0]["kind"] == "intermediate"
         assert steps[-1]["kind"] == "final"
         assert all("fingerprint" in step for step in steps)
+
+    def test_henry_trace_bytes(self, henry_problem, henry_backend):
+        trace = solve(henry_problem, config(), henry_backend, henry_backend)
+        assert trace.to_json() == HENRY_TRACE_JSON
+
+    def test_budget_stopped_henry_trace_bytes(self, henry_problem, henry_backend):
+        trace = solve(henry_problem, config(token_budget=400), henry_backend, henry_backend)
+        assert trace.outcome is Outcome.BUDGET_EXHAUSTED
+        assert trace.to_json() == HENRY_BUDGET_400_TRACE_JSON
