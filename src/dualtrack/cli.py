@@ -9,7 +9,6 @@ flags > env > file. Exit codes: 0 success, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -36,9 +35,11 @@ from .dataset import (
     write_instances,
 )
 from .harness import (
+    BackendProvider,
     InvalidCounts,
     SWEEP_BUDGETS,
     budget_sweep,
+    config_hash,
     load_problems,
     run_benchmark,
 )
@@ -144,18 +145,6 @@ class RunConfig:
     def _role_int(self, key: str) -> int:
         value = getattr(self, key)
         return self.max_new_tokens if value is None else value
-
-    def config_hash(self) -> str:
-        # api_key deliberately excluded: secrets never enter the hash.
-        payload = {
-            key: getattr(self, key)
-            for key in sorted(KNOWN_KEYS)
-        }
-        payload["script"] = bool(self.script_path)
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        return digest[:12]
 
 
 def _check_type(key: str, value):
@@ -290,12 +279,24 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
     )
 
 
-def _build_backends(config: RunConfig, problems: Sequence[Problem]):
+def _build_backends(config: RunConfig, problems: Sequence[Problem]) -> BackendProvider:
     if config.script_path:
         fixture = load_script_fixture(config.script_path)
         return _scripted_provider(fixture, problems)
     backend = _http_backend(config)
-    return backend, backend
+    return lambda problem: (backend, backend)
+
+
+def _start_run(args: argparse.Namespace, problems: Sequence[Problem] | None = None):
+    """Prelude of solve, bench and sweep: config, solver config, problems
+    (``args.problems`` unless given), backends; prints the config hash."""
+    config = load_run_config(args.config, args)
+    solver_config = config.solver_config()
+    if problems is None:
+        problems = load_problems(args.problems)
+    backends = _build_backends(config, problems)
+    print(f"config_hash: {config_hash(solver_config, config.method)}")
+    return config, solver_config, problems, backends
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
@@ -330,19 +331,9 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args)
-    solver_config = config.solver_config()
     problem = Problem(id="adhoc", question=args.question)
-    if config.script_path:
-        fixture = load_script_fixture(config.script_path)
-        if not set(fixture) <= _ROLE_KEYS:
-            fixture = fixture.get(problem.id) or next(iter(fixture.values()))
-        backend = ScriptedBackend(fixture)
-        decomposer = evaluator = backend
-    else:
-        decomposer = evaluator = _http_backend(config)
-    print(f"config_hash: {config.config_hash()}")
-    trace = solve(problem, solver_config, decomposer, evaluator)
+    _, solver_config, _, backends = _start_run(args, [problem])
+    trace = solve(problem, solver_config, *backends(problem))
 
     for event in trace.events:
         payload = event.payload
@@ -371,11 +362,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args)
-    solver_config = config.solver_config()
-    problems = load_problems(args.problems)
-    backends = _build_backends(config, problems)
-    print(f"config_hash: {config.config_hash()}")
+    config, solver_config, problems, backends = _start_run(args)
     report = run_benchmark(
         problems,
         solver_config,
@@ -394,12 +381,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args)
-    solver_config = config.solver_config()
     budgets = _parse_budgets(args.budgets)
-    problems = load_problems(args.problems)
-    backends = _build_backends(config, problems)
-    print(f"config_hash: {config.config_hash()}")
+    config, solver_config, problems, backends = _start_run(args)
     rows = budget_sweep(
         problems,
         budgets,

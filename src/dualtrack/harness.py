@@ -235,11 +235,26 @@ def _as_provider(backends: BackendPair | BackendProvider) -> BackendProvider:
     return lambda problem: (decomposer, evaluator)
 
 
-def _config_hash(config: SolverConfig, method: str) -> str:
+def config_hash(config: SolverConfig, method: str) -> str:
+    """Run identity: names the run directory and is kept in run_meta.json."""
     payload = json.dumps(
         {"config": config.to_dict(), "method": method}, sort_keys=True
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:10]
+
+
+def _new_run_dir(out_dir: str | Path, name: str) -> Path:
+    """Create ``<out_dir>/<stamp>-<name>`` exclusively, suffixing -2, -3, ...
+    when a run of the same config already took it within the same second."""
+    base = Path(out_dir) / f"{time.strftime('%Y%m%d-%H%M%S')}-{name}"
+    run_dir, attempt = base, 1
+    while True:
+        try:
+            run_dir.mkdir(parents=True)
+            return run_dir
+        except FileExistsError:
+            attempt += 1
+            run_dir = base.with_name(f"{base.name}-{attempt}")
 
 
 def _score_trace(problem: Problem, trace: SolveTrace) -> tuple[CanonicalNumber | None, bool]:
@@ -270,18 +285,24 @@ def run_benchmark(
     """
     if not problems:
         raise InvalidCounts("empty problem list")
+    seen: set[str] = set()
     for problem in problems:
         if problem.gold_answer is None:
             raise DataError(f"problem {problem.id!r} has no gold answer")
+        # The id names the trace file, so it must stay one path component.
+        if "/" in problem.id or "\\" in problem.id:
+            raise DataError(f"problem id {problem.id!r} must not contain '/' or '\\'")
+        if problem.id in seen:
+            raise DataError(f"duplicate problem id {problem.id!r}")
+        seen.add(problem.id)
     provider = _as_provider(backends)
 
     run_dir: Path | None = None
     trace_dir: Path | None = None
     if out_dir is not None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        run_dir = Path(out_dir) / f"{stamp}-{_config_hash(config, method)}"
+        run_dir = _new_run_dir(out_dir, config_hash(config, method))
         trace_dir = run_dir / "traces"
-        trace_dir.mkdir(parents=True, exist_ok=True)
+        trace_dir.mkdir()
 
     def run_one(problem: Problem) -> RunResult:
         decomposer, evaluator = provider(problem)
@@ -311,7 +332,7 @@ def run_benchmark(
     summary = summarize(results, method=method, budget=config.token_budget,
                         cache=config.cache_enabled)
     if run_dir is not None:
-        _write_report(run_dir, results, [summary], config)
+        _write_report(run_dir, results, summary, config)
     return BenchmarkReport(results=results, summary=summary, run_dir=run_dir)
 
 
@@ -354,10 +375,8 @@ def budget_sweep(
                 continue
             rows.append(report.summary)
     if out_dir is not None:
-        run_dir = Path(out_dir) / (
-            time.strftime("%Y%m%d-%H%M%S") + "-sweep-" + _config_hash(config, method)
-        )
-        run_dir.mkdir(parents=True, exist_ok=True)
+        run_dir = _new_run_dir(out_dir, "sweep-" + config_hash(config, method))
+        _write_meta(run_dir, config, method)
         (run_dir / "sweep.csv").write_text(rows_to_csv(rows), encoding="utf-8")
         if errors:
             (run_dir / "errors.txt").write_text("\n".join(errors) + "\n", encoding="utf-8")
@@ -381,30 +400,27 @@ def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
 
 
 def _write_report(
-    run_dir: Path,
-    results: Sequence[RunResult],
-    rows: Sequence[SummaryRow],
-    config: SolverConfig,
+    run_dir: Path, results: Sequence[RunResult], summary: SummaryRow, config: SolverConfig
 ) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
     with (run_dir / "results.jsonl").open("w", encoding="utf-8") as handle:
         for result in results:
             handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
-    summary_payload = [row.to_dict() for row in rows]
     (run_dir / "summary.json").write_text(
-        json.dumps(summary_payload[0] if len(summary_payload) == 1 else summary_payload,
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (run_dir / "summary.csv").write_text(rows_to_csv(rows), encoding="utf-8")
+    (run_dir / "summary.csv").write_text(rows_to_csv([summary]), encoding="utf-8")
+    _write_meta(run_dir, config, summary.method)
+
+
+def _write_meta(run_dir: Path, config: SolverConfig, method: str) -> None:
+    meta = {
+        "config": config.to_dict(),
+        "method": method,
+        "config_hash": config_hash(config, method),
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }
     (run_dir / "run_meta.json").write_text(
-        json.dumps(
-            {"config": config.to_dict(), "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 

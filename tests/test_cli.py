@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ from dualtrack.cli import (
     EXIT_UNSOLVED,
     main,
 )
+from dualtrack.harness import config_hash
+from dualtrack.solver import SolverConfig
 
 from conftest import (
     HENRY_FEEDBACK,
@@ -103,7 +106,18 @@ class TestSolve:
         assert retry_at < fixed_at
         assert "FINAL_ANSWER: 25" in output
         assert "outcome: solved" in output
-        assert "config_hash:" in output
+        expected = config_hash(SolverConfig(token_budget=100000), "dual_cot")
+        assert f"config_hash: {expected}\n" in output
+
+    def test_per_problem_fixture_needs_adhoc_entry(self, tmp_path, capsys):
+        fixture = write_json(tmp_path / "scripts.json", {"p000": HENRY_SCRIPTS})
+        code = main(["solve", HENRY_QUESTION, "--script", fixture])
+        assert code == EXIT_DATA
+        assert "adhoc" in capsys.readouterr().err
+        fixture = write_json(tmp_path / "scripts.json", {"p000": {}, "adhoc": HENRY_SCRIPTS})
+        code = main(["solve", HENRY_QUESTION, "--script", fixture, "--budget", "100000"])
+        assert code == EXIT_OK
+        assert "FINAL_ANSWER: 25" in capsys.readouterr().out
 
     def test_zero_budget_exits_unsolved(self, henry_fixture_file, capsys):
         code = main(
@@ -183,6 +197,22 @@ class TestBench:
         assert "p002" in capsys.readouterr().err
 
 
+    def test_unsafe_problem_id_is_data_error(self, tmp_path, capsys):
+        problems, fixture = build_bench_case(n=1, n_correct=1)
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text(
+            json.dumps({"id": "../escape", "question": "q?", "gold_answer": "1"}) + "\n",
+            encoding="utf-8",
+        )
+        fixture_file = write_json(tmp_path / "scripts.json", fixture["p000"])
+        out_dir = tmp_path / "runs"
+        argv = ["bench", str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+        code = main(argv)
+        assert code == EXIT_DATA
+        assert "../escape" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestSweep:
     def test_small_sweep_writes_csv(self, tmp_path, capsys):
         problems, fixture = build_sweep_case(count=3)
@@ -230,6 +260,28 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
         assert "budgets" in capsys.readouterr().err
+
+
+class TestRunIdentity:
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_printed_hash_names_run_dir_and_meta(self, tmp_path, capsys, command):
+        problems, fixture = build_sweep_case(count=2)
+        problems_file = write_problems(tmp_path / "problems.jsonl", problems)
+        fixture_file = write_json(tmp_path / "scripts.json", fixture)
+        extra, prefix = (["--budgets", "200"], "sweep-") if command == "sweep" else ([], "")
+        printed = set()
+        for workers, out in (("1", "a"), ("2", "b")):
+            out_dir = tmp_path / out
+            argv = [command, problems_file, "--script", fixture_file, "--workers", workers]
+            assert main(argv + ["--out", str(out_dir)] + extra) == EXIT_OK
+            (digest,) = re.findall(r"^config_hash: (\S+)$", capsys.readouterr().out, re.M)
+            (run_dir,) = out_dir.iterdir()
+            assert re.fullmatch(rf"\d{{8}}-\d{{6}}-{prefix}{digest}", run_dir.name)
+            meta = json.loads((run_dir / "run_meta.json").read_text(encoding="utf-8"))
+            assert meta["config_hash"] == digest
+            assert meta["method"] == "dual_cot"
+            printed.add(digest)
+        assert len(printed) == 1
 
 
 class TestEntryPoint:

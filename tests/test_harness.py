@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -21,7 +22,13 @@ from dualtrack.harness import (
 from dualtrack.protocol import CanonicalNumber, Problem
 from dualtrack.solver import Outcome, SolverConfig
 
-from conftest import RecordingBackend, build_bench_case, build_sweep_case, scripted_provider
+from conftest import (
+    HENRY_QUESTION,
+    RecordingBackend,
+    build_bench_case,
+    build_sweep_case,
+    scripted_provider,
+)
 
 BIG_BUDGET = 1_000_000
 
@@ -136,6 +143,22 @@ class TestRunBenchmark:
         problem = Problem(id="p", question="q?")
         with pytest.raises(DataError):
             run_benchmark([problem], SolverConfig(token_budget=10), ((), ()))
+
+    @pytest.mark.parametrize(
+        "ids", [["p000", "../escape"], ["a/b"], ["a\\b"], ["p000", "p001", "p000"]]
+    )
+    def test_unsafe_or_duplicate_ids_rejected_before_writing(self, tmp_path, ids):
+        _, fixture = build_bench_case(n=1, n_correct=1)
+        problems = [
+            Problem(id=problem_id, question=HENRY_QUESTION, gold_answer=CanonicalNumber("25"))
+            for problem_id in ids
+        ]
+        with pytest.raises(DataError, match="problem id"):
+            run_benchmark(
+                problems, SolverConfig(token_budget=BIG_BUDGET),
+                scripted_provider(fixture["p000"]), out_dir=tmp_path / "runs",
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_backend_failure_counts_incorrect_and_run_continues(self):
         problems, fixture = build_bench_case(n=4, n_correct=4)
@@ -265,6 +288,40 @@ class TestBudgetSweep:
         lines = csv_text.strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+
+
+class TestRunDirectories:
+    @pytest.fixture(autouse=True)
+    def frozen_clock(self, monkeypatch):
+        monkeypatch.setattr(time, "strftime", lambda fmt, *args: "20260101-000000")
+
+    def test_same_second_benchmarks_get_own_directories(self, tmp_path):
+        problems, fixture = build_bench_case(n=5, n_correct=3)
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        provider = scripted_provider(fixture)
+        first = run_benchmark(problems[:3], config, provider, out_dir=tmp_path)
+        second = run_benchmark(problems, config, provider, out_dir=tmp_path)
+        assert second.run_dir.name == first.run_dir.name + "-2"
+        assert sorted(tmp_path.iterdir()) == [first.run_dir, second.run_dir]
+        for report, count in ((first, 3), (second, 5)):
+            ids = [problem.id for problem in problems[:count]]
+            persisted = load_results(report.run_dir / "results.jsonl")
+            assert [result.problem_id for result in persisted] == ids
+            assert sorted(path.stem for path in (report.run_dir / "traces").iterdir()) == ids
+
+    def test_same_second_sweeps_get_own_directories(self, tmp_path):
+        problems, fixture = build_sweep_case(count=3)
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        first = budget_sweep(
+            problems[:1], (150,), config, scripted_provider(fixture), out_dir=tmp_path
+        )
+        second = budget_sweep(
+            problems, (150, 300), config, scripted_provider(fixture), out_dir=tmp_path
+        )
+        sweep_dirs = sorted(tmp_path.glob("*-sweep-*"))
+        assert len(sweep_dirs) == 2
+        for run_dir, rows in zip(sweep_dirs, (first, second)):
+            assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
 
 
 class TestCsvRendering:
