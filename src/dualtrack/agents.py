@@ -124,10 +124,6 @@ class ScriptedBackend:
         """Number of replies served so far for the role."""
         return self._cursor.get(Role(role), 0)
 
-    def remaining(self, role: Role | str) -> int:
-        role = Role(role)
-        return len(self._scripts.get(role, [])) - self._cursor.get(role, 0)
-
 
 def _excerpt(body: str) -> str:
     return body[:_BODY_EXCERPT_CHARS]

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 from .agents import (
     API_BASE_ENV,
@@ -52,41 +52,11 @@ EXIT_DATA = 3
 EXIT_BACKEND = 4
 EXIT_UNSOLVED = 5
 
-_ROLE_KEYS = {"decomposer", "evaluator"}
+_ROLE_KEYS = {role.value for role in Role}
 
 
 class ConfigError(Exception):
     """Run configuration is invalid; the message names the offending field."""
-
-
-_INT_KEYS = {
-    "token_budget",
-    "accept_threshold",
-    "max_retries_per_step",
-    "max_steps",
-    "cache_bad_threshold",
-    "max_new_tokens",
-    "decomposer_max_new_tokens",
-    "evaluator_max_new_tokens",
-    "workers",
-}
-_FLOAT_KEYS = {
-    "temperature",
-    "decomposer_temperature",
-    "evaluator_temperature",
-    "timeout",
-}
-_BOOL_KEYS = {"cache_enabled"}
-_STR_KEYS = {
-    "api_base",
-    "decomposer_model",
-    "evaluator_model",
-    "decomposer_system_prompt",
-    "evaluator_system_prompt",
-    "out_dir",
-    "method",
-}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 
 @dataclass
@@ -126,40 +96,40 @@ class RunConfig:
                 max_steps=self.max_steps,
                 cache_enabled=self.cache_enabled,
                 cache_bad_threshold=self.cache_bad_threshold,
-                decomposer_params=DecodeParams(
-                    temperature=self._role_float("decomposer_temperature"),
-                    max_new_tokens=self._role_int("decomposer_max_new_tokens"),
-                ),
-                evaluator_params=DecodeParams(
-                    temperature=self._role_float("evaluator_temperature"),
-                    max_new_tokens=self._role_int("evaluator_max_new_tokens"),
-                ),
+                decomposer_params=self._role_params(Role.DECOMPOSER),
+                evaluator_params=self._role_params(Role.EVALUATOR),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def _role_float(self, key: str) -> float:
-        value = getattr(self, key)
-        return self.temperature if value is None else value
+    def _role_params(self, role: Role) -> DecodeParams:
+        """A role's ``<role>_<key>`` decoding settings, falling back to ``<key>``."""
 
-    def _role_int(self, key: str) -> int:
-        value = getattr(self, key)
-        return self.max_new_tokens if value is None else value
+        def pick(key: str):
+            value = getattr(self, f"{role.value}_{key}")
+            return getattr(self, key) if value is None else value
+
+        return DecodeParams(
+            temperature=pick("temperature"), max_new_tokens=pick("max_new_tokens")
+        )
 
 
-def _check_type(key: str, value):
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    elif key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-    elif key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key}: expected true/false, got {value!r}")
-    elif key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key}: expected a string, got {value!r}")
+# Every RunConfig field is a setting; its annotation (None stripped) is its
+# type. The flags whose argparse dest is a field set that field.
+_SETTING_TYPES = {
+    key: next(kind for kind in get_args(hint) or (hint,) if kind is not type(None))
+    for key, hint in get_type_hints(RunConfig).items()
+}
+# api_key comes only from the environment, script_path only from --script.
+KNOWN_KEYS = set(_SETTING_TYPES) - {"api_key", "script_path"}
+_EXPECTED = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
+
+
+def _check_type(key: str, value) -> None:
+    kind = _SETTING_TYPES[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}")
 
 
 def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -186,19 +156,14 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     if os.environ.get(API_KEY_ENV):
         config.api_key = os.environ[API_KEY_ENV]
 
-    for flag, key in (
-        ("budget", "token_budget"),
-        ("cache", "cache_enabled"),
-        ("max_retries", "max_retries_per_step"),
-        ("threshold", "accept_threshold"),
-        ("workers", "workers"),
-        ("out", "out_dir"),
-        ("method", "method"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in _SETTING_TYPES and value is not None:
             setattr(config, key, value)
-    config.script_path = getattr(args, "script", None)
+
+    if config.workers < 1:
+        raise ConfigError(f"workers: must be at least 1, got {config.workers}")
+    if config.timeout <= 0:
+        raise ConfigError(f"timeout: must be positive, got {config.timeout}")
     return config
 
 
@@ -406,29 +371,30 @@ def _parse_budgets(spec: str) -> list[int]:
         if not part:
             continue
         try:
-            budgets.append(int(part))
+            budget = int(part)
         except ValueError:
             raise ConfigError(f"budgets: {part!r} is not an integer") from None
+        if budget <= 0:
+            raise ConfigError(f"budgets: {budget} is not positive")
+        budgets.append(budget)
     if not budgets:
         raise ConfigError("budgets: at least one budget is required")
     return budgets
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Each dest but ``config`` is the RunConfig key the flag sets (None if not given)."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--script", help="scripted-backend fixture file (JSON)")
-    parser.add_argument("--budget", type=int, default=None, help="token budget per problem")
-    parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="enable/disable the rejection cache",
-    )
-    parser.add_argument("--max-retries", type=int, default=None, dest="max_retries")
-    parser.add_argument(
-        "--threshold", type=int, default=None, help="accept when score > threshold"
-    )
-    parser.add_argument("--out", default=None, help="output directory for reports")
+    parser.add_argument("--script", dest="script_path",
+                        help="scripted-backend fixture file (JSON)")
+    parser.add_argument("--budget", type=int, dest="token_budget",
+                        help="token budget per problem")
+    parser.add_argument("--cache", action=argparse.BooleanOptionalAction, dest="cache_enabled",
+                        help="enable/disable the rejection cache")
+    parser.add_argument("--max-retries", type=int, dest="max_retries_per_step")
+    parser.add_argument("--threshold", type=int, dest="accept_threshold",
+                        help="accept when score > threshold")
+    parser.add_argument("--out", dest="out_dir", help="output directory for reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,24 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(solve_cmd)
     solve_cmd.set_defaults(handler=cmd_solve)
 
-    bench = sub.add_parser("bench", help="run the benchmark over a problem file")
-    bench.add_argument("problems", help="JSONL problems file with gold answers")
-    _add_run_flags(bench)
-    bench.add_argument("--workers", type=int, default=None)
-    bench.add_argument("--method", default=None, help="method label for reports")
-    bench.set_defaults(handler=cmd_bench)
-
-    sweep = sub.add_parser("sweep", help="benchmark across budgets with cache on/off")
-    sweep.add_argument("problems", help="JSONL problems file with gold answers")
-    _add_run_flags(sweep)
-    sweep.add_argument("--workers", type=int, default=None)
-    sweep.add_argument("--method", default=None, help="method label for reports")
-    sweep.add_argument(
+    for name, handler, help_text in (
+        ("bench", cmd_bench, "run the benchmark over a problem file"),
+        ("sweep", cmd_sweep, "benchmark across budgets with cache on/off"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("problems", help="JSONL problems file with gold answers")
+        _add_run_flags(command)
+        command.add_argument("--workers", type=int)
+        command.add_argument("--method", help="method label for reports")
+        command.set_defaults(handler=handler)
+    sub.choices["sweep"].add_argument(
         "--budgets",
         default=",".join(str(budget) for budget in SWEEP_BUDGETS),
         help="comma-separated token budgets",
     )
-    sweep.set_defaults(handler=cmd_sweep)
     return parser
 
 

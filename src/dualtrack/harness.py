@@ -257,6 +257,23 @@ def _new_run_dir(out_dir: str | Path, name: str) -> Path:
             run_dir = base.with_name(f"{base.name}-{attempt}")
 
 
+def _check_problems(problems: Sequence[Problem]) -> None:
+    """Reject a problem set that cannot be scored or filed: empty, a missing
+    gold answer, an id that is not one path component, or a repeated id."""
+    if not problems:
+        raise InvalidCounts("empty problem list")
+    seen: set[str] = set()
+    for problem in problems:
+        if problem.gold_answer is None:
+            raise DataError(f"problem {problem.id!r} has no gold answer")
+        # The id names the trace file, so it must stay one path component.
+        if "/" in problem.id or "\\" in problem.id:
+            raise DataError(f"problem id {problem.id!r} must not contain '/' or '\\'")
+        if problem.id in seen:
+            raise DataError(f"duplicate problem id {problem.id!r}")
+        seen.add(problem.id)
+
+
 def _score_trace(problem: Problem, trace: SolveTrace) -> tuple[CanonicalNumber | None, bool]:
     predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
     correct = predicted is not None and predicted == problem.gold_answer
@@ -283,18 +300,7 @@ def run_benchmark(
     summary.json, summary.csv, and run_meta.json under a fresh run
     directory.
     """
-    if not problems:
-        raise InvalidCounts("empty problem list")
-    seen: set[str] = set()
-    for problem in problems:
-        if problem.gold_answer is None:
-            raise DataError(f"problem {problem.id!r} has no gold answer")
-        # The id names the trace file, so it must stay one path component.
-        if "/" in problem.id or "\\" in problem.id:
-            raise DataError(f"problem id {problem.id!r} must not contain '/' or '\\'")
-        if problem.id in seen:
-            raise DataError(f"duplicate problem id {problem.id!r}")
-        seen.add(problem.id)
+    _check_problems(problems)
     provider = _as_provider(backends)
 
     run_dir: Path | None = None
@@ -350,13 +356,15 @@ def budget_sweep(
     """Run the benchmark per budget with the cache off and on.
 
     Emits one summary row per (budget, cache) cell — the axes of the
-    accuracy-vs-budget comparison. Cell errors propagate unless
+    accuracy-vs-budget comparison. The budgets and the problem set are
+    checked before any cell runs; cell errors then propagate unless
     ``continue_on_error`` is set, in which case failed cells are skipped.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
     if any(budget <= 0 for budget in budgets):
         raise ValueError("budgets must be positive")
+    _check_problems(problems)
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for budget in budgets:

@@ -142,7 +142,6 @@ class StepCandidate:
 
     kind: StepKind
     text: str
-    raw: str
     unparseable_final: bool = False
 
     @property
@@ -265,7 +264,7 @@ def parse_agent_step(raw: str) -> StepCandidate:
                 normalize_answer(text)
             except NoNumberFound:
                 unparseable = True
-        return StepCandidate(kind=kind, text=text, raw=line, unparseable_final=unparseable)
+        return StepCandidate(kind=kind, text=text, unparseable_final=unparseable)
     raise MalformedStep("no line starting with STEP: or FINAL_ANSWER:")
 
 

@@ -321,7 +321,7 @@ def solve(
                 # Force-accepting an unparseable generation: keep the raw text as a
                 # degraded intermediate step so the slot can terminate.
                 text = raw.strip() or "(unparseable output)"
-                candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text=text, raw=raw)
+                candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text=text)
                 fp = fingerprint(text)
             step = AcceptedStep(
                 index=slot,

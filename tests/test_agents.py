@@ -75,7 +75,8 @@ class TestScriptedBackend:
         assert backend.complete(Role.EVALUATOR, "p").raw_text == "Score: 3"
         assert backend.calls(Role.DECOMPOSER) == 1
         assert backend.calls(Role.EVALUATOR) == 1
-        assert backend.remaining(Role.DECOMPOSER) == 0
+        with pytest.raises(ScriptExhausted):
+            backend.complete(Role.DECOMPOSER, "p")
 
     def test_token_usage_is_estimated(self):
         backend = ScriptedBackend({"evaluator": ["Score: 3"]})

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -13,6 +14,11 @@ from dualtrack.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_UNSOLVED,
+    KNOWN_KEYS,
+    ConfigError,
+    RunConfig,
+    build_parser,
+    load_run_config,
     main,
 )
 from dualtrack.harness import config_hash
@@ -260,6 +266,156 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
         assert "budgets" in capsys.readouterr().err
+
+
+class TestSweepRejectsBadInput:
+    """Problems and budgets are checked before any cell runs or any
+    directory is made."""
+
+    @pytest.mark.parametrize("budgets", ["0,100", "100,-5"])
+    def test_non_positive_budget_is_config_error(self, tmp_path, capsys, budgets):
+        problems, fixture = build_sweep_case(count=1)
+        problems_file = write_problems(tmp_path / "problems.jsonl", problems)
+        fixture_file = write_json(tmp_path / "scripts.json", fixture)
+        out_dir = tmp_path / "runs"
+        argv = ["sweep", problems_file, "--script", fixture_file, "--budgets", budgets]
+        assert main(argv + ["--out", str(out_dir)]) == EXIT_CONFIG
+        assert "budgets" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "records, named",
+        [
+            ([], "empty problem list"),
+            ([{"id": "../x", "question": "q?", "gold_answer": "1"}], "../x"),
+            ([{"id": "p", "question": "q?"}], "no gold answer"),
+        ],
+    )
+    def test_bad_problem_set_is_data_error(self, tmp_path, capsys, records, named):
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text(
+            "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
+        )
+        fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+        out_dir = tmp_path / "runs"
+        argv = ["sweep", str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+        assert main(argv) == EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+class TestRunConfig:
+    """The config layer: file keys, their types, env and flag precedence."""
+
+    FILE = {
+        "token_budget": 500,
+        "cache_enabled": True,
+        "max_retries_per_step": 2,
+        "accept_threshold": 2,
+        "workers": 3,
+        "out_dir": "file-runs",
+        "method": "file-method",
+    }
+
+    def load(self, tmp_path, file_payload, *flags):
+        config_file = write_json(tmp_path / "config.json", file_payload)
+        args = build_parser().parse_args(
+            ["bench", "problems.jsonl", "--config", config_file, *flags]
+        )
+        return load_run_config(args.config, args)
+
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            (["--budget", "900"], "token_budget", 900),
+            (["--no-cache"], "cache_enabled", False),
+            (["--max-retries", "5"], "max_retries_per_step", 5),
+            (["--threshold", "0"], "accept_threshold", 0),
+            (["--workers", "4"], "workers", 4),
+            (["--out", "flag-runs"], "out_dir", "flag-runs"),
+            (["--method", "flag-method"], "method", "flag-method"),
+        ],
+    )
+    def test_flag_overrides_file_key(self, tmp_path, flags, key, value):
+        assert getattr(self.load(tmp_path, self.FILE), key) == self.FILE[key]
+        assert getattr(self.load(tmp_path, self.FILE, *flags), key) == value
+
+    def test_cache_flag_overrides_file_false(self, tmp_path):
+        payload = {"cache_enabled": False}
+        assert self.load(tmp_path, payload).cache_enabled is False
+        assert self.load(tmp_path, payload, "--cache").cache_enabled is True
+
+    def test_script_flag_sets_script_path(self, tmp_path):
+        assert self.load(tmp_path, {}).script_path is None
+        assert self.load(tmp_path, {}, "--script", "s.json").script_path == "s.json"
+
+    def test_env_api_base_overrides_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DUALTRACK_API_BASE", "http://env.example")
+        config = self.load(tmp_path, {"api_base": "http://file.example"})
+        assert config.api_base == "http://env.example"
+
+    def test_decoding_settings_fall_back_to_both_roles(self, tmp_path):
+        shared = {"temperature": 0.5, "max_new_tokens": 64}
+        solver = self.load(tmp_path, shared).solver_config()
+        for params in (solver.decomposer_params, solver.evaluator_params):
+            assert (params.temperature, params.max_new_tokens) == (0.5, 64)
+        per_role = {**shared, "evaluator_temperature": 0.25, "decomposer_max_new_tokens": 32}
+        solver = self.load(tmp_path, per_role).solver_config()
+        assert (solver.decomposer_params.temperature,
+                solver.decomposer_params.max_new_tokens) == (0.5, 32)
+        assert (solver.evaluator_params.temperature,
+                solver.evaluator_params.max_new_tokens) == (0.25, 64)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("token_budget", "lots", "token_budget: expected an integer, got 'lots'"),
+            ("max_steps", True, "max_steps: expected an integer, got True"),
+            ("temperature", "hot", "temperature: expected a number, got 'hot'"),
+            ("timeout", False, "timeout: expected a number, got False"),
+            ("cache_enabled", 1, "cache_enabled: expected true/false, got 1"),
+            ("method", 3, "method: expected a string, got 3"),
+        ],
+    )
+    def test_type_error_names_key_and_kind(self, tmp_path, key, value, message):
+        with pytest.raises(ConfigError) as excinfo:
+            self.load(tmp_path, {key: value})
+        assert str(excinfo.value) == message
+
+    def test_int_accepted_for_number_key(self, tmp_path):
+        assert self.load(tmp_path, {"timeout": 30}).timeout == 30
+
+    @pytest.mark.parametrize("key", ["api_key", "script_path"])
+    def test_env_and_flag_only_settings_are_not_file_keys(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"unknown config key\\(s\\): {key}"):
+            self.load(tmp_path, {key: "x"})
+
+    def test_known_keys_are_the_run_config_fields(self):
+        names = {field.name for field in fields(RunConfig)}
+        assert KNOWN_KEYS == names - {"api_key", "script_path"}
+
+    @pytest.mark.parametrize(
+        "payload, flags, key",
+        [
+            ({"workers": -2}, [], "workers"),
+            ({}, ["--workers", "0"], "workers"),
+            ({"timeout": 0}, [], "timeout"),
+            ({"timeout": -1.5}, [], "timeout"),
+        ],
+    )
+    def test_out_of_range_setting_names_key(self, tmp_path, payload, flags, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            self.load(tmp_path, payload, *flags)
+
+    def test_zero_timeout_with_endpoint_is_config_error(self, tmp_path, capsys):
+        config_file = write_json(tmp_path / "config.json", {
+            "api_base": "http://127.0.0.1:9",
+            "decomposer_model": "d",
+            "evaluator_model": "e",
+            "timeout": 0,
+        })
+        assert main(["solve", "How many?", "--config", config_file]) == EXIT_CONFIG
+        assert "timeout" in capsys.readouterr().err
 
 
 class TestRunIdentity:

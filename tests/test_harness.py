@@ -273,6 +273,39 @@ class TestBudgetSweep:
                 problems, (0,), SolverConfig(token_budget=10), scripted_provider(fixture)
             )
 
+    @pytest.mark.parametrize(
+        "ids, error",
+        [
+            ([], InvalidCounts),
+            (["p000", None], DataError),
+            (["../x"], DataError),
+            (["p000", "p000"], DataError),
+        ],
+    )
+    def test_bad_problem_set_rejected_before_any_cell(self, tmp_path, ids, error):
+        problems = [
+            Problem(
+                id=problem_id or "nogold",
+                question=HENRY_QUESTION,
+                gold_answer=CanonicalNumber("25") if problem_id else None,
+            )
+            for problem_id in ids
+        ]
+        served = []
+
+        def provider(problem):
+            served.append(problem.id)
+            backend = ScriptedBackend({"decomposer": [], "evaluator": []})
+            return backend, backend
+
+        with pytest.raises(error):
+            budget_sweep(
+                problems, (100, 200), SolverConfig(token_budget=10), provider,
+                out_dir=tmp_path / "runs", continue_on_error=True,
+            )
+        assert served == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_csv_written(self, tmp_path):
         problems, fixture = build_sweep_case(count=2)
         budget_sweep(

@@ -128,15 +128,13 @@ class TestParseAgentStep:
 class TestEvaluatorPrompt:
     def test_contains_candidate_verbatim(self):
         problem = Problem(id="henry", question="How many miles between stops?")
-        candidate = StepCandidate(
-            kind=StepKind.INTERMEDIATE, text="60 - 45 = 15", raw="STEP: 60 - 45 = 15"
-        )
+        candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="60 - 45 = 15")
         prompt = build_evaluator_prompt(problem, [], candidate)
         assert "60 - 45 = 15" in prompt
 
     def test_contains_format_instruction_and_rubric(self):
         problem = Problem(id="q1", question="Count.")
-        candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="1 + 1 = 2", raw="")
+        candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="1 + 1 = 2")
         prompt = build_evaluator_prompt(problem, [], candidate)
         assert "Score: <0-3>" in prompt
         assert "Feedback: <one sentence>" in prompt
@@ -148,7 +146,7 @@ class TestEvaluatorPrompt:
     def test_numbered_history_included(self):
         problem = Problem(id="q1", question="Count.")
         history = ["first step text", "second step text"]
-        candidate = StepCandidate(kind=StepKind.FINAL, text="9", raw="")
+        candidate = StepCandidate(kind=StepKind.FINAL, text="9")
         prompt = build_evaluator_prompt(problem, history, candidate)
         assert "STEP 1: first step text" in prompt
         assert "STEP 2: second step text" in prompt
@@ -156,7 +154,7 @@ class TestEvaluatorPrompt:
 
     def test_deterministic_bytes(self):
         problem = Problem(id="q1", question="Count.")
-        candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="2 * 3 = 6", raw="")
+        candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="2 * 3 = 6")
         assert build_evaluator_prompt(problem, [], candidate) == build_evaluator_prompt(
             problem, [], candidate
         )
