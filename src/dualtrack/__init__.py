@@ -20,21 +20,13 @@ from .agents import (
     ScriptedBackend,
     estimate_tokens,
 )
-from .cache import (
-    CacheDecision,
-    CacheOrigin,
-    RejectionCache,
-    fingerprint,
-    synth_rejection,
-)
+from .cache import CacheDecision, RejectionCache, fingerprint
 from .dataset import (
     DataError,
-    DatasetStats,
     RatingRecord,
     RawExample,
     TrainingInstance,
     UnknownRating,
-    dataset_stats,
     load_gsm8k_examples,
     load_prm_records,
     make_instances,

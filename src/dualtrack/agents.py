@@ -42,10 +42,6 @@ DEFAULT_SYSTEM_PROMPTS = {
 }
 
 
-class ScriptExhausted(Exception):
-    """A scripted backend has no canned replies left for the role."""
-
-
 class BackendError(Exception):
     """The endpoint failed: non-success status, malformed body, or transport error."""
 
@@ -57,6 +53,10 @@ class BackendError(Exception):
 
 class BackendTimeout(BackendError):
     """The endpoint did not answer within the configured timeout."""
+
+
+class ScriptExhausted(BackendError):
+    """A scripted backend has no canned replies left for the role."""
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .protocol import Evaluation
-
 FINGERPRINT_ALPHABET = "0123456789.+-*/=%()"
 
 DUPLICATE_FEEDBACK = (
@@ -29,7 +27,7 @@ KNOWN_BAD_FEEDBACK = (
 _MULT_GLYPH_RE = re.compile(r"(\d)\s*[x×·]\s*(?=\d)")
 # Dots are decimal points only between digits; sentence punctuation is noise.
 _BARE_DOT_RE = re.compile(r"(?<!\d)\.|\.(?!\d)")
-_NON_ALPHABET_RE = re.compile(r"[^0-9.+\-*/=%()]")
+_NON_ALPHABET_RE = re.compile(f"[^{re.escape(FINGERPRINT_ALPHABET)}]")
 
 
 class CacheDecision(str, Enum):
@@ -38,9 +36,11 @@ class CacheDecision(str, Enum):
     KNOWN_BAD = "known_bad"
 
 
-class CacheOrigin(str, Enum):
-    ACCEPTED_DUPLICATE_SOURCE = "accepted_duplicate_source"
-    LOW_SCORE = "low_score"
+# The feedback of the zero-score evaluation that a cache hit stands in for.
+REJECTION_FEEDBACK = {
+    CacheDecision.DUPLICATE_ACCEPTED: DUPLICATE_FEEDBACK,
+    CacheDecision.KNOWN_BAD: KNOWN_BAD_FEEDBACK,
+}
 
 
 def fingerprint(step_text: str) -> str:
@@ -61,45 +61,19 @@ def fingerprint(step_text: str) -> str:
 class RejectionCache:
     """Fingerprint store scoped to one problem.
 
-    Holds at most one entry per fingerprint; the first recorded origin
-    wins. Empty fingerprints are never stored or matched, so math-free
-    steps cannot collide with each other.
+    Maps each fingerprint to the decision a later match gets; the first
+    recorded decision wins. Empty fingerprints are never stored or
+    matched, so math-free steps cannot collide with each other.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, CacheOrigin] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fp: str) -> bool:
-        return fp in self._entries
+        self._decisions: dict[str, CacheDecision] = {}
 
     def check(self, fp: str) -> CacheDecision:
         """Classify a fingerprint against the cache."""
-        if not fp:
-            return CacheDecision.MISS
-        origin = self._entries.get(fp)
-        if origin is None:
-            return CacheDecision.MISS
-        if origin is CacheOrigin.ACCEPTED_DUPLICATE_SOURCE:
-            return CacheDecision.DUPLICATE_ACCEPTED
-        return CacheDecision.KNOWN_BAD
+        return self._decisions.get(fp, CacheDecision.MISS)
 
-    def record(self, fp: str, origin: CacheOrigin) -> None:
-        """Insert a fingerprint; no-op for empty fingerprints or known ones."""
-        if not fp:
-            return
-        self._entries.setdefault(fp, origin)
-
-
-def synth_rejection(decision: CacheDecision) -> Evaluation:
-    """Synthesize the zero-score evaluation for a cache hit.
-
-    Never contacts any agent. ``decision`` must not be MISS.
-    """
-    if decision is CacheDecision.DUPLICATE_ACCEPTED:
-        return Evaluation(score=0, feedback=DUPLICATE_FEEDBACK)
-    if decision is CacheDecision.KNOWN_BAD:
-        return Evaluation(score=0, feedback=KNOWN_BAD_FEEDBACK)
-    raise ValueError("synth_rejection requires a non-miss cache decision")
+    def record(self, fp: str, decision: CacheDecision) -> None:
+        """Store the decision for a fingerprint; no-op if empty or known."""
+        if fp:
+            self._decisions.setdefault(fp, decision)

@@ -23,12 +23,10 @@ from .agents import (
     DecodeParams,
     HTTPBackend,
     Role,
-    ScriptExhausted,
     ScriptedBackend,
 )
 from .dataset import (
     DataError,
-    dataset_stats,
     load_gsm8k_examples,
     make_instances,
     split_examples,
@@ -278,25 +276,31 @@ def cmd_prep(args: argparse.Namespace) -> int:
         (instance for example in val for instance in make_instances(example)),
         out_dir / "val.jsonl",
     )
-    stats = dataset_stats(examples)
+    # Each example yields one instance per solution step plus its final answer.
+    instances = train_count + val_count
+    mean_steps = (instances - len(examples)) / len(examples) if examples else 0.0
+    stats = {
+        "examples": len(examples),
+        "instances": instances,
+        "mean_steps_per_example": mean_steps,
+        "train_instances": train_count,
+        "val_instances": val_count,
+    }
     (out_dir / "stats.json").write_text(
-        json.dumps(
-            {**stats.to_dict(), "train_instances": train_count, "val_instances": val_count},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"examples: {stats.examples}")
-    print(f"instances: {stats.instances} (train {train_count}, val {val_count})")
-    print(f"mean steps per example: {stats.mean_steps_per_example:.2f}")
+    print(f"examples: {len(examples)}")
+    print(f"instances: {instances} (train {train_count}, val {val_count})")
+    print(f"mean steps per example: {mean_steps:.2f}")
     print(f"wrote {out_dir / 'train.jsonl'} and {out_dir / 'val.jsonl'}")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    problem = Problem(id="adhoc", question=args.question)
+    try:
+        problem = Problem(id="adhoc", question=args.question)
+    except ValueError as exc:
+        raise ConfigError(f"question: {exc}") from None
     _, solver_config, _, backends = _start_run(args, [problem])
     trace = solve(problem, solver_config, *backends(problem))
 
@@ -446,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, InvalidCounts, ProtocolError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (BackendError, ScriptExhausted) as exc:
+    except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

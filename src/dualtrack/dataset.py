@@ -63,20 +63,6 @@ class RatingRecord:
     mapped_score: int
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    examples: int
-    instances: int
-    mean_steps_per_example: float
-
-    def to_dict(self) -> dict:
-        return {
-            "examples": self.examples,
-            "instances": self.instances,
-            "mean_steps_per_example": self.mean_steps_per_example,
-        }
-
-
 def split_solution_steps(answer: str) -> list[str]:
     """Split a worked solution into its ordered step texts.
 
@@ -114,28 +100,18 @@ def make_instances(example: RawExample) -> list[TrainingInstance]:
     with ``FINAL_ANSWER: <gold>``.
     """
     steps = split_solution_steps(example.answer)
-    gold = extract_gold_answer(example.answer)
+    targets = [f"{STEP_PREFIX} {step}" for step in steps]
+    targets.append(f"{FINAL_ANSWER_PREFIX} {extract_gold_answer(example.answer)}")
     base_id = example_id(example)
-    instances = []
-    for t in range(1, len(steps) + 1):
-        instances.append(
-            TrainingInstance(
-                id=f"{base_id}-{t}",
-                problem_block=render_problem_block(example.question, steps[: t - 1]),
-                target=f"{STEP_PREFIX} {steps[t - 1]}",
-                step_index=t,
-            )
-        )
-    final_index = len(steps) + 1
-    instances.append(
+    return [
         TrainingInstance(
-            id=f"{base_id}-{final_index}",
-            problem_block=render_problem_block(example.question, steps),
-            target=f"{FINAL_ANSWER_PREFIX} {gold}",
-            step_index=final_index,
+            id=f"{base_id}-{t}",
+            problem_block=render_problem_block(example.question, steps[: t - 1]),
+            target=target,
+            step_index=t,
         )
-    )
-    return instances
+        for t, target in enumerate(targets, start=1)
+    ]
 
 
 def serialize_instance(instance: TrainingInstance) -> str:
@@ -249,21 +225,6 @@ def split_examples(
         side = val if _hash_fraction(example_id(example), seed) < val_fraction else train
         side.append(example)
     return train, val
-
-
-def dataset_stats(examples: Sequence[RawExample]) -> DatasetStats:
-    instance_count = 0
-    step_count = 0
-    for example in examples:
-        steps = split_solution_steps(example.answer)
-        step_count += len(steps)
-        instance_count += len(steps) + 1
-    mean_steps = step_count / len(examples) if examples else 0.0
-    return DatasetStats(
-        examples=len(examples),
-        instances=instance_count,
-        mean_steps_per_example=mean_steps,
-    )
 
 
 def write_instances(instances: Iterable[TrainingInstance], path: str | Path) -> int:

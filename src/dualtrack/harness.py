@@ -26,7 +26,6 @@ from .dataset import DataError, _read_jsonl
 from .protocol import (
     CanonicalNumber,
     Problem,
-    ProtocolError,
     extract_gold_answer,
     normalize_answer,
 )
@@ -222,9 +221,9 @@ def load_problems(path: str | Path) -> list[Problem]:
                 gold = extract_gold_answer(str(record["answer"]))
             elif record.get("gold_answer") is not None:
                 gold = normalize_answer(str(record["gold_answer"]))
-        except ProtocolError as exc:
+            problems.append(Problem(id=problem_id, question=question, gold_answer=gold))
+        except ValueError as exc:  # a ProtocolError, or a blank question
             raise DataError(f"{path}:{line_number}: {exc}") from None
-        problems.append(Problem(id=problem_id, question=question, gold_answer=gold))
     return problems
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 STEP_PREFIX = "STEP:"
 FINAL_ANSWER_PREFIX = "FINAL_ANSWER:"
@@ -174,13 +174,6 @@ class AcceptedStep:
     forced: bool = False
 
 
-HistoryStep = Union[AcceptedStep, StepCandidate, str]
-
-
-def _step_texts(history: Sequence[HistoryStep]) -> list[str]:
-    return [step if isinstance(step, str) else step.text for step in history]
-
-
 def render_problem_block(question: str, step_texts: Sequence[str]) -> str:
     """Render the shared problem-plus-history block.
 
@@ -194,7 +187,7 @@ def render_problem_block(question: str, step_texts: Sequence[str]) -> str:
 
 def build_decomposer_prompt(
     problem: Problem,
-    history: Sequence[HistoryStep] = (),
+    history: Sequence[str] = (),
     hint: str | None = None,
 ) -> str:
     """Build the next-step request sent to the Decomposer.
@@ -202,7 +195,7 @@ def build_decomposer_prompt(
     Emits the problem block followed, when a hint is present, by one
     trailing ``HINT:`` line. Pure function of its inputs.
     """
-    block = render_problem_block(problem.question, _step_texts(history))
+    block = render_problem_block(problem.question, history)
     if hint:
         block += f"\n{HINT_PREFIX} {hint}"
     return block
@@ -210,7 +203,7 @@ def build_decomposer_prompt(
 
 def build_evaluator_prompt(
     problem: Problem,
-    history: Sequence[HistoryStep],
+    history: Sequence[str],
     candidate: StepCandidate,
 ) -> str:
     """Build the scoring request sent to the Evaluator.
@@ -219,7 +212,7 @@ def build_evaluator_prompt(
     candidate step verbatim, the four-line 0-3 rubric, and the required
     ``Score:`` / ``Feedback:`` output format.
     """
-    block = render_problem_block(problem.question, _step_texts(history))
+    block = render_problem_block(problem.question, history)
     rubric = "\n".join(SCORE_RUBRIC)
     return (
         f"{block}\n"

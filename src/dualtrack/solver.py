@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .agents import BackendError, DecodeParams, Role, ScriptExhausted
-from .cache import CacheDecision, CacheOrigin, RejectionCache, fingerprint, synth_rejection
+from .agents import BackendError, DecodeParams, Role
+from .cache import REJECTION_FEEDBACK, CacheDecision, RejectionCache, fingerprint
 from .protocol import (
     AcceptedStep,
     CanonicalNumber,
@@ -247,7 +247,7 @@ def solve(
         backend, params, kind = agents[role]
         try:
             reply = backend.complete(role, prompt, params)
-        except (BackendError, ScriptExhausted) as exc:
+        except BackendError as exc:
             raise _Stop(Outcome.BACKEND_FAILURE, f"{role.value}: {exc}")
         payload["raw"] = reply.raw_text
         emit(kind, payload, reply.total_tokens)
@@ -261,7 +261,7 @@ def solve(
         )
         return Evaluation(0, feedback)
 
-    def judge(raw: str) -> tuple[StepCandidate | None, str, Evaluation]:
+    def judge(raw: str, history: list[str]) -> tuple[StepCandidate | None, str, Evaluation]:
         """Score a generation: parse it, screen it against the cache, or
         have the Evaluator score it. Returns no candidate if unparseable."""
         try:
@@ -274,7 +274,7 @@ def solve(
         fp = fingerprint(candidate.text)
         cache_hit = cache.check(fp) if config.cache_enabled else CacheDecision.MISS
         if cache_hit is not CacheDecision.MISS:
-            evaluation = synth_rejection(cache_hit)
+            evaluation = Evaluation(0, REJECTION_FEEDBACK[cache_hit])
             emit(
                 EventKind.CACHE_REJECTED,
                 {"decision": cache_hit.value, "fingerprint": fp,
@@ -284,14 +284,14 @@ def solve(
 
         # score and feedback stay null in the trace if the reply fails to parse
         payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None}
-        raw = call(Role.EVALUATOR, build_evaluator_prompt(problem, accepted, candidate), payload)
+        raw = call(Role.EVALUATOR, build_evaluator_prompt(problem, history, candidate), payload)
         try:
             evaluation = parse_evaluation(raw)
         except ProtocolError as exc:
             raise _Stop(Outcome.BACKEND_FAILURE, f"evaluator protocol violation: {exc}")
         payload.update(score=evaluation.score, feedback=evaluation.feedback)
         if config.cache_enabled and evaluation.score <= config.cache_bad_threshold:
-            cache.record(fp, CacheOrigin.LOW_SCORE)
+            cache.record(fp, CacheDecision.KNOWN_BAD)
         return candidate, fp, evaluation
 
     hint: str | None = None
@@ -299,12 +299,13 @@ def solve(
     try:
         while True:
             slot = len(accepted) + 1
+            history = [step.text for step in accepted]
             raw = call(
                 Role.DECOMPOSER,
-                build_decomposer_prompt(problem, accepted, hint),
+                build_decomposer_prompt(problem, history, hint),
                 {"slot": slot, "attempt": retries},
             )
-            candidate, fp, evaluation = judge(raw)
+            candidate, fp, evaluation = judge(raw, history)
 
             decision = step_decision(evaluation.score, retries, config)
             if decision is Decision.RETRY:
@@ -333,7 +334,7 @@ def solve(
             )
             accepted.append(step)
             if config.cache_enabled:
-                cache.record(fp, CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
+                cache.record(fp, CacheDecision.DUPLICATE_ACCEPTED)
             emit(
                 EventKind.FORCED_ACCEPT if forced else EventKind.ACCEPTED,
                 {"index": step.index, "kind": step.kind.value, "text": step.text,

@@ -3,18 +3,16 @@ from __future__ import annotations
 import random
 import re
 
-import pytest
 from hypothesis import given, strategies as st
 
 from dualtrack.cache import (
-    CacheDecision,
-    CacheOrigin,
     DUPLICATE_FEEDBACK,
     FINGERPRINT_ALPHABET,
     KNOWN_BAD_FEEDBACK,
+    REJECTION_FEEDBACK,
+    CacheDecision,
     RejectionCache,
     fingerprint,
-    synth_rejection,
 )
 
 from conftest import HENRY_BAD_STEP
@@ -111,59 +109,52 @@ class TestRejectionCache:
 
     def test_empty_fingerprint_always_misses(self):
         cache = RejectionCache()
-        cache.record("", CacheOrigin.LOW_SCORE)
-        assert len(cache) == 0
+        cache.record("", CacheDecision.KNOWN_BAD)
         assert cache.check("") is CacheDecision.MISS
 
     def test_accepted_entry_reports_duplicate(self):
         cache = RejectionCache()
-        cache.record("1+1=2", CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
+        cache.record("1+1=2", CacheDecision.DUPLICATE_ACCEPTED)
         assert cache.check("1+1=2") is CacheDecision.DUPLICATE_ACCEPTED
 
     def test_low_score_entry_reports_known_bad(self):
         cache = RejectionCache()
-        cache.record("2+2=5", CacheOrigin.LOW_SCORE)
+        cache.record("2+2=5", CacheDecision.KNOWN_BAD)
         assert cache.check("2+2=5") is CacheDecision.KNOWN_BAD
 
     def test_record_idempotent(self):
         cache = RejectionCache()
-        cache.record("3*3=9", CacheOrigin.LOW_SCORE)
-        cache.record("3*3=9", CacheOrigin.LOW_SCORE)
-        assert len(cache) == 1
+        cache.record("3*3=9", CacheDecision.KNOWN_BAD)
+        cache.record("3*3=9", CacheDecision.KNOWN_BAD)
+        assert cache.check("3*3=9") is CacheDecision.KNOWN_BAD
 
     def test_first_origin_wins_both_orders(self):
         accepted_first = RejectionCache()
-        accepted_first.record("5-2=3", CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
-        accepted_first.record("5-2=3", CacheOrigin.LOW_SCORE)
+        accepted_first.record("5-2=3", CacheDecision.DUPLICATE_ACCEPTED)
+        accepted_first.record("5-2=3", CacheDecision.KNOWN_BAD)
         assert accepted_first.check("5-2=3") is CacheDecision.DUPLICATE_ACCEPTED
 
         low_first = RejectionCache()
-        low_first.record("5-2=3", CacheOrigin.LOW_SCORE)
-        low_first.record("5-2=3", CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
+        low_first.record("5-2=3", CacheDecision.KNOWN_BAD)
+        low_first.record("5-2=3", CacheDecision.DUPLICATE_ACCEPTED)
         assert low_first.check("5-2=3") is CacheDecision.KNOWN_BAD
 
     def test_instances_are_independent(self):
         first, second = RejectionCache(), RejectionCache()
-        first.record("9/3=3", CacheOrigin.ACCEPTED_DUPLICATE_SOURCE)
+        first.record("9/3=3", CacheDecision.DUPLICATE_ACCEPTED)
         assert second.check("9/3=3") is CacheDecision.MISS
 
 
 class TestSynthRejection:
     def test_duplicate_fixed_feedback(self):
-        evaluation = synth_rejection(CacheDecision.DUPLICATE_ACCEPTED)
-        assert evaluation.score == 0
-        assert evaluation.feedback == DUPLICATE_FEEDBACK
+        feedback = REJECTION_FEEDBACK[CacheDecision.DUPLICATE_ACCEPTED]
+        assert feedback == DUPLICATE_FEEDBACK
         assert (
-            evaluation.feedback
+            feedback
             == "This repeats an earlier computation; move to a genuinely new sub-calculation."
         )
 
     def test_known_bad_fixed_feedback(self):
-        evaluation = synth_rejection(CacheDecision.KNOWN_BAD)
-        assert evaluation.score == 0
-        assert evaluation.feedback == KNOWN_BAD_FEEDBACK
-        assert "previously rejected" in evaluation.feedback
-
-    def test_miss_is_a_precondition_violation(self):
-        with pytest.raises(ValueError):
-            synth_rejection(CacheDecision.MISS)
+        feedback = REJECTION_FEEDBACK[CacheDecision.KNOWN_BAD]
+        assert feedback == KNOWN_BAD_FEEDBACK
+        assert "previously rejected" in feedback

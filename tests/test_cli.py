@@ -85,6 +85,52 @@ class TestPrep:
         stats = json.loads((out_dir / "stats.json").read_text())
         assert stats["instances"] == 6
 
+    @pytest.mark.parametrize(
+        "records, flags, counts",
+        [
+            ("natalia weng", ["--split-ratio", "0"], (2, 6, "2.0", "2.00", 6, 0)),
+            (
+                "natalia weng tom",
+                ["--split-ratio", "0.5", "--seed", "1"],
+                (3, 8, "1.6666666666666667", "1.67", 5, 3),
+            ),
+            ("", [], (0, 0, "0.0", "0.00", 0, 0)),
+        ],
+        ids=["all-train", "split", "empty"],
+    )
+    def test_stats_file_and_report_bytes(self, tmp_path, capsys, records, flags, counts):
+        examples = {
+            "natalia": {"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER},
+            "weng": {"question": WENG_QUESTION, "answer": WENG_ANSWER},
+            "tom": {
+                "question": "Tom has 2 apples and gets 3 more. How many apples does he have?",
+                "answer": "Tom has 2 + 3 = <<2+3=5>>5 apples.\n#### 5",
+            },
+        }
+        data = tmp_path / "gsm8k.jsonl"
+        data.write_text(
+            "".join(json.dumps(examples[name]) + "\n" for name in records.split()),
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "prepped"
+        assert main(["prep", str(data), str(out_dir)] + flags) == EXIT_OK
+        n, instances, mean_json, mean_text, train, val = counts
+        assert (out_dir / "stats.json").read_text(encoding="utf-8") == (
+            "{\n"
+            f'  "examples": {n},\n'
+            f'  "instances": {instances},\n'
+            f'  "mean_steps_per_example": {mean_json},\n'
+            f'  "train_instances": {train},\n'
+            f'  "val_instances": {val}\n'
+            "}\n"
+        )
+        assert capsys.readouterr().out == (
+            f"examples: {n}\n"
+            f"instances: {instances} (train {train}, val {val})\n"
+            f"mean steps per example: {mean_text}\n"
+            f"wrote {out_dir / 'train.jsonl'} and {out_dir / 'val.jsonl'}\n"
+        )
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["prep", str(tmp_path / "absent.jsonl"), str(tmp_path / "out")])
         assert code == EXIT_DATA
@@ -131,6 +177,11 @@ class TestSolve:
         )
         assert code == EXIT_UNSOLVED
         assert "budget_exhausted" in capsys.readouterr().out
+
+    def test_blank_question_is_usage_error(self, henry_fixture_file, capsys):
+        code = main(["solve", "  ", "--script", henry_fixture_file])
+        assert code == EXIT_CONFIG
+        assert "config error: question:" in capsys.readouterr().err
 
     def test_dead_script_exits_backend(self, tmp_path, capsys):
         fixture = write_json(tmp_path / "dead.json", {"decomposer": [], "evaluator": []})
@@ -302,6 +353,22 @@ class TestSweepRejectsBadInput:
         assert main(argv) == EXIT_DATA
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_blank_problem_question_is_data_error(tmp_path, capsys, command):
+    problems_file = tmp_path / "problems.jsonl"
+    problems_file.write_text(
+        json.dumps({"id": "p0", "question": "q?", "gold_answer": "1"}) + "\n"
+        + json.dumps({"id": "p1", "question": " \t", "gold_answer": "1"}) + "\n",
+        encoding="utf-8",
+    )
+    fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+    out_dir = tmp_path / "runs"
+    argv = [command, str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+    assert main(argv) == EXIT_DATA
+    assert f"data error: {problems_file}:2: " in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 class TestRunConfig:

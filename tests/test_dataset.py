@@ -8,7 +8,6 @@ from dualtrack.dataset import (
     DataError,
     RawExample,
     UnknownRating,
-    dataset_stats,
     deserialize_instance,
     load_gsm8k_examples,
     load_prm_records,
@@ -254,12 +253,6 @@ class TestSplitExamples:
 
 
 class TestStatsAndWriting:
-    def test_stats_for_paper_examples(self):
-        stats = dataset_stats([NATALIA, WENG])
-        assert stats.examples == 2
-        assert stats.instances == 6
-        assert stats.mean_steps_per_example == 2.0
-
     def test_write_instances(self, tmp_path):
         path = tmp_path / "out" / "train.jsonl"
         count = write_instances(make_instances(NATALIA), path)

@@ -71,13 +71,6 @@ class TestDecomposerPrompt:
         second = build_decomposer_prompt(problem, history, "keep going")
         assert first == second
 
-    def test_history_accepts_step_objects(self):
-        problem = Problem(id="q1", question="Count.")
-        candidate = parse_agent_step("STEP: He picked 3 + 4 = 7 apples.")
-        from_objects = build_decomposer_prompt(problem, [candidate])
-        from_strings = build_decomposer_prompt(problem, ["He picked 3 + 4 = 7 apples."])
-        assert from_objects == from_strings
-
 
 class TestParseAgentStep:
     def test_intermediate_step_line(self):
