@@ -125,8 +125,10 @@ class ScriptedBackend:
         return self._cursor.get(Role(role), 0)
 
 
-def _excerpt(body: str) -> str:
-    return body[:_BODY_EXCERPT_CHARS]
+def _http_error(what: str, response: requests.Response) -> BackendError:
+    """An endpoint failure carrying the response's status and a body excerpt."""
+    body = response.text[:_BODY_EXCERPT_CHARS]
+    return BackendError(f"{what}: {body}", status=response.status_code, body=body)
 
 
 class HTTPBackend:
@@ -138,10 +140,10 @@ class HTTPBackend:
     roles may point at the same endpoint with different models and
     system prompts; the role is carried in configuration.
 
-    One automatic retry is made for transient failures (timeouts,
-    connection errors, 429/5xx); transport retries never consume the
-    solver's step-retry budget. Calls share no mutable state, so a
-    single instance is safe under concurrent workers.
+    One automatic retry is made for transient failures only (timeouts,
+    connection errors, HTTP 429/500/502/503/504); transport retries
+    never consume the solver's step-retry budget. Calls share no
+    mutable state, so a single instance is safe under concurrent workers.
     """
 
     def __init__(
@@ -183,53 +185,36 @@ class HTTPBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_error: BackendError | None = None
         for _ in range(2):
             try:
                 response = requests.post(url, json=body, headers=headers, timeout=self.timeout)
             except requests.Timeout:
-                last_error = BackendTimeout(f"no response within {self.timeout}s")
+                error = BackendTimeout(f"no response within {self.timeout}s")
                 continue
             except requests.RequestException as exc:
-                last_error = BackendError(f"transport error: {exc}")
+                error = BackendError(f"transport error: {exc}")
                 continue
-            if response.status_code in _TRANSIENT_STATUSES:
-                last_error = BackendError(
-                    f"HTTP {response.status_code}: {_excerpt(response.text)}",
-                    status=response.status_code,
-                    body=_excerpt(response.text),
-                )
-                continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"HTTP {response.status_code}: {_excerpt(response.text)}",
-                    status=response.status_code,
-                    body=_excerpt(response.text),
-                )
-            return self._parse_response(response, prompt)
-        assert last_error is not None
-        raise last_error
+            if response.status_code == 200:
+                return self._parse_response(response, prompt)
+            error = _http_error(f"HTTP {response.status_code}", response)
+            if response.status_code not in _TRANSIENT_STATUSES:
+                break
+        raise error
 
     def _parse_response(self, response: requests.Response, prompt: str) -> AgentReply:
         try:
             data = response.json()
         except ValueError:
-            raise BackendError(
-                f"malformed JSON body: {_excerpt(response.text)}",
-                status=response.status_code,
-                body=_excerpt(response.text),
-            ) from None
+            raise _http_error("malformed JSON body", response) from None
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
-            raise BackendError(
-                f"unexpected response shape: {_excerpt(response.text)}",
-                status=response.status_code,
-                body=_excerpt(response.text),
-            ) from None
+            raise _http_error("unexpected response shape", response) from None
         if not isinstance(content, str):
             raise BackendError("message content is not text", status=response.status_code)
-        usage = data.get("usage") or {}
+        # A usage that is not an object counts as absent: both counts are estimated.
+        usage = data.get("usage")
+        usage = usage if isinstance(usage, dict) else {}
         return AgentReply(
             raw_text=content,
             prompt_tokens=_usage_count(usage, "prompt_tokens", estimate_tokens(prompt)),

@@ -223,20 +223,18 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
             f"api_base: set it in the config file or via {API_BASE_ENV} "
             "(or pass --script for a scripted run)"
         )
-    if not config.decomposer_model or not config.evaluator_model:
+    models = {role: getattr(config, f"{role.value}_model") for role in Role}
+    if not all(models.values()):
         raise ConfigError("decomposer_model/evaluator_model: required for live endpoints")
-    system_prompts = {}
-    if config.decomposer_system_prompt:
-        system_prompts[Role.DECOMPOSER] = config.decomposer_system_prompt
-    if config.evaluator_system_prompt:
-        system_prompts[Role.EVALUATOR] = config.evaluator_system_prompt
+    system_prompts = {
+        role: prompt
+        for role in Role
+        if (prompt := getattr(config, f"{role.value}_system_prompt"))
+    }
     return HTTPBackend(
         base_url=config.api_base,
         api_key=config.api_key,
-        models={
-            Role.DECOMPOSER: config.decomposer_model,
-            Role.EVALUATOR: config.evaluator_model,
-        },
+        models=models,
         system_prompts=system_prompts,
         timeout=config.timeout,
     )

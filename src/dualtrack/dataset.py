@@ -20,6 +20,7 @@ from .protocol import (
     FINAL_ANSWER_PREFIX,
     GOLD_MARKER,
     STEP_PREFIX,
+    ProtocolError,
     extract_gold_answer,
     render_problem_block,
 )
@@ -116,29 +117,7 @@ def make_instances(example: RawExample) -> list[TrainingInstance]:
 
 def serialize_instance(instance: TrainingInstance) -> str:
     """Serialize an instance to its one-line JSON record."""
-    return json.dumps(
-        {
-            "id": instance.id,
-            "problem_block": instance.problem_block,
-            "target": instance.target,
-            "step_index": instance.step_index,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-
-
-def deserialize_instance(line: str) -> TrainingInstance:
-    try:
-        record = json.loads(line)
-        return TrainingInstance(
-            id=record["id"],
-            problem_block=record["problem_block"],
-            target=record["target"],
-            step_index=record["step_index"],
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"bad instance record: {exc}") from None
+    return json.dumps(vars(instance), ensure_ascii=False, sort_keys=True)
 
 
 def map_prm_rating(rating: int) -> int:
@@ -154,7 +133,11 @@ def map_prm_rating(rating: int) -> int:
 
 
 def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
-    """Read GSM8K-format examples from a JSONL file of question/answer records."""
+    """Read GSM8K-format examples from a JSONL file of question/answer records.
+
+    Every answer must carry a ``####`` marker with a number after it, so a
+    bad record is reported by line before any instance is written.
+    """
     examples = []
     for line_number, record in _read_jsonl(path):
         try:
@@ -165,6 +148,10 @@ def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
             ) from None
         if not isinstance(question, str) or not isinstance(answer, str):
             raise DataError(f"{path}:{line_number}: question and answer must be strings")
+        try:
+            extract_gold_answer(answer)
+        except ProtocolError as exc:
+            raise DataError(f"{path}:{line_number}: {exc}") from None
         examples.append(
             RawExample(question=question, answer=answer, id=str(record.get("id", "")))
         )

@@ -29,9 +29,8 @@ from .protocol import (
     extract_gold_answer,
     normalize_answer,
 )
-from .solver import Outcome, SolverConfig, SolveTrace, solve
+from .solver import Outcome, SolverConfig, solve
 
-DEFAULT_Z = 1.96
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 CSV_COLUMNS = (
     "method",
@@ -46,16 +45,6 @@ CSV_COLUMNS = (
     "evaluator_calls",
 )
 
-# Trace label vocabulary for human error annotation; traces are always
-# exported with labels empty.
-ERROR_LABELS = (
-    "conceptual_error_decomposer",
-    "arithmetic_error_decomposer",
-    "scoring_issue_evaluator",
-    "looping_no_progress",
-    "ignored_hint_decomposer",
-)
-
 BackendPair = tuple[object, object]
 BackendProvider = Callable[[Problem], BackendPair]
 
@@ -68,15 +57,12 @@ class InvalidCounts(ValueError):
 class WilsonInterval:
     """Wilson score interval for a binomial proportion."""
 
-    p_hat: float
-    n: int
-    z: float
     low: float
     high: float
 
 
-def wilson_interval(correct: int, n: int, z: float = DEFAULT_Z) -> WilsonInterval:
-    """Wilson 95% (by default) score interval for ``correct`` successes in ``n``.
+def wilson_interval(correct: int, n: int) -> WilsonInterval:
+    """Wilson 95% score interval for ``correct`` successes in ``n``.
 
     Better calibrated than the normal approximation for small samples
     and proportions near 0 or 1. Bounds are clamped to [0, 1].
@@ -86,6 +72,7 @@ def wilson_interval(correct: int, n: int, z: float = DEFAULT_Z) -> WilsonInterva
     """
     if n < 1 or not 0 <= correct <= n:
         raise InvalidCounts(f"invalid counts: correct={correct}, n={n}")
+    z = 1.96  # standard-normal quantile of a two-sided 95% interval
     p_hat = correct / n
     denominator = 1 + z**2 / n
     center = (p_hat + z**2 / (2 * n)) / denominator
@@ -93,11 +80,7 @@ def wilson_interval(correct: int, n: int, z: float = DEFAULT_Z) -> WilsonInterva
         z * math.sqrt(p_hat * (1 - p_hat) / n + z**2 / (4 * n**2)) / denominator
     )
     return WilsonInterval(
-        p_hat=p_hat,
-        n=n,
-        z=z,
-        low=max(0.0, center - half_width),
-        high=min(1.0, center + half_width),
+        low=max(0.0, center - half_width), high=min(1.0, center + half_width)
     )
 
 
@@ -115,13 +98,9 @@ class RunResult:
 
     def to_dict(self) -> dict:
         return {
-            "problem_id": self.problem_id,
+            **vars(self),
             "predicted": str(self.predicted) if self.predicted else None,
-            "correct": self.correct,
-            "tokens_spent": self.tokens_spent,
             "outcome": self.outcome.value,
-            "evaluator_calls": self.evaluator_calls,
-            "trace_path": self.trace_path,
         }
 
 
@@ -143,16 +122,12 @@ class SummaryRow:
 
     def to_dict(self) -> dict:
         return {
-            "method": self.method,
-            "budget": self.budget,
+            **vars(self),
             "cache": "on" if self.cache else "off",
-            "correct": self.correct,
-            "n": self.n,
             "accuracy": round(self.accuracy, 3),
             "ci_low": round(self.ci_low, 3),
             "ci_high": round(self.ci_high, 3),
             "mean_tokens": round(self.mean_tokens, 2),
-            "evaluator_calls": self.evaluator_calls,
             "outcomes": dict(sorted(self.outcomes.items())),
         }
 
@@ -273,12 +248,6 @@ def _check_problems(problems: Sequence[Problem]) -> None:
         seen.add(problem.id)
 
 
-def _score_trace(problem: Problem, trace: SolveTrace) -> tuple[CanonicalNumber | None, bool]:
-    predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
-    correct = predicted is not None and predicted == problem.gold_answer
-    return predicted, correct
-
-
 def run_benchmark(
     problems: Sequence[Problem],
     config: SolverConfig,
@@ -312,7 +281,7 @@ def run_benchmark(
     def run_one(problem: Problem) -> RunResult:
         decomposer, evaluator = provider(problem)
         trace = solve(problem, config, decomposer, evaluator)
-        predicted, correct = _score_trace(problem, trace)
+        predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
         trace_path = None
         if trace_dir is not None:
             path = trace_dir / f"{problem.id}.json"
@@ -321,7 +290,7 @@ def run_benchmark(
         return RunResult(
             problem_id=problem.id,
             predicted=predicted,
-            correct=correct,
+            correct=predicted is not None and predicted == problem.gold_answer,
             tokens_spent=trace.tokens_spent,
             outcome=trace.outcome,
             evaluator_calls=trace.evaluator_calls,

@@ -268,12 +268,9 @@ def _parse_score_payload(payload: str) -> int:
     # Decimal scores such as "0.0" are truncated to their integer part.
     value = value.split(".", 1)[0].strip()
     try:
-        score = int(value)
+        return int(value)
     except ValueError:
         raise MalformedEvaluation(f"unparseable score payload: {payload!r}") from None
-    if not MIN_SCORE <= score <= MAX_SCORE:
-        raise ScoreOutOfRange(f"score {score} outside {MIN_SCORE}..{MAX_SCORE}")
-    return score
 
 
 def parse_evaluation(raw: str) -> Evaluation:

@@ -106,20 +106,9 @@ class SolverConfig:
 
     def to_dict(self) -> dict:
         return {
-            "token_budget": self.token_budget,
-            "accept_threshold": self.accept_threshold,
-            "max_retries_per_step": self.max_retries_per_step,
-            "max_steps": self.max_steps,
-            "cache_enabled": self.cache_enabled,
-            "cache_bad_threshold": self.cache_bad_threshold,
-            "decomposer_params": {
-                "temperature": self.decomposer_params.temperature,
-                "max_new_tokens": self.decomposer_params.max_new_tokens,
-            },
-            "evaluator_params": {
-                "temperature": self.evaluator_params.temperature,
-                "max_new_tokens": self.evaluator_params.max_new_tokens,
-            },
+            **vars(self),
+            "decomposer_params": dict(vars(self.decomposer_params)),
+            "evaluator_params": dict(vars(self.evaluator_params)),
         }
 
 
@@ -130,11 +119,7 @@ class TraceEvent:
     tokens_charged: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "payload": self.payload,
-            "tokens_charged": self.tokens_charged,
-        }
+        return {**vars(self), "kind": self.kind.value}
 
 
 @dataclass
@@ -172,24 +157,13 @@ class SolveTrace:
 
     def to_dict(self) -> dict:
         return {
-            "problem_id": self.problem_id,
-            "config": self.config,
+            **vars(self),
             "events": [event.to_dict() for event in self.events],
             "accepted_steps": [
-                {
-                    "index": step.index,
-                    "kind": step.kind.value,
-                    "text": step.text,
-                    "fingerprint": step.fingerprint,
-                    "score": step.score,
-                    "forced": step.forced,
-                }
-                for step in self.accepted_steps
+                {**vars(step), "kind": step.kind.value} for step in self.accepted_steps
             ],
             "final_answer": str(self.final_answer) if self.final_answer else None,
             "outcome": self.outcome.value if self.outcome else None,
-            "error": self.error,
-            "labels": list(self.labels),
         }
 
     def to_json(self) -> str:

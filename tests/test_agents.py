@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -224,3 +226,107 @@ class TestHTTPBackend:
         backend = HTTPBackend(base_url="http://models.internal")
         with pytest.raises(BackendError):
             backend.complete(Role.DECOMPOSER, "p")
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Plays the server's next action: ``(status, body bytes)`` sent with one
+    ``write``, ``"close"`` (no response) or ``"stall"`` (no response for 1 s)."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):  # noqa: N802
+        self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            server.received += 1
+            action = server.actions[min(server.received, len(server.actions)) - 1]
+        if action in ("close", "stall"):
+            if action == "stall":
+                server.released.wait(1.0)
+            self.close_connection = True
+            return
+        status, body = action
+        head = (
+            f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        self.wfile.write(head + body)
+
+
+class _LocalEndpoint(ThreadingHTTPServer):
+    """A chat-completions endpoint on 127.0.0.1; the last action repeats."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.lock = threading.Lock()
+        self.released = threading.Event()
+        self.received = 0
+        self.actions: list = []
+
+    def backend(self, *actions, timeout: float = 5.0) -> HTTPBackend:
+        self.actions = list(actions)
+        return HTTPBackend(
+            base_url=f"http://127.0.0.1:{self.server_address[1]}",
+            models={Role.DECOMPOSER: "decomposer-8b", Role.EVALUATOR: "evaluator-8b"},
+            timeout=timeout,
+        )
+
+
+def _ok(content, usage=None):
+    return 200, json.dumps(_chat_payload(content, usage)).encode("utf-8")
+
+
+@pytest.fixture
+def endpoint():
+    server = _LocalEndpoint()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.released.set()
+    server.shutdown()
+    server.server_close()
+
+
+class TestHTTPBackendAgainstLocalServer:
+    """Faults served by a real loopback server; ``requests`` is not patched."""
+
+    def test_transient_500_then_success(self, endpoint):
+        backend = endpoint.backend((500, b"busy"), _ok("STEP: fine"))
+        assert backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: fine"
+        assert endpoint.received == 2
+
+    @pytest.mark.parametrize(
+        "actions, timeout, error, status, message, received",
+        [
+            ([(429, b"slow down")], 5.0, BackendError, 429, "HTTP 429: slow down", 2),
+            ([(404, b"no such model")], 5.0, BackendError, 404, "HTTP 404: no such model", 1),
+            ([(200, b'{"choices": [{"mess')], 5.0, BackendError, 200,
+             'malformed JSON body: {"choices": [{"mess', 1),
+            ([_ok(5)], 5.0, BackendError, 200, "message content is not text", 1),
+            (["close"], 5.0, BackendError, None, "transport error: ", 2),
+            (["stall"], 0.2, BackendTimeout, None, "no response within 0.2s", 2),
+        ],
+        ids=["persistent-429", "404", "truncated-json", "content-not-text",
+             "closed-without-response", "timeout"],
+    )
+    def test_fault(self, endpoint, actions, timeout, error, status, message, received):
+        backend = endpoint.backend(*actions, timeout=timeout)
+        with pytest.raises(BackendError) as excinfo:
+            backend.complete(Role.DECOMPOSER, "p")
+        assert type(excinfo.value) is error
+        assert excinfo.value.status == status
+        assert str(excinfo.value).startswith(message)
+        assert endpoint.received == received
+
+    @pytest.mark.parametrize("usage", [[1], "12", 7], ids=["list", "string", "number"])
+    def test_usage_that_is_not_an_object_is_estimated(self, endpoint, usage):
+        backend = endpoint.backend(_ok("Score: 3", usage))
+        reply = backend.complete(Role.EVALUATOR, "abcdefgh")
+        assert reply.prompt_tokens == estimate_tokens("abcdefgh")
+        assert reply.completion_tokens == estimate_tokens("Score: 3")
+        assert endpoint.received == 1

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -136,6 +137,22 @@ class TestPrep:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "answer", ["It is 4 + 3 = 7.", "It is 4 + 3.\n#### seven"], ids=["no-marker", "no-number"]
+    )
+    def test_answer_without_gold_names_line_and_writes_nothing(self, tmp_path, capsys, answer):
+        data = tmp_path / "gsm8k.jsonl"
+        data.write_text(
+            json.dumps({"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER}) + "\n"
+            + json.dumps({"question": WENG_QUESTION, "answer": WENG_ANSWER}) + "\n"
+            + json.dumps({"question": "How many?", "answer": answer}) + "\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "prepped"
+        assert main(["prep", str(data), str(out_dir), "--split-ratio", "0"]) == EXIT_DATA
+        assert f"data error: {data}:3: " in capsys.readouterr().err
+        assert not (out_dir / "train.jsonl").exists()
+
     def test_split_ratio_validated(self, tmp_path, capsys):
         data = tmp_path / "gsm8k.jsonl"
         data.write_text(
@@ -243,6 +260,59 @@ class TestBench:
         assert len(results) == 50
         csv_lines = (run_dirs[0] / "summary.csv").read_text().splitlines()
         assert len(csv_lines) == 2
+
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            time, "strftime",
+            lambda fmt, *args: "2026-01-01T00:00:00" if "T" in fmt else "20260101-000000",
+        )
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text(
+            json.dumps({"id": "henry", "question": HENRY_QUESTION, "gold_answer": "25"}) + "\n",
+            encoding="utf-8",
+        )
+        fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+        out_dir = tmp_path / "runs"
+        argv = ["bench", str(problems_file), "--script", fixture_file, "--budget", "100000",
+                "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        run_dir = out_dir / "20260101-000000-19a7dc08e9"
+        assert capsys.readouterr().out == (
+            "config_hash: 19a7dc08e9\n"
+            "accuracy: 100.0% [20.7%, 100.0%] (1/1)\n"
+            "mean tokens: 1078.00\n"
+            "evaluator calls: 3\n"
+            f"report: {run_dir}\n"
+        )
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "results.jsonl", "run_meta.json", "summary.csv", "summary.json", "traces",
+        ]
+        trace_path = json.dumps(str(run_dir / "traces" / "henry.json"))
+        assert (run_dir / "results.jsonl").read_text(encoding="utf-8") == (
+            '{"correct": true, "evaluator_calls": 3, "outcome": "solved", "predicted": "25", '
+            '"problem_id": "henry", "tokens_spent": 1078, "trace_path": ' + trace_path + "}\n"
+        )
+        assert (run_dir / "summary.json").read_text(encoding="utf-8") == (
+            '{\n  "accuracy": 1.0,\n  "budget": 100000,\n  "cache": "on",\n'
+            '  "ci_high": 1.0,\n  "ci_low": 0.207,\n  "correct": 1,\n'
+            '  "evaluator_calls": 3,\n  "mean_tokens": 1078.0,\n  "method": "dual_cot",\n'
+            '  "n": 1,\n  "outcomes": {\n    "solved": 1\n  }\n}\n'
+        )
+        assert (run_dir / "summary.csv").read_text(encoding="utf-8") == (
+            "method,budget,cache,correct,n,accuracy,ci_low,ci_high,mean_tokens,evaluator_calls\n"
+            "dual_cot,100000,on,1,1,1.000,0.207,1.000,1078.00,3\n"
+        )
+        params = '{\n      "max_new_tokens": 128,\n      "temperature": 0.0\n    }'
+        assert (run_dir / "run_meta.json").read_text(encoding="utf-8") == (
+            '{\n  "config": {\n    "accept_threshold": 1,\n    "cache_bad_threshold": 1,\n'
+            '    "cache_enabled": true,\n'
+            f'    "decomposer_params": {params},\n'
+            f'    "evaluator_params": {params},\n'
+            '    "max_retries_per_step": 3,\n    "max_steps": 12,\n'
+            '    "token_budget": 100000\n  },\n'
+            '  "config_hash": "19a7dc08e9",\n  "method": "dual_cot",\n'
+            '  "written_at": "2026-01-01T00:00:00"\n}\n'
+        )
 
     def test_missing_script_entry_is_data_error(self, tmp_path, capsys):
         problems, fixture = build_bench_case(n=3, n_correct=3)

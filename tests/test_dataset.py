@@ -7,8 +7,8 @@ import pytest
 from dualtrack.dataset import (
     DataError,
     RawExample,
+    TrainingInstance,
     UnknownRating,
-    deserialize_instance,
     load_gsm8k_examples,
     load_prm_records,
     make_instances,
@@ -134,19 +134,27 @@ class TestMakeInstances:
 class TestInstanceSerialization:
     def test_round_trip(self):
         for instance in make_instances(NATALIA):
-            assert deserialize_instance(serialize_instance(instance)) == instance
+            assert TrainingInstance(**json.loads(serialize_instance(instance))) == instance
+
+    def test_record_bytes(self):
+        instance = TrainingInstance(
+            id="café-2",
+            problem_block="Problem: A pen costs €3. How much do 2 cost?\n"
+            "Steps completed so far:\nSTEP 1: One pen is €3.",
+            target="STEP: Two pens cost 2 x 3 = €6.",
+            step_index=2,
+        )
+        assert serialize_instance(instance) == (
+            '{"id": "café-2", "problem_block": "Problem: A pen costs €3. How much do 2 cost?'
+            '\\nSteps completed so far:\\nSTEP 1: One pen is €3.", "step_index": 2, '
+            '"target": "STEP: Two pens cost 2 x 3 = €6."}'
+        )
 
     def test_record_fields(self):
         record = json.loads(serialize_instance(make_instances(WENG)[1]))
         assert set(record) == {"id", "problem_block", "target", "step_index"}
         assert record["id"] == "weng-2"
         assert record["step_index"] == 2
-
-    def test_bad_record_raises(self):
-        with pytest.raises(DataError):
-            deserialize_instance('{"id": "x"}')
-        with pytest.raises(DataError):
-            deserialize_instance("not json")
 
 
 class TestPrmMapping:
@@ -259,4 +267,4 @@ class TestStatsAndWriting:
         assert count == 3
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
-        assert deserialize_instance(lines[0]).step_index == 1
+        assert json.loads(lines[0])["step_index"] == 1

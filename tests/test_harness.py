@@ -63,7 +63,6 @@ class TestWilsonInterval:
 
     def test_all_correct_upper_bound_is_one(self):
         interval = wilson_interval(4, 4)
-        assert interval.p_hat == 1.0
         assert interval.high == pytest.approx(1.0, abs=1e-12)
         assert interval.low < 1.0
 
