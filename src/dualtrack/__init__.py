@@ -33,7 +33,6 @@ from .dataset import (
     map_prm_rating,
     serialize_instance,
     split_examples,
-    split_solution_steps,
 )
 from .harness import (
     InvalidCounts,
@@ -62,10 +61,10 @@ from .protocol import (
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
-    extract_gold_answer,
     normalize_answer,
     parse_agent_step,
     parse_evaluation,
+    parse_worked_solution,
 )
 from .solver import (
     Decision,

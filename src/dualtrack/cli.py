@@ -12,14 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence, get_args, get_type_hints
 
 from .agents import (
     API_BASE_ENV,
     API_KEY_ENV,
-    BackendError,
     DecodeParams,
     HTTPBackend,
     Role,
@@ -41,7 +40,7 @@ from .harness import (
     load_problems,
     run_benchmark,
 )
-from .protocol import Problem, ProtocolError
+from .protocol import Problem
 from .solver import EventKind, Outcome, SolverConfig, solve
 
 EXIT_OK = 0
@@ -59,7 +58,11 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Validated run configuration assembled from file, env, and flags."""
+    """Validated run configuration assembled from file, env, and flags.
+
+    Solver and decoding settings default to ``SolverConfig``'s and
+    ``DecodeParams``' own defaults; only the token budget is the CLI's.
+    """
 
     api_base: str | None = None
     api_key: str | None = None
@@ -68,13 +71,13 @@ class RunConfig:
     decomposer_system_prompt: str | None = None
     evaluator_system_prompt: str | None = None
     token_budget: int = 2048
-    accept_threshold: int = 1
-    max_retries_per_step: int = 3
-    max_steps: int = 12
-    cache_enabled: bool = True
-    cache_bad_threshold: int = 1
-    temperature: float = 0.0
-    max_new_tokens: int = 128
+    accept_threshold: int = SolverConfig.accept_threshold
+    max_retries_per_step: int = SolverConfig.max_retries_per_step
+    max_steps: int = SolverConfig.max_steps
+    cache_enabled: bool = SolverConfig.cache_enabled
+    cache_bad_threshold: int = SolverConfig.cache_bad_threshold
+    temperature: float = DecodeParams.temperature
+    max_new_tokens: int = DecodeParams.max_new_tokens
     decomposer_temperature: float | None = None
     decomposer_max_new_tokens: int | None = None
     evaluator_temperature: float | None = None
@@ -86,14 +89,12 @@ class RunConfig:
     script_path: str | None = field(default=None, repr=False)
 
     def solver_config(self) -> SolverConfig:
+        """The SolverConfig fields this config shares, plus each role's params."""
+        settings = vars(self)
+        shared = {f.name: settings[f.name] for f in fields(SolverConfig) if f.name in settings}
         try:
             return SolverConfig(
-                token_budget=self.token_budget,
-                accept_threshold=self.accept_threshold,
-                max_retries_per_step=self.max_retries_per_step,
-                max_steps=self.max_steps,
-                cache_enabled=self.cache_enabled,
-                cache_bad_threshold=self.cache_bad_threshold,
+                **shared,
                 decomposer_params=self._role_params(Role.DECOMPOSER),
                 evaluator_params=self._role_params(Role.EVALUATOR),
             )
@@ -107,9 +108,7 @@ class RunConfig:
             value = getattr(self, f"{role.value}_{key}")
             return getattr(self, key) if value is None else value
 
-        return DecodeParams(
-            temperature=pick("temperature"), max_new_tokens=pick("max_new_tokens")
-        )
+        return DecodeParams(**{f.name: pick(f.name) for f in fields(DecodeParams)})
 
 
 # Every RunConfig field is a setting; its annotation (None stripped) is its
@@ -165,12 +164,12 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def load_script_fixture(path: str | Path) -> dict:
-    """Read a scripted-backend fixture file.
+def _scripted_provider(path: str | Path, problems: Sequence[Problem]) -> BackendProvider:
+    """Build per-problem scripted backends from a fixture file.
 
     Two shapes are accepted: role-keyed (``{"decomposer": [...],
     "evaluator": [...]}``), applied to every problem, or a mapping from
-    problem id to role-keyed scripts.
+    problem id to role-keyed scripts, which needs an entry per problem.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -194,21 +193,14 @@ def load_script_fixture(path: str | Path) -> dict:
 
     if set(raw) <= _ROLE_KEYS:
         check_role_scripts(raw, "fixture")
+        scripts_for = {problem.id: raw for problem in problems}
     else:
         for problem_id, entry in raw.items():
             check_role_scripts(entry, f"fixture[{problem_id!r}]")
-    return raw
-
-
-def _scripted_provider(fixture: dict, problems: Sequence[Problem]):
-    """Build a per-problem scripted backend provider from a fixture."""
-    if set(fixture) <= _ROLE_KEYS:
-        scripts_for = {problem.id: fixture for problem in problems}
-    else:
-        missing = [problem.id for problem in problems if problem.id not in fixture]
+        missing = [problem.id for problem in problems if problem.id not in raw]
         if missing:
             raise DataError(f"script fixture missing problem id(s): {', '.join(missing)}")
-        scripts_for = {problem.id: fixture[problem.id] for problem in problems}
+        scripts_for = {problem.id: raw[problem.id] for problem in problems}
 
     def provider(problem: Problem):
         backend = ScriptedBackend(scripts_for[problem.id])
@@ -242,8 +234,7 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
 
 def _build_backends(config: RunConfig, problems: Sequence[Problem]) -> BackendProvider:
     if config.script_path:
-        fixture = load_script_fixture(config.script_path)
-        return _scripted_provider(fixture, problems)
+        return _scripted_provider(config.script_path, problems)
     backend = _http_backend(config)
     return lambda problem: (backend, backend)
 
@@ -445,12 +436,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, InvalidCounts, ProtocolError) as exc:
+    except (DataError, InvalidCounts) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Step-supervised training data from GSM8K-style worked solutions.
 
-Each raw example (question + multi-line solution ending in a ``####``
-marker) becomes T+1 next-step instances: one per solution step, with
-the preceding steps as history, plus one final instance targeting the
-``FINAL_ANSWER:`` line. Problem blocks render through the same template
-the solver uses at inference time, keeping train and test bytes
-identical. Also maps PRM-style step ratings onto the 0-3 scale.
+Each raw example (question + multi-line solution ending in its gold
+answer line, split by ``protocol.parse_worked_solution``) becomes T+1
+next-step instances: one per solution step, with the preceding steps as
+history, plus one final instance targeting the ``FINAL_ANSWER:`` line.
+Problem blocks render through the same template the solver uses at
+inference time, keeping train and test bytes identical. Also maps
+PRM-style step ratings onto the 0-3 scale.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from typing import Iterable, Sequence
 
 from .protocol import (
     FINAL_ANSWER_PREFIX,
-    GOLD_MARKER,
     STEP_PREFIX,
     ProtocolError,
-    extract_gold_answer,
+    parse_worked_solution,
     render_problem_block,
 )
 
@@ -64,27 +64,6 @@ class RatingRecord:
     mapped_score: int
 
 
-def split_solution_steps(answer: str) -> list[str]:
-    """Split a worked solution into its ordered step texts.
-
-    Lines from the ``####`` marker line onward are dropped, the rest is
-    split on line breaks, trimmed, and cleared of empties. Inline
-    ``<<...>>`` arithmetic annotations are preserved.
-
-    Raises:
-        MissingMarker: the answer has no ``####`` marker.
-    """
-    extract_gold_answer(answer)  # validates marker presence
-    steps: list[str] = []
-    for line in answer.splitlines():
-        if GOLD_MARKER in line:
-            break
-        text = line.strip()
-        if text:
-            steps.append(text)
-    return steps
-
-
 def example_id(example: RawExample) -> str:
     """The example's id, or a stable question-derived one when absent."""
     if example.id:
@@ -100,9 +79,9 @@ def make_instances(example: RawExample) -> list[TrainingInstance]:
     target ``STEP: <step t>``; the last instance pairs the full history
     with ``FINAL_ANSWER: <gold>``.
     """
-    steps = split_solution_steps(example.answer)
+    steps, gold = parse_worked_solution(example.answer)
     targets = [f"{STEP_PREFIX} {step}" for step in steps]
-    targets.append(f"{FINAL_ANSWER_PREFIX} {extract_gold_answer(example.answer)}")
+    targets.append(f"{FINAL_ANSWER_PREFIX} {gold}")
     base_id = example_id(example)
     return [
         TrainingInstance(
@@ -135,8 +114,9 @@ def map_prm_rating(rating: int) -> int:
 def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
     """Read GSM8K-format examples from a JSONL file of question/answer records.
 
-    Every answer must carry a ``####`` marker with a number after it, so a
-    bad record is reported by line before any instance is written.
+    Every answer must parse as a worked solution, so a bad record is
+    reported by line before any instance is written. A null ``id`` counts
+    as absent.
     """
     examples = []
     for line_number, record in _read_jsonl(path):
@@ -149,11 +129,13 @@ def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
         if not isinstance(question, str) or not isinstance(answer, str):
             raise DataError(f"{path}:{line_number}: question and answer must be strings")
         try:
-            extract_gold_answer(answer)
+            parse_worked_solution(answer)
         except ProtocolError as exc:
             raise DataError(f"{path}:{line_number}: {exc}") from None
+        raw_id = record.get("id")
         examples.append(
-            RawExample(question=question, answer=answer, id=str(record.get("id", "")))
+            RawExample(question=question, answer=answer,
+                       id="" if raw_id is None else str(raw_id))
         )
     return examples
 

@@ -18,32 +18,15 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
-from .protocol import (
-    CanonicalNumber,
-    Problem,
-    extract_gold_answer,
-    normalize_answer,
-)
+from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
 from .solver import Outcome, SolverConfig, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
-CSV_COLUMNS = (
-    "method",
-    "budget",
-    "cache",
-    "correct",
-    "n",
-    "accuracy",
-    "ci_low",
-    "ci_high",
-    "mean_tokens",
-    "evaluator_calls",
-)
 
 BackendPair = tuple[object, object]
 BackendProvider = Callable[[Problem], BackendPair]
@@ -138,6 +121,10 @@ class SummaryRow:
         )
 
 
+# The CSV report is every SummaryRow field but the outcome counts, in field order.
+CSV_COLUMNS = tuple(field.name for field in fields(SummaryRow) if field.name != "outcomes")
+
+
 @dataclass
 class BenchmarkReport:
     results: list[RunResult]
@@ -148,9 +135,11 @@ class BenchmarkReport:
 def summarize(
     results: Sequence[RunResult], *, method: str, budget: int, cache: bool
 ) -> SummaryRow:
-    """Aggregate per-problem results; pure, so reports can be recomputed."""
-    if not results:
-        raise InvalidCounts("no results to summarize")
+    """Aggregate per-problem results; pure, so reports can be recomputed.
+
+    Raises:
+        InvalidCounts: ``results`` is empty.
+    """
     correct = sum(1 for result in results if result.correct)
     interval = wilson_interval(correct, len(results))
     outcomes = Counter(result.outcome.value for result in results)
@@ -174,17 +163,18 @@ def load_problems(path: str | Path) -> list[Problem]:
 
     Each record needs ``id``, ``question``, and either a GSM8K-style
     ``answer`` (gold extracted from its ``####`` marker) or an explicit
-    ``gold_answer``. Ids must be unique.
+    ``gold_answer``. Ids must be unique; a null id counts as missing.
     """
     problems: list[Problem] = []
     seen: set[str] = set()
     for line_number, record in _read_jsonl(path):
         try:
-            problem_id, question = str(record["id"]), record["question"]
+            problem_id, question = record["id"], record["question"]
         except (KeyError, TypeError):
-            raise DataError(
-                f"{path}:{line_number}: record needs 'id' and 'question' fields"
-            ) from None
+            problem_id = None
+        if problem_id is None:
+            raise DataError(f"{path}:{line_number}: record needs 'id' and 'question' fields")
+        problem_id = str(problem_id)
         if problem_id in seen:
             raise DataError(f"{path}:{line_number}: duplicate problem id {problem_id!r}")
         seen.add(problem_id)
@@ -193,7 +183,7 @@ def load_problems(path: str | Path) -> list[Problem]:
         try:
             gold = None
             if record.get("answer") is not None:
-                gold = extract_gold_answer(str(record["answer"]))
+                _, gold = parse_worked_solution(str(record["answer"]))
             elif record.get("gold_answer") is not None:
                 gold = normalize_answer(str(record["gold_answer"]))
             problems.append(Problem(id=problem_id, question=question, gold_answer=gold))
@@ -362,11 +352,12 @@ def budget_sweep(
 def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
     """Render summary rows as the canonical CSV report."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(
+        buffer, fieldnames=CSV_COLUMNS, lineterminator="\n", extrasaction="ignore"
+    )
     writer.writeheader()
     for row in rows:
         record = row.to_dict()
-        record.pop("outcomes")
         record["accuracy"] = f"{record['accuracy']:.3f}"
         record["ci_low"] = f"{record['ci_low']:.3f}"
         record["ci_high"] = f"{record['ci_high']:.3f}"

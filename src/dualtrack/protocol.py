@@ -4,7 +4,8 @@ The Decomposer and the Evaluator speak a rigid line-prefix format: the
 Decomposer emits exactly one ``STEP:`` or ``FINAL_ANSWER:`` line per
 turn, the Evaluator replies with a ``Score:`` line (0-3) and a
 ``Feedback:`` line. This module owns the prompt templates, the strict
-parsers for both reply formats, and exact-decimal answer normalization.
+parsers for both reply formats and for GSM8K-style worked solutions, and
+exact-decimal answer normalization.
 
 Every function here is pure and deterministic: identical inputs produce
 byte-identical outputs. The prefixes and templates are bit-exact
@@ -138,11 +139,14 @@ class Problem:
 
 @dataclass(frozen=True)
 class StepCandidate:
-    """One parsed reasoning step as proposed by the Decomposer."""
+    """One parsed reasoning step as proposed by the Decomposer.
+
+    ``answer`` is a FINAL step's normalized number, None if its text has none.
+    """
 
     kind: StepKind
     text: str
-    unparseable_final: bool = False
+    answer: CanonicalNumber | None = None
 
     @property
     def wire_line(self) -> str:
@@ -232,8 +236,8 @@ def parse_agent_step(raw: str) -> StepCandidate:
     Scans lines top-down; the first line starting (after leading
     whitespace) with ``STEP:`` or ``FINAL_ANSWER:`` and carrying a
     non-empty body becomes the candidate. All other lines are discarded.
-    A FINAL candidate whose body has no numeric literal is flagged
-    ``unparseable_final`` rather than rejected here.
+    A FINAL candidate carries its normalized ``answer``; one whose body has
+    no numeric literal has none, and is not rejected here.
 
     Raises:
         MalformedStep: no line carries either prefix.
@@ -251,13 +255,13 @@ def parse_agent_step(raw: str) -> StepCandidate:
         text = body.strip()
         if not text:
             continue
-        unparseable = False
+        answer = None
         if kind is StepKind.FINAL:
             try:
-                normalize_answer(text)
+                answer = normalize_answer(text)
             except NoNumberFound:
-                unparseable = True
-        return StepCandidate(kind=kind, text=text, unparseable_final=unparseable)
+                pass
+        return StepCandidate(kind=kind, text=text, answer=answer)
     raise MalformedStep("no line starting with STEP: or FINAL_ANSWER:")
 
 
@@ -321,17 +325,22 @@ def normalize_answer(text: str) -> CanonicalNumber:
     return CanonicalNumber.from_literal(literals[-1])
 
 
-def extract_gold_answer(gsm8k_answer: str) -> CanonicalNumber:
-    """Pull the gold answer out of a GSM8K-style worked solution.
+def parse_worked_solution(answer: str) -> tuple[list[str], CanonicalNumber]:
+    """Split a GSM8K-style worked solution into its steps and gold answer.
 
-    Finds the line containing the ``####`` marker and normalizes the
-    remainder of that line.
+    The lines before the first line containing the ``####`` marker,
+    trimmed and cleared of empties, are the steps; inline ``<<...>>``
+    annotations are preserved. The remainder of the marker line is
+    normalized as the gold answer.
 
     Raises:
         MissingMarker: no ``####`` marker present.
+        NoNumberFound: the marker line carries no number.
     """
-    for line in gsm8k_answer.splitlines():
+    steps: list[str] = []
+    for line in answer.splitlines():
         if GOLD_MARKER in line:
-            _, _, rest = line.partition(GOLD_MARKER)
-            return normalize_answer(rest)
+            return steps, normalize_answer(line.partition(GOLD_MARKER)[2])
+        if text := line.strip():
+            steps.append(text)
     raise MissingMarker(f"no {GOLD_MARKER!r} marker in answer text")

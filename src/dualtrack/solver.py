@@ -33,7 +33,6 @@ from .protocol import (
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
-    normalize_answer,
     parse_agent_step,
     parse_evaluation,
 )
@@ -242,7 +241,7 @@ def solve(
             candidate = parse_agent_step(raw)
         except MalformedStep:
             return None, "", synthetic(MALFORMED_STEP_FEEDBACK, "malformed_step")
-        if candidate.kind is StepKind.FINAL and candidate.unparseable_final:
+        if candidate.kind is StepKind.FINAL and candidate.answer is None:
             return None, "", synthetic(UNPARSEABLE_FINAL_FEEDBACK, "unparseable_final")
 
         fp = fingerprint(candidate.text)
@@ -318,7 +317,7 @@ def solve(
             retries = 0
 
             if step.kind is StepKind.FINAL:
-                trace.final_answer = normalize_answer(step.text)
+                trace.final_answer = candidate.answer
                 emit(EventKind.FINISHED, {"final_answer": str(trace.final_answer)})
                 raise _Stop(Outcome.SOLVED)
             if len(accepted) >= config.max_steps:

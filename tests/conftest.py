@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from dualtrack import (
     CanonicalNumber,
     EventKind,
+    HTTPBackend,
     Outcome,
     Problem,
     Role,
@@ -218,3 +223,84 @@ def assert_calls_match_events(trace, replies):
         (kinds[role], reply.raw_text, reply.total_tokens) for role, reply in replies
     ]
     assert trace.tokens_spent == sum(reply.total_tokens for _, reply in replies)
+
+
+def chat_payload(content, usage=None):
+    payload = {"choices": [{"message": {"content": content}}]}
+    if usage is not None:
+        payload["usage"] = usage
+    return payload
+
+
+def chat_ok(content, usage=None):
+    return 200, json.dumps(chat_payload(content, usage)).encode("utf-8")
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Records the request, then plays the server's next action: ``(status,
+    body bytes)`` sent with one ``write``, ``"close"`` (no response) or
+    ``"stall"`` (no response for 1 s)."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):  # noqa: N802
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        with server.lock:
+            server.requests.append((self.headers, body))
+            action = server.actions[min(server.received, len(server.actions)) - 1]
+        if action in ("close", "stall"):
+            if action == "stall":
+                server.released.wait(1.0)
+            self.close_connection = True
+            return
+        status, body = action
+        head = (
+            f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        self.wfile.write(head + body)
+
+
+class LocalEndpoint(ThreadingHTTPServer):
+    """A chat-completions endpoint on 127.0.0.1; the last action repeats.
+    ``requests`` holds each request's headers and JSON body, in arrival order."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.lock = threading.Lock()
+        self.released = threading.Event()
+        self.requests: list = []
+        self.actions: list = []
+
+    @property
+    def received(self) -> int:
+        return len(self.requests)
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    def backend(self, *actions, timeout: float = 5.0) -> HTTPBackend:
+        self.actions = list(actions)
+        return HTTPBackend(
+            base_url=self.url,
+            models={Role.DECOMPOSER: "decomposer-8b", Role.EVALUATOR: "evaluator-8b"},
+            timeout=timeout,
+        )
+
+
+@pytest.fixture
+def endpoint():
+    server = LocalEndpoint()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.released.set()
+    server.shutdown()
+    server.server_close()

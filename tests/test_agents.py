@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -18,6 +16,8 @@ from dualtrack.agents import (
     ScriptedBackend,
     estimate_tokens,
 )
+
+from conftest import chat_ok, chat_payload
 
 
 class TestEstimateTokens:
@@ -113,13 +113,6 @@ class _FakeResponse:
         return self._payload
 
 
-def _chat_payload(content, usage=None):
-    payload = {"choices": [{"message": {"content": content}}]}
-    if usage is not None:
-        payload["usage"] = usage
-    return payload
-
-
 @pytest.fixture
 def http_backend():
     return HTTPBackend(
@@ -136,7 +129,7 @@ class TestHTTPBackend:
         def fake_post(url, json=None, headers=None, timeout=None):
             calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
             return _FakeResponse(
-                payload=_chat_payload(
+                payload=chat_payload(
                     "STEP: ok", usage={"prompt_tokens": 11, "completion_tokens": 7}
                 )
             )
@@ -159,7 +152,7 @@ class TestHTTPBackend:
 
     def test_missing_usage_falls_back_to_estimates(self, http_backend, monkeypatch):
         monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(payload=_chat_payload("Score: 3"))
+            requests, "post", lambda *a, **k: _FakeResponse(payload=chat_payload("Score: 3"))
         )
         reply = http_backend.complete(Role.EVALUATOR, "abcdefgh")
         assert reply.prompt_tokens == estimate_tokens("abcdefgh")
@@ -182,7 +175,7 @@ class TestHTTPBackend:
     def test_transient_then_success(self, http_backend, monkeypatch):
         responses = [
             _FakeResponse(status_code=503, text="busy"),
-            _FakeResponse(payload=_chat_payload("STEP: fine")),
+            _FakeResponse(payload=chat_payload("STEP: fine")),
         ]
         monkeypatch.setattr(requests, "post", lambda *a, **k: responses.pop(0))
         assert http_backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: fine"
@@ -228,75 +221,11 @@ class TestHTTPBackend:
             backend.complete(Role.DECOMPOSER, "p")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Plays the server's next action: ``(status, body bytes)`` sent with one
-    ``write``, ``"close"`` (no response) or ``"stall"`` (no response for 1 s)."""
-
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-    def do_POST(self):  # noqa: N802
-        self.rfile.read(int(self.headers["Content-Length"]))
-        server = self.server
-        with server.lock:
-            server.received += 1
-            action = server.actions[min(server.received, len(server.actions)) - 1]
-        if action in ("close", "stall"):
-            if action == "stall":
-                server.released.wait(1.0)
-            self.close_connection = True
-            return
-        status, body = action
-        head = (
-            f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii")
-        self.wfile.write(head + body)
-
-
-class _LocalEndpoint(ThreadingHTTPServer):
-    """A chat-completions endpoint on 127.0.0.1; the last action repeats."""
-
-    daemon_threads = True
-
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _Handler)
-        self.lock = threading.Lock()
-        self.released = threading.Event()
-        self.received = 0
-        self.actions: list = []
-
-    def backend(self, *actions, timeout: float = 5.0) -> HTTPBackend:
-        self.actions = list(actions)
-        return HTTPBackend(
-            base_url=f"http://127.0.0.1:{self.server_address[1]}",
-            models={Role.DECOMPOSER: "decomposer-8b", Role.EVALUATOR: "evaluator-8b"},
-            timeout=timeout,
-        )
-
-
-def _ok(content, usage=None):
-    return 200, json.dumps(_chat_payload(content, usage)).encode("utf-8")
-
-
-@pytest.fixture
-def endpoint():
-    server = _LocalEndpoint()
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server
-    server.released.set()
-    server.shutdown()
-    server.server_close()
-
-
 class TestHTTPBackendAgainstLocalServer:
     """Faults served by a real loopback server; ``requests`` is not patched."""
 
     def test_transient_500_then_success(self, endpoint):
-        backend = endpoint.backend((500, b"busy"), _ok("STEP: fine"))
+        backend = endpoint.backend((500, b"busy"), chat_ok("STEP: fine"))
         assert backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: fine"
         assert endpoint.received == 2
 
@@ -307,7 +236,7 @@ class TestHTTPBackendAgainstLocalServer:
             ([(404, b"no such model")], 5.0, BackendError, 404, "HTTP 404: no such model", 1),
             ([(200, b'{"choices": [{"mess')], 5.0, BackendError, 200,
              'malformed JSON body: {"choices": [{"mess', 1),
-            ([_ok(5)], 5.0, BackendError, 200, "message content is not text", 1),
+            ([chat_ok(5)], 5.0, BackendError, 200, "message content is not text", 1),
             (["close"], 5.0, BackendError, None, "transport error: ", 2),
             (["stall"], 0.2, BackendTimeout, None, "no response within 0.2s", 2),
         ],
@@ -325,7 +254,7 @@ class TestHTTPBackendAgainstLocalServer:
 
     @pytest.mark.parametrize("usage", [[1], "12", 7], ids=["list", "string", "number"])
     def test_usage_that_is_not_an_object_is_estimated(self, endpoint, usage):
-        backend = endpoint.backend(_ok("Score: 3", usage))
+        backend = endpoint.backend(chat_ok("Score: 3", usage))
         reply = backend.complete(Role.EVALUATOR, "abcdefgh")
         assert reply.prompt_tokens == estimate_tokens("abcdefgh")
         assert reply.completion_tokens == estimate_tokens("Score: 3")

@@ -23,6 +23,7 @@ from dualtrack.cli import (
     main,
 )
 from dualtrack.harness import config_hash
+from dualtrack.protocol import DECOMPOSER_SYSTEM_PROMPT, CanonicalNumber, Problem
 from dualtrack.solver import SolverConfig
 
 from conftest import (
@@ -36,6 +37,7 @@ from conftest import (
     WENG_QUESTION,
     build_bench_case,
     build_sweep_case,
+    chat_ok,
 )
 
 
@@ -340,6 +342,40 @@ class TestBench:
         assert not out_dir.exists()
 
 
+class TestLiveEndpoint:
+    def test_bench_sends_role_models_system_prompts_and_key(
+        self, tmp_path, capsys, monkeypatch, endpoint
+    ):
+        problem = Problem(id="apples", question="How many apples?",
+                          gold_answer=CanonicalNumber("7"))
+        problems_file = write_problems(tmp_path / "problems.jsonl", [problem])
+        config = write_json(tmp_path / "config.json", {
+            "api_base": endpoint.url,
+            "decomposer_model": "decomposer-8b",
+            "evaluator_model": "evaluator-8b",
+            "evaluator_system_prompt": "Grade the step strictly.",
+        })
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        monkeypatch.setenv("DUALTRACK_API_KEY", "sk-local")
+        endpoint.actions = [
+            chat_ok("STEP: Add 3 + 4 = 7 apples."),
+            chat_ok("Score: 3\nFeedback: Correct."),
+            chat_ok("FINAL_ANSWER: 7"),
+            chat_ok("Score: 3\nFeedback: Correct."),
+        ]
+        argv = ["bench", problems_file, "--config", config, "--out", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_OK
+        assert "accuracy: 100.0%" in capsys.readouterr().out
+        sent = [
+            (headers["Authorization"], body["model"], body["messages"][0]["content"])
+            for headers, body in endpoint.requests
+        ]
+        assert sent == [
+            ("Bearer sk-local", "decomposer-8b", DECOMPOSER_SYSTEM_PROMPT),
+            ("Bearer sk-local", "evaluator-8b", "Grade the step strictly."),
+        ] * 2
+
+
 class TestSweep:
     def test_small_sweep_writes_csv(self, tmp_path, capsys):
         problems, fixture = build_sweep_case(count=3)
@@ -526,6 +562,9 @@ class TestRunConfig:
     def test_env_and_flag_only_settings_are_not_file_keys(self, tmp_path, key):
         with pytest.raises(ConfigError, match=f"unknown config key\\(s\\): {key}"):
             self.load(tmp_path, {key: "x"})
+
+    def test_defaults_are_the_solver_defaults_with_the_cli_budget(self):
+        assert RunConfig().solver_config() == SolverConfig(token_budget=2048)
 
     def test_known_keys_are_the_run_config_fields(self):
         names = {field.name for field in fields(RunConfig)}

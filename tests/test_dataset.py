@@ -15,10 +15,14 @@ from dualtrack.dataset import (
     map_prm_rating,
     serialize_instance,
     split_examples,
-    split_solution_steps,
     write_instances,
 )
-from dualtrack.protocol import MissingMarker, Problem, build_decomposer_prompt
+from dualtrack.protocol import (
+    MissingMarker,
+    Problem,
+    build_decomposer_prompt,
+    parse_worked_solution,
+)
 
 from conftest import (
     NATALIA_ANSWER,
@@ -34,23 +38,25 @@ WENG = RawExample(question=WENG_QUESTION, answer=WENG_ANSWER, id="weng")
 
 
 class TestSplitSolutionSteps:
+    """The steps half of ``protocol.parse_worked_solution``."""
+
     def test_natalia_steps(self):
-        assert split_solution_steps(NATALIA_ANSWER) == NATALIA_STEPS
+        assert parse_worked_solution(NATALIA_ANSWER)[0] == NATALIA_STEPS
 
     def test_marker_only_answer_has_no_steps(self):
-        assert split_solution_steps("#### 7") == []
+        assert parse_worked_solution("#### 7")[0] == []
 
     def test_interior_blank_lines_dropped_order_kept(self):
         answer = "first step\n\n  \nsecond step\n#### 3"
-        assert split_solution_steps(answer) == ["first step", "second step"]
+        assert parse_worked_solution(answer)[0] == ["first step", "second step"]
 
     def test_annotations_preserved(self):
-        steps = split_solution_steps(WENG_ANSWER)
+        steps = parse_worked_solution(WENG_ANSWER)[0]
         assert steps[0] == "Weng earns 12/60 = $<<12/60=0.2>>0.2 per minute."
 
     def test_missing_marker_raises(self):
         with pytest.raises(MissingMarker):
-            split_solution_steps("just some steps, no marker")
+            parse_worked_solution("just some steps, no marker")
 
 
 class TestMakeInstances:
@@ -116,11 +122,11 @@ class TestMakeInstances:
             for instance in instances
             if instance.target.startswith("STEP: ")
         ]
-        assert bodies == split_solution_steps(NATALIA_ANSWER)
+        assert bodies == parse_worked_solution(NATALIA_ANSWER)[0]
 
     def test_instance_count_is_steps_plus_one(self):
         for example in (NATALIA, WENG):
-            steps = split_solution_steps(example.answer)
+            steps = parse_worked_solution(example.answer)[0]
             assert len(make_instances(example)) == len(steps) + 1
 
     def test_problem_block_matches_decomposer_prompt(self):
@@ -203,6 +209,22 @@ class TestLoaders:
         examples = load_gsm8k_examples(path)
         assert len(examples) == 2
         assert examples[1].id == "weng"
+
+    def test_null_id_counts_as_absent(self, tmp_path):
+        records = [
+            {"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER},
+            {"question": WENG_QUESTION, "answer": WENG_ANSWER},
+        ]
+        path = tmp_path / "train.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        without_ids = load_gsm8k_examples(path)
+        path.write_text(
+            "".join(json.dumps({**r, "id": None}) + "\n" for r in records), encoding="utf-8"
+        )
+        with_null_ids = load_gsm8k_examples(path)
+        assert with_null_ids == without_ids
+        ids = [make_instances(example)[0].id for example in with_null_ids]
+        assert len(set(ids)) == 2 and not any(i.startswith("None") for i in ids)
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -137,6 +137,8 @@ class TestRunBenchmark:
     def test_empty_problem_list_rejected(self):
         with pytest.raises(InvalidCounts):
             run_benchmark([], SolverConfig(token_budget=10), ((), ()))
+        with pytest.raises(InvalidCounts):
+            summarize([], method="dual_cot", budget=10, cache=True)
 
     def test_problem_without_gold_rejected(self):
         problem = Problem(id="p", question="q?")
@@ -305,6 +307,37 @@ class TestBudgetSweep:
         assert served == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_cell_is_logged_and_other_cells_reported(self, tmp_path):
+        problems, fixture = build_sweep_case(count=3)
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        budgets = (150, 300)
+        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        served = []
+
+        def provider(problem):
+            # Cells run budget by budget, cache off first, one problem at a time:
+            # the first problem of the third cell, (300, off), fails that cell.
+            served.append(problem.id)
+            if len(served) == 2 * len(problems) + 1:
+                raise RuntimeError(f"endpoint down for {problem.id}")
+            return scripted_provider(fixture)(problem)
+
+        rows = budget_sweep(
+            problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
+        )
+        assert [row.to_dict() for row in rows] == [
+            healthy[cell].to_dict() for cell in (0, 1, 3)
+        ]
+        (run_dir,) = tmp_path.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+            "budget=300 cache=False: endpoint down for s000\n"
+        )
+        assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
+
+        served.clear()
+        with pytest.raises(RuntimeError, match="endpoint down for s000"):
+            budget_sweep(problems, budgets, config, provider)
+
     def test_sweep_csv_written(self, tmp_path):
         problems, fixture = build_sweep_case(count=2)
         budget_sweep(
@@ -400,4 +433,16 @@ class TestLoadProblems:
             encoding="utf-8",
         )
         with pytest.raises(DataError, match="duplicate"):
+            load_problems(path)
+
+    def test_null_id_is_a_missing_id(self, tmp_path):
+        path = tmp_path / "problems.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "question": "Q?", "gold_answer": "1"})
+            + "\n"
+            + json.dumps({"id": None, "question": "Q again?", "gold_answer": "2"})
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=":2: record needs 'id' and 'question' fields$"):
             load_problems(path)

@@ -16,10 +16,10 @@ from dualtrack.protocol import (
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
-    extract_gold_answer,
     normalize_answer,
     parse_agent_step,
     parse_evaluation,
+    parse_worked_solution,
     render_problem_block,
 )
 
@@ -82,7 +82,7 @@ class TestParseAgentStep:
         candidate = parse_agent_step("FINAL_ANSWER: 72")
         assert candidate.kind is StepKind.FINAL
         assert candidate.text == "72"
-        assert not candidate.unparseable_final
+        assert candidate.answer == CanonicalNumber("72")
 
     def test_no_recognized_prefix_raises(self):
         with pytest.raises(MalformedStep):
@@ -104,7 +104,7 @@ class TestParseAgentStep:
     def test_final_without_number_is_flagged(self):
         candidate = parse_agent_step("FINAL_ANSWER: I cannot tell")
         assert candidate.kind is StepKind.FINAL
-        assert candidate.unparseable_final
+        assert candidate.answer is None
 
     def test_empty_input_raises(self):
         with pytest.raises(MalformedStep):
@@ -242,15 +242,21 @@ class TestNormalizeAnswer:
 
 
 class TestExtractGoldAnswer:
+    """The gold half of ``parse_worked_solution``; the steps are tested in test_dataset."""
+
     def test_natalia_example(self):
-        assert extract_gold_answer(NATALIA_ANSWER) == CanonicalNumber("72")
+        assert parse_worked_solution(NATALIA_ANSWER)[1] == CanonicalNumber("72")
 
     def test_comma_normalization(self):
-        assert extract_gold_answer("#### 1,234") == CanonicalNumber("1234")
+        assert parse_worked_solution("#### 1,234")[1] == CanonicalNumber("1234")
 
     def test_missing_marker(self):
         with pytest.raises(MissingMarker):
-            extract_gold_answer("no marker here")
+            parse_worked_solution("no marker here")
+
+    def test_first_marker_line_ends_the_solution(self):
+        answer = "add 2 + 3\n#### 5\nnote after\n#### 6"
+        assert parse_worked_solution(answer) == (["add 2 + 3"], CanonicalNumber("5"))
 
 
 class TestProblemType:
