@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
-from .solver import Outcome, SolverConfig, solve
+from .solver import Outcome, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -192,6 +192,28 @@ def load_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
+def _result(problem: Problem, trace: SolveTrace, trace_path: str | None = None) -> RunResult:
+    """Score one solve: its answer counts only if the solve finished."""
+    predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
+    return RunResult(
+        problem_id=problem.id,
+        predicted=predicted,
+        correct=predicted is not None and predicted == problem.gold_answer,
+        tokens_spent=trace.tokens_spent,
+        outcome=trace.outcome,
+        evaluator_calls=trace.evaluator_calls,
+        trace_path=trace_path,
+    )
+
+
+def _map(fn: Callable[[Problem], object], problems: Sequence[Problem], workers: int) -> list:
+    """``fn`` over ``problems`` in order, on ``workers`` threads when above 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            return list(executor.map(fn, problems))
+    return [fn(problem) for problem in problems]
+
+
 def _as_provider(backends: BackendPair | BackendProvider) -> BackendProvider:
     if callable(backends):
         return backends
@@ -269,30 +291,15 @@ def run_benchmark(
         trace_dir.mkdir()
 
     def run_one(problem: Problem) -> RunResult:
-        decomposer, evaluator = provider(problem)
-        trace = solve(problem, config, decomposer, evaluator)
-        predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
+        trace = solve(problem, config, *provider(problem))
         trace_path = None
         if trace_dir is not None:
             path = trace_dir / f"{problem.id}.json"
             path.write_text(trace.to_json() + "\n", encoding="utf-8")
             trace_path = str(path)
-        return RunResult(
-            problem_id=problem.id,
-            predicted=predicted,
-            correct=predicted is not None and predicted == problem.gold_answer,
-            tokens_spent=trace.tokens_spent,
-            outcome=trace.outcome,
-            evaluator_calls=trace.evaluator_calls,
-            trace_path=trace_path,
-        )
+        return _result(problem, trace, trace_path)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(run_one, problems))
-    else:
-        results = [run_one(problem) for problem in problems]
-
+    results = _map(run_one, problems, workers)
     summary = summarize(results, method=method, budget=config.token_budget,
                         cache=config.cache_enabled)
     if run_dir is not None:
@@ -311,35 +318,55 @@ def budget_sweep(
     workers: int = 1,
     continue_on_error: bool = False,
 ) -> list[SummaryRow]:
-    """Run the benchmark per budget with the cache off and on.
+    """Benchmark every budget with the cache off and on, from one solve per
+    problem and cache setting.
 
-    Emits one summary row per (budget, cache) cell — the axes of the
-    accuracy-vs-budget comparison. The budgets and the problem set are
-    checked before any cell runs; cell errors then propagate unless
-    ``continue_on_error`` is set, in which case failed cells are skipped.
+    Emits one summary row per (budget, cache) cell, budget by budget in
+    the given order and cache off first: the axes of the accuracy-vs-budget
+    comparison. Each problem is solved once per cache setting, at
+    ``max(budgets)``, and every cell's result is that trace cut at the
+    cell's budget (``SolveTrace.at_budget``), which is the trace a solve at
+    that budget leaves. So the provider is called twice per problem, and
+    a sampled endpoint's budgets share one trajectory per cache setting.
+
+    The budgets and the problem set are checked before anything runs. An
+    error in a solve fails every cell of its cache setting; it propagates
+    unless ``continue_on_error`` is set, in which case those cells are
+    skipped and logged.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
     if any(budget <= 0 for budget in budgets):
         raise ValueError("budgets must be positive")
     _check_problems(problems)
+    provider = _as_provider(backends)
+    # Per cache setting: each problem's results, one per budget, or the error.
+    solved: dict[bool, list[list[RunResult]] | Exception] = {}
+    for cache_enabled in (False, True):
+        solve_config = config.with_overrides(
+            token_budget=max(budgets), cache_enabled=cache_enabled
+        )
+
+        def cut_one(problem: Problem) -> list[RunResult]:
+            trace = solve(problem, solve_config, *provider(problem))
+            return [_result(problem, trace.at_budget(budget)) for budget in budgets]
+
+        try:
+            solved[cache_enabled] = _map(cut_one, problems, workers)
+        except Exception as exc:
+            if not continue_on_error:
+                raise
+            solved[cache_enabled] = exc
     rows: list[SummaryRow] = []
     errors: list[str] = []
-    for budget in budgets:
+    for index, budget in enumerate(budgets):
         for cache_enabled in (False, True):
-            cell_config = config.with_overrides(
-                token_budget=budget, cache_enabled=cache_enabled
-            )
-            try:
-                report = run_benchmark(
-                    problems, cell_config, backends, method=method, workers=workers
-                )
-            except Exception as exc:
-                if not continue_on_error:
-                    raise
-                errors.append(f"budget={budget} cache={cache_enabled}: {exc}")
+            cell = solved[cache_enabled]
+            if isinstance(cell, Exception):
+                errors.append(f"budget={budget} cache={cache_enabled}: {cell}")
                 continue
-            rows.append(report.summary)
+            rows.append(summarize([results[index] for results in cell], method=method,
+                                  budget=budget, cache=cache_enabled))
     if out_dir is not None:
         run_dir = _new_run_dir(out_dir, "sweep-" + config_hash(config, method))
         _write_meta(run_dir, config, method)

@@ -11,7 +11,9 @@ Budget discipline: every agent call leaves exactly one event
 (``generated`` or ``evaluated``) carrying its raw reply and the tokens
 it charged, and spend is the sum of those events. The budget is checked
 before every agent call and never mid-call, so total spend can overshoot
-the limit by at most the cost of the final call.
+the limit by at most the cost of the final call. So a solve at a smaller
+budget is a prefix of the same solve at a larger one, and
+``SolveTrace.at_budget`` reads it off the larger solve's trace.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ class TraceEvent:
     payload: dict
     tokens_charged: int = 0
 
+    @property
+    def is_agent_call(self) -> bool:
+        """Whether this event records an agent call: the Decomposer's
+        generation or a real (not synthetic) evaluation."""
+        return self.kind is EventKind.GENERATED or (
+            self.kind is EventKind.EVALUATED and self.payload.get("synthetic") is None
+        )
+
     def to_dict(self) -> dict:
         return {**vars(self), "kind": self.kind.value}
 
@@ -144,15 +154,58 @@ class SolveTrace:
     @property
     def evaluator_calls(self) -> int:
         """Real Evaluator calls: evaluated events that are not synthetic."""
-        return sum(
-            1
-            for event in self.events_of(EventKind.EVALUATED)
-            if event.payload.get("synthetic") is None
-        )
+        return sum(1 for event in self.events_of(EventKind.EVALUATED) if event.is_agent_call)
 
     @property
     def tokens_spent(self) -> int:
         return sum(event.tokens_charged for event in self.events)
+
+    def at_budget(self, budget: int) -> "SolveTrace":
+        """The trace the same solve leaves at a budget no larger than this one's.
+
+        Replays the budget check that precedes every agent call: the first
+        call event reached with the spend at or above ``budget`` becomes a
+        budget stop. The end of the trace is one more check when it is a
+        budget stop, or a failed call that left no event (an Evaluator reply
+        that does not parse leaves its event, so it is not one).
+
+        Raises:
+            ValueError: ``budget`` exceeds the budget this trace was solved at.
+        """
+        if budget > self.config["token_budget"]:
+            raise ValueError(
+                f"cannot cut a trace solved at {self.config['token_budget']} at {budget}"
+            )
+        config = {**self.config, "token_budget": budget}
+        spent = 0
+        for index, event in enumerate(self.events):
+            if spent >= budget and event.is_agent_call:
+                return self._budget_stopped(index, spent, config)
+            spent += event.tokens_charged  # 0 unless the event is an agent call
+        if self.outcome is Outcome.BUDGET_EXHAUSTED:
+            return self._budget_stopped(len(self.events) - 1, spent, config)
+        last = self.events[-1] if self.events else None
+        raised = not (last and last.kind is EventKind.EVALUATED and last.payload["score"] is None)
+        if self.outcome is Outcome.BACKEND_FAILURE and raised and spent >= budget:
+            return self._budget_stopped(len(self.events), spent, config)
+        return replace(self, config=config)
+
+    def _budget_stopped(self, end: int, spent: int, config: dict) -> "SolveTrace":
+        """This trace's first ``end`` events, then a budget stop at ``spent``."""
+        events = self.events[:end]
+        events.append(
+            TraceEvent(EventKind.BUDGET_STOP, {"spent": spent, "limit": config["token_budget"]})
+        )
+        accepted = sum(
+            event.kind in (EventKind.ACCEPTED, EventKind.FORCED_ACCEPT) for event in events
+        )
+        return SolveTrace(
+            problem_id=self.problem_id,
+            config=config,
+            events=events,
+            accepted_steps=self.accepted_steps[:accepted],
+            outcome=Outcome.BUDGET_EXHAUSTED,
+        )
 
     def to_dict(self) -> dict:
         return {

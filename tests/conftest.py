@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -156,6 +157,75 @@ def build_sweep_case(count: int = 24):
             Problem(id=problem_id, question=question, gold_answer=CanonicalNumber(str(gold)))
         )
         fixture[problem_id] = {"decomposer": decomposer, "evaluator": evaluator}
+    return problems, fixture
+
+
+def random_scripts(rng: random.Random) -> dict:
+    """Role scripts of 4..10 steps and a final answer, some steps restating
+    an earlier computation, with random Evaluator scores."""
+    decomposer: list[str] = []
+    expressions: list[str] = []
+    for _ in range(rng.randint(4, 10)):
+        if expressions and rng.random() < 0.4:
+            expression = rng.choice(expressions)
+            decomposer.append(
+                rng.choice(
+                    [
+                        f"STEP: Note again that {expression} settles the count.",
+                        f"STEP: As computed, {expression} still holds.",
+                        f"STEP: Recall {expression} from before.",
+                    ]
+                )
+            )
+        else:
+            a, b = rng.randint(1, 400), rng.randint(1, 400)
+            expression = f"{a} + {b} = {a + b}"
+            expressions.append(expression)
+            decomposer.append(f"STEP: Compute {expression} for this stage.")
+    decomposer.append(f"FINAL_ANSWER: {rng.randint(1, 999)}")
+    evaluator = [
+        f"Score: {rng.choice([0, 1, 2, 3, 3, 3])}\nFeedback: noted"
+        for _ in decomposer
+    ]
+    return {"decomposer": decomposer, "evaluator": evaluator}
+
+
+MALFORMED_STEPS = ["STEP:", "FINAL_ANSWER: about a dozen", "I think it is near 40."]
+MALFORMED_SCORES = ["Score: 7\nFeedback: x", "Looks right to me.", "Score: high\nFeedback: x"]
+
+
+def with_malformed(scripts: dict, rng: random.Random) -> dict:
+    """Random scripts with malformed replies spliced into both roles: steps
+    the solver scores itself, and Evaluator replies that end the solve."""
+    decomposer: list[str] = []
+    for reply in scripts["decomposer"]:
+        if rng.random() < 0.2:
+            decomposer.append(rng.choice(MALFORMED_STEPS))
+        decomposer.append(reply)
+    evaluator = [
+        rng.choice(MALFORMED_SCORES) if rng.random() < 0.1 else reply
+        for reply in scripts["evaluator"]
+    ]
+    return {"decomposer": decomposer, "evaluator": evaluator}
+
+
+def build_random_case(rng: random.Random, count: int):
+    """Problems over random scripts with malformed replies, a third of them
+    cut short so that a solve can run out of replies mid-run. About half
+    the gold answers match the scripted final answer."""
+    problems: list[Problem] = []
+    fixture: dict[str, dict[str, list[str]]] = {}
+    for i in range(count):
+        scripts = with_malformed(random_scripts(rng), rng)
+        if rng.random() < 1 / 3:
+            role = rng.choice(["decomposer", "evaluator"])
+            scripts[role] = scripts[role][: rng.randint(1, len(scripts[role]))]
+        answer = scripts["decomposer"][-1].rpartition(" ")[2]
+        gold = answer if answer.isdigit() and rng.random() < 0.5 else "0"
+        problem_id = f"r{i:03d}"
+        problems.append(Problem(id=problem_id, question="Count it all up?",
+                                gold_answer=CanonicalNumber(gold)))
+        fixture[problem_id] = scripts
     return problems, fixture
 
 

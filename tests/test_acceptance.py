@@ -41,7 +41,9 @@ from conftest import (
     build_bench_case,
     build_sweep_case,
     check_cache_soundness,
+    random_scripts,
     scripted_provider,
+    with_malformed,
 )
 
 BIG_BUDGET = 1_000_000
@@ -89,53 +91,6 @@ def test_criterion_2_golden_retry_trajectory():
         assert trace.final_answer == CanonicalNumber("25")
 
 
-def _random_scripts(rng: random.Random) -> dict:
-    decomposer: list[str] = []
-    expressions: list[str] = []
-    for _ in range(rng.randint(4, 10)):
-        if expressions and rng.random() < 0.4:
-            expression = rng.choice(expressions)
-            decomposer.append(
-                rng.choice(
-                    [
-                        f"STEP: Note again that {expression} settles the count.",
-                        f"STEP: As computed, {expression} still holds.",
-                        f"STEP: Recall {expression} from before.",
-                    ]
-                )
-            )
-        else:
-            a, b = rng.randint(1, 400), rng.randint(1, 400)
-            expression = f"{a} + {b} = {a + b}"
-            expressions.append(expression)
-            decomposer.append(f"STEP: Compute {expression} for this stage.")
-    decomposer.append(f"FINAL_ANSWER: {rng.randint(1, 999)}")
-    evaluator = [
-        f"Score: {rng.choice([0, 1, 2, 3, 3, 3])}\nFeedback: noted"
-        for _ in decomposer
-    ]
-    return {"decomposer": decomposer, "evaluator": evaluator}
-
-
-_MALFORMED_STEPS = ["STEP:", "FINAL_ANSWER: about a dozen", "I think it is near 40."]
-_MALFORMED_SCORES = ["Score: 7\nFeedback: x", "Looks right to me.", "Score: high\nFeedback: x"]
-
-
-def _with_malformed(scripts: dict, rng: random.Random) -> dict:
-    """Random scripts with malformed replies spliced into both roles: steps
-    the solver scores itself, and Evaluator replies that end the solve."""
-    decomposer: list[str] = []
-    for reply in scripts["decomposer"]:
-        if rng.random() < 0.2:
-            decomposer.append(rng.choice(_MALFORMED_STEPS))
-        decomposer.append(reply)
-    evaluator = [
-        rng.choice(_MALFORMED_SCORES) if rng.random() < 0.1 else reply
-        for reply in scripts["evaluator"]
-    ]
-    return {"decomposer": decomposer, "evaluator": evaluator}
-
-
 # Insertable filler for fingerprint perturbations; a bare "x" between digits
 # would read as multiplication, so it stays out of the pool.
 _WORDS = [
@@ -159,7 +114,7 @@ def test_criterion_3_cache_soundness_suite():
         rng = random.Random(101)
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
         for _ in range(60):
-            scripts = _random_scripts(rng)
+            scripts = random_scripts(rng)
             backend = ScriptedBackend(scripts)
             trace = solve(Problem(id="r", question="Count it all up?"), config,
                           backend, backend)
@@ -170,7 +125,7 @@ def test_criterion_3_cache_soundness_suite():
         rng = random.Random(202)
         no_cache = config.with_overrides(cache_enabled=False)
         for _ in range(60):
-            scripts = _random_scripts(rng)
+            scripts = random_scripts(rng)
             backend = ScriptedBackend(scripts)
             trace = solve(Problem(id="r", question="Count it all up?"), no_cache,
                           backend, backend)
@@ -243,7 +198,7 @@ def test_criterion_4_budget_suite():
         budgets = (0,) + budgets + (BIG_BUDGET,)
         unparsed_evaluations = 0
         for _ in range(60):
-            scripts = _with_malformed(_random_scripts(rng), rng)
+            scripts = with_malformed(random_scripts(rng), rng)
             for cache in (False, True):
                 for retries in (1, 3):
                     base = SolverConfig(token_budget=BIG_BUDGET, max_steps=40,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     HENRY_QUESTION,
     RecordingBackend,
     build_bench_case,
+    build_random_case,
     build_sweep_case,
     scripted_provider,
 )
@@ -315,22 +317,21 @@ class TestBudgetSweep:
         served = []
 
         def provider(problem):
-            # Cells run budget by budget, cache off first, one problem at a time:
-            # the first problem of the third cell, (300, off), fails that cell.
+            # Each problem is solved once per cache setting, cache off first:
+            # the first problem with the cache on fails every cache-on cell.
             served.append(problem.id)
-            if len(served) == 2 * len(problems) + 1:
+            if len(served) == len(problems) + 1:
                 raise RuntimeError(f"endpoint down for {problem.id}")
             return scripted_provider(fixture)(problem)
 
         rows = budget_sweep(
             problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
         )
-        assert [row.to_dict() for row in rows] == [
-            healthy[cell].to_dict() for cell in (0, 1, 3)
-        ]
+        assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (0, 2)]
         (run_dir,) = tmp_path.glob("*-sweep-*")
         assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
-            "budget=300 cache=False: endpoint down for s000\n"
+            "budget=150 cache=True: endpoint down for s000\n"
+            "budget=300 cache=True: endpoint down for s000\n"
         )
         assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
 
@@ -353,6 +354,72 @@ class TestBudgetSweep:
         lines = csv_text.strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+
+
+def _per_cell_rows(problems, budgets, config, provider, workers):
+    """The brute-force sweep: one benchmark run per (budget, cache) cell."""
+    return [
+        run_benchmark(
+            problems, config.with_overrides(token_budget=budget, cache_enabled=cache),
+            provider, workers=workers,
+        ).summary
+        for budget in budgets
+        for cache in (False, True)
+    ]
+
+
+class TestDerivedSweep:
+    """Cells cut from one max-budget solve per problem and cache setting
+    against the same cells solved one by one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("retries", [1, 3])
+    def test_rows_and_csv_match_per_cell_runs(self, tmp_path, retries, workers):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        provider = scripted_provider(fixture)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40,
+                              max_retries_per_step=retries)
+        # The exact spend of a solve that runs out of replies: at that budget
+        # the check before the failed call stops the solve.
+        exact = next(
+            result.tokens_spent
+            for result in run_benchmark(problems, config, provider).results
+            if result.outcome is Outcome.BACKEND_FAILURE and result.tokens_spent <= 600
+        )
+        # Unsorted, with duplicates; the first grid tops out at 600, where
+        # solves end in budget stops, the second above every solve's spend.
+        for budgets in [(300, 1, 600, 2, exact, 100, 300, 500, 200, 400),
+                        (exact, BIG_BUDGET, 2, 1, 300, 300)]:
+            out_dir = tmp_path / str(len(budgets))
+            rows = budget_sweep(problems, budgets, config, provider,
+                                out_dir=out_dir, workers=workers)
+            expected = _per_cell_rows(problems, budgets, config, provider, workers)
+            assert [row.to_dict() for row in rows] == [row.to_dict() for row in expected]
+            (run_dir,) = out_dir.glob("*-sweep-*")
+            assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(expected)
+
+    @pytest.mark.parametrize("budgets", [(600,), (100, 600, 300), SWEEP_BUDGETS])
+    def test_one_solve_per_problem_and_cache_setting(self, budgets):
+        problems, fixture = build_sweep_case(count=6)
+        config = SolverConfig(token_budget=BIG_BUDGET)
+
+        def counting(backends):
+            def provider(problem):
+                backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+                backends.append(backend)
+                return backend, backend
+
+            return provider
+
+        swept, benched = [], []
+        budget_sweep(problems, budgets, config, counting(swept))
+        for cache in (False, True):
+            top = config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
+            run_benchmark(problems, top, counting(benched))
+        assert len(swept) == 2 * len(problems)
+        calls = [sum(len(backend.replies) for backend in backends)
+                 for backends in (swept, benched)]
+        assert calls[0] == calls[1] > 0
 
 
 class TestRunDirectories:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dualtrack.agents import DecodeParams, Role, ScriptedBackend
@@ -24,6 +26,7 @@ from conftest import (
     assert_budget_discipline,
     assert_budget_prefix,
     assert_calls_match_events,
+    build_random_case,
     check_cache_soundness,
 )
 
@@ -514,3 +517,46 @@ class TestTraceSerialization:
         trace = solve(henry_problem, config(token_budget=400), henry_backend, henry_backend)
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.to_json() == HENRY_BUDGET_400_TRACE_JSON
+
+
+class TestAtBudget:
+    def test_henry_cut_bytes(self, henry_problem, henry_backend):
+        trace = solve(henry_problem, config(), henry_backend, henry_backend)
+        assert trace.at_budget(400).to_json() == HENRY_BUDGET_400_TRACE_JSON
+        assert trace.at_budget(BIG_BUDGET).to_json() == HENRY_TRACE_JSON
+
+    def test_budget_above_the_solved_one_rejected(self, henry_problem, henry_backend):
+        trace = solve(henry_problem, config(token_budget=400), henry_backend, henry_backend)
+        with pytest.raises(ValueError):
+            trace.at_budget(401)
+
+    def test_cut_equals_a_real_solve_at_that_budget(self):
+        """Random scripts with malformed replies and short scripts, solved at
+        a top budget and cut at each smaller one, byte for byte against a real
+        solve at that budget. Both end-of-trace rules must be reached."""
+        problems, fixture = build_random_case(random.Random(808), 60)
+        ends = {"budget_stop": 0, "failed_call": 0}
+        for problem in problems:
+            for cache in (False, True):
+                for retries in (1, 3):
+                    base = config(max_steps=40, max_retries_per_step=retries,
+                                  cache_enabled=cache)
+
+                    def run(budget):
+                        backend = ScriptedBackend(fixture[problem.id])
+                        return solve(problem, base.with_overrides(token_budget=budget),
+                                     backend, backend)
+
+                    # 1, 2, the grid, and the exact spend of the unlimited solve
+                    budgets = {1, 2, 100, 200, 300, 400, 500, run(BIG_BUDGET).tokens_spent}
+                    for top in (600, BIG_BUDGET):
+                        solved = run(top)
+                        for budget in sorted(b for b in budgets if 0 < b <= top):
+                            real = run(budget)
+                            assert solved.at_budget(budget).to_json() == real.to_json()
+                            if solved.outcome is Outcome.BUDGET_EXHAUSTED:
+                                ends["budget_stop"] += 1
+                            elif (real.outcome is Outcome.BUDGET_EXHAUSTED
+                                  and len(real.events) > len(solved.events)):
+                                ends["failed_call"] += 1
+        assert ends["budget_stop"] > 0 and ends["failed_call"] > 0, ends
