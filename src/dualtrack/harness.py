@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
-from .solver import Outcome, SolverConfig, SolveTrace, solve
+from .solver import EventKind, Outcome, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -318,21 +318,26 @@ def budget_sweep(
     workers: int = 1,
     continue_on_error: bool = False,
 ) -> list[SummaryRow]:
-    """Benchmark every budget with the cache off and on, from one solve per
-    problem and cache setting.
+    """Benchmark every budget with the cache off and on, from at most one
+    solve per problem and cache setting.
 
     Emits one summary row per (budget, cache) cell, budget by budget in
     the given order and cache off first: the axes of the accuracy-vs-budget
-    comparison. Each problem is solved once per cache setting, at
-    ``max(budgets)``, and every cell's result is that trace cut at the
-    cell's budget (``SolveTrace.at_budget``), which is the trace a solve at
-    that budget leaves. So the provider is called twice per problem, and
-    a sampled endpoint's budgets share one trajectory per cache setting.
+    comparison. Each problem is solved at ``max(budgets)`` with the cache
+    on, and every cell's result is that trace cut at the cell's budget
+    (``SolveTrace.at_budget``), which is the trace a solve at that budget
+    leaves. A cache-on solve that never hit the cache made the same calls
+    as a cache-off solve, so its results are the problem's cache-off
+    results too; only the problems whose cache-on solve hit the cache are
+    solved again with the cache off. So the provider is called n + h
+    times, h being the number of those problems, and a sampled endpoint
+    gives both cache settings one trajectory wherever the cache never fired.
 
     The budgets and the problem set are checked before anything runs. An
     error in a solve fails every cell of its cache setting; it propagates
     unless ``continue_on_error`` is set, in which case those cells are
-    skipped and logged.
+    skipped and logged, and after a cache-on error the cache-off setting
+    solves every problem.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
@@ -342,21 +347,31 @@ def budget_sweep(
     provider = _as_provider(backends)
     # Per cache setting: each problem's results, one per budget, or the error.
     solved: dict[bool, list[list[RunResult]] | Exception] = {}
-    for cache_enabled in (False, True):
+    # Cache-on results by problem id, for the problems whose solve never hit the cache.
+    reused: dict[str, list[RunResult]] = {}
+    for cache_enabled in (True, False):
         solve_config = config.with_overrides(
             token_budget=max(budgets), cache_enabled=cache_enabled
         )
 
-        def cut_one(problem: Problem) -> list[RunResult]:
+        def cut_one(problem: Problem) -> tuple[list[RunResult], bool]:
+            if problem.id in reused:
+                return reused[problem.id], False
             trace = solve(problem, solve_config, *provider(problem))
-            return [_result(problem, trace.at_budget(budget)) for budget in budgets]
+            results = [_result(problem, trace.at_budget(budget)) for budget in budgets]
+            return results, bool(trace.events_of(EventKind.CACHE_REJECTED))
 
         try:
-            solved[cache_enabled] = _map(cut_one, problems, workers)
+            cuts = _map(cut_one, problems, workers)
         except Exception as exc:
             if not continue_on_error:
                 raise
             solved[cache_enabled] = exc
+            continue
+        solved[cache_enabled] = [results for results, _ in cuts]
+        if cache_enabled:
+            reused = {problem.id: results
+                      for problem, (results, hit) in zip(problems, cuts) if not hit}
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for index, budget in enumerate(budgets):

@@ -21,7 +21,7 @@ from dualtrack.harness import (
     wilson_interval,
 )
 from dualtrack.protocol import CanonicalNumber, Problem
-from dualtrack.solver import Outcome, SolverConfig
+from dualtrack.solver import EventKind, Outcome, SolverConfig, solve
 
 from conftest import (
     HENRY_QUESTION,
@@ -311,14 +311,50 @@ class TestBudgetSweep:
 
     def test_failed_cell_is_logged_and_other_cells_reported(self, tmp_path):
         problems, fixture = build_sweep_case(count=3)
+        ids = [problem.id for problem in problems]
         config = SolverConfig(token_budget=BIG_BUDGET)
         budgets = (150, 300)
+        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        # Each problem is solved with the cache on first. A failing cache-on solve,
+        # the first one or the last, fails every cache-on cell, and then the
+        # cache-off setting reuses nothing: it solves every problem.
+        for failing in (1, len(problems)):
+            served = []
+
+            def provider(problem):
+                served.append(problem.id)
+                if len(served) == failing:
+                    raise RuntimeError(f"endpoint down for {problem.id}")
+                return scripted_provider(fixture)(problem)
+
+            out_dir = tmp_path / str(failing)
+            rows = budget_sweep(
+                problems, budgets, config, provider, out_dir=out_dir, continue_on_error=True
+            )
+            assert served == ids[:failing] + ids
+            assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (0, 2)]
+            (run_dir,) = out_dir.glob("*-sweep-*")
+            failed_id = ids[failing - 1]
+            assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+                f"budget=150 cache=True: endpoint down for {failed_id}\n"
+                f"budget=300 cache=True: endpoint down for {failed_id}\n"
+            )
+            assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
+
+        served.clear()
+        with pytest.raises(RuntimeError, match="endpoint down for s002"):
+            budget_sweep(problems, budgets, config, provider)
+
+    def test_failed_cache_off_solve_fails_only_cache_off_cells(self, tmp_path):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (150, 600)
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
         served = []
 
         def provider(problem):
-            # Each problem is solved once per cache setting, cache off first:
-            # the first problem with the cache on fails every cache-on cell.
+            # The provider call after every cache-on solve is the cache-off
+            # solve of the first problem whose cache-on solve hit the cache.
             served.append(problem.id)
             if len(served) == len(problems) + 1:
                 raise RuntimeError(f"endpoint down for {problem.id}")
@@ -327,17 +363,14 @@ class TestBudgetSweep:
         rows = budget_sweep(
             problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
         )
-        assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (0, 2)]
+        assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (1, 3)]
+        failed_id = served[len(problems)]
         (run_dir,) = tmp_path.glob("*-sweep-*")
         assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
-            "budget=150 cache=True: endpoint down for s000\n"
-            "budget=300 cache=True: endpoint down for s000\n"
+            f"budget=150 cache=False: endpoint down for {failed_id}\n"
+            f"budget=600 cache=False: endpoint down for {failed_id}\n"
         )
         assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
-
-        served.clear()
-        with pytest.raises(RuntimeError, match="endpoint down for s000"):
-            budget_sweep(problems, budgets, config, provider)
 
     def test_sweep_csv_written(self, tmp_path):
         problems, fixture = build_sweep_case(count=2)
@@ -369,8 +402,9 @@ def _per_cell_rows(problems, budgets, config, provider, workers):
 
 
 class TestDerivedSweep:
-    """Cells cut from one max-budget solve per problem and cache setting
-    against the same cells solved one by one."""
+    """Cells cut from one max-budget solve per problem with the cache on, and
+    with the cache off where the cache fired, against the same cells solved
+    one by one."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [1, 3])
@@ -391,8 +425,13 @@ class TestDerivedSweep:
         for budgets in [(300, 1, 600, 2, exact, 100, 300, 500, 200, 400),
                         (exact, BIG_BUDGET, 2, 1, 300, 300)]:
             out_dir = tmp_path / str(len(budgets))
-            rows = budget_sweep(problems, budgets, config, provider,
+            served = []
+            rows = budget_sweep(problems, budgets, config,
+                                lambda problem: served.append(problem) or provider(problem),
                                 out_dir=out_dir, workers=workers)
+            # Both paths are reached: some cache-off cells reuse a cache-on
+            # solve that never hit the cache, and the rest are solved again.
+            assert len(problems) < len(served) < 2 * len(problems)
             expected = _per_cell_rows(problems, budgets, config, provider, workers)
             assert [row.to_dict() for row in rows] == [row.to_dict() for row in expected]
             (run_dir,) = out_dir.glob("*-sweep-*")
@@ -400,8 +439,17 @@ class TestDerivedSweep:
 
     @pytest.mark.parametrize("budgets", [(600,), (100, 600, 300), SWEEP_BUDGETS])
     def test_one_solve_per_problem_and_cache_setting(self, budgets):
-        problems, fixture = build_sweep_case(count=6)
-        config = SolverConfig(token_budget=BIG_BUDGET)
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        on = config.with_overrides(token_budget=max(budgets))
+        # The problems whose cache-on solve hits the cache: only they are solved
+        # again with the cache off.
+        hits = [
+            problem for problem in problems
+            if solve(problem, on, *scripted_provider(fixture)(problem))
+            .events_of(EventKind.CACHE_REJECTED)
+        ]
+        assert 0 < len(hits) < len(problems)
 
         def counting(backends):
             def provider(problem):
@@ -413,10 +461,9 @@ class TestDerivedSweep:
 
         swept, benched = [], []
         budget_sweep(problems, budgets, config, counting(swept))
-        for cache in (False, True):
-            top = config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
-            run_benchmark(problems, top, counting(benched))
-        assert len(swept) == 2 * len(problems)
+        run_benchmark(problems, on, counting(benched))
+        run_benchmark(hits, on.with_overrides(cache_enabled=False), counting(benched))
+        assert len(swept) == len(problems) + len(hits)
         calls = [sum(len(backend.replies) for backend in backends)
                  for backends in (swept, benched)]
         assert calls[0] == calls[1] > 0
