@@ -326,12 +326,13 @@ def budget_sweep(
     comparison. Each problem is solved at ``max(budgets)`` with the cache
     on, and every cell's result is that trace cut at the cell's budget
     (``SolveTrace.at_budget``), which is the trace a solve at that budget
-    leaves. A cache-on solve that never hit the cache made the same calls
-    as a cache-off solve, so its results are the problem's cache-off
-    results too; only the problems whose cache-on solve hit the cache are
-    solved again with the cache off. So the provider is called n + h
-    times, h being the number of those problems, and a sampled endpoint
-    gives both cache settings one trajectory wherever the cache never fired.
+    leaves. Under greedy decoding (both roles at temperature 0) a reply
+    depends on its prompt alone, so a cache-on solve that never hit the
+    cache and had no failed call is the solve the cache-off setting would
+    make: its results are the problem's cache-off results too. Only the
+    other problems are solved again with the cache off, so the provider is
+    called n + h times, h being their number. At a temperature above 0
+    the cache-off setting solves every problem, as a sample of its own.
 
     The budgets and the problem set are checked before anything runs. An
     error in a solve fails every cell of its cache setting; it propagates
@@ -345,33 +346,48 @@ def budget_sweep(
         raise ValueError("budgets must be positive")
     _check_problems(problems)
     provider = _as_provider(backends)
-    # Per cache setting: each problem's results, one per budget, or the error.
-    solved: dict[bool, list[list[RunResult]] | Exception] = {}
-    # Cache-on results by problem id, for the problems whose solve never hit the cache.
-    reused: dict[str, list[RunResult]] = {}
-    for cache_enabled in (True, False):
-        solve_config = config.with_overrides(
+    greedy = config.decomposer_params.temperature == config.evaluator_params.temperature == 0
+    solve_configs = {
+        cache_enabled: config.with_overrides(
             token_budget=max(budgets), cache_enabled=cache_enabled
         )
+        for cache_enabled in (False, True)
+    }
 
-        def cut_one(problem: Problem) -> tuple[list[RunResult], bool]:
-            if problem.id in reused:
-                return reused[problem.id], False
-            trace = solve(problem, solve_config, *provider(problem))
-            results = [_result(problem, trace.at_budget(budget)) for budget in budgets]
-            return results, bool(trace.events_of(EventKind.CACHE_REJECTED))
+    def cut(problem: Problem, cache_enabled: bool) -> tuple[list[RunResult], SolveTrace]:
+        trace = solve(problem, solve_configs[cache_enabled], *provider(problem))
+        return [_result(problem, trace.at_budget(budget)) for budget in budgets], trace
 
+    # Per cache setting: each problem's results, one per budget, or the error.
+    solved: dict[bool, list[list[RunResult]] | Exception] = {}
+
+    def solve_each(cache_enabled: bool, chosen: Sequence[Problem]) -> list | None:
+        """Each chosen problem's (results, trace), or None once the error is in ``solved``."""
         try:
-            cuts = _map(cut_one, problems, workers)
+            return _map(lambda problem: cut(problem, cache_enabled), chosen, workers)
         except Exception as exc:
             if not continue_on_error:
                 raise
             solved[cache_enabled] = exc
-            continue
-        solved[cache_enabled] = [results for results, _ in cuts]
-        if cache_enabled:
-            reused = {problem.id: results
-                      for problem, (results, hit) in zip(problems, cuts) if not hit}
+            return None
+
+    on = solve_each(True, problems)
+    # Each problem's cache-off results, where its cache-on solve gives them.
+    off: list[list[RunResult] | None] = [None] * len(problems)
+    if on is not None:
+        solved[True] = [results for results, _ in on]
+        if greedy:
+            off = [
+                None if trace.events_of(EventKind.CACHE_REJECTED)
+                or trace.outcome is Outcome.BACKEND_FAILURE else results
+                for results, trace in on
+            ]
+    todo = [index for index, results in enumerate(off) if results is None]
+    fresh = solve_each(False, [problems[index] for index in todo])
+    if fresh is not None:
+        for index, (results, _) in zip(todo, fresh):
+            off[index] = results
+        solved[False] = off
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for index, budget in enumerate(budgets):

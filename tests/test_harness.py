@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dualtrack.agents import ScriptedBackend
+from dualtrack.agents import BackendError, DecodeParams, ScriptedBackend
 from dualtrack.dataset import DataError
 from dualtrack.harness import (
     CSV_COLUMNS,
@@ -354,7 +354,8 @@ class TestBudgetSweep:
 
         def provider(problem):
             # The provider call after every cache-on solve is the cache-off
-            # solve of the first problem whose cache-on solve hit the cache.
+            # solve of the first problem whose cache-on solve hit the cache
+            # or failed.
             served.append(problem.id)
             if len(served) == len(problems) + 1:
                 raise RuntimeError(f"endpoint down for {problem.id}")
@@ -403,8 +404,8 @@ def _per_cell_rows(problems, budgets, config, provider, workers):
 
 class TestDerivedSweep:
     """Cells cut from one max-budget solve per problem with the cache on, and
-    with the cache off where the cache fired, against the same cells solved
-    one by one."""
+    with the cache off where the cache fired or a call failed, against the
+    same cells solved one by one."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [1, 3])
@@ -429,9 +430,15 @@ class TestDerivedSweep:
             rows = budget_sweep(problems, budgets, config,
                                 lambda problem: served.append(problem) or provider(problem),
                                 out_dir=out_dir, workers=workers)
-            # Both paths are reached: some cache-off cells reuse a cache-on
-            # solve that never hit the cache, and the rest are solved again.
-            assert len(problems) < len(served) < 2 * len(problems)
+            if max(budgets) == 600:
+                # Both paths are reached: some cache-off cells reuse a cache-on
+                # solve that neither hit the cache nor failed, and the rest are
+                # solved again.
+                assert len(problems) < len(served) < 2 * len(problems)
+            else:
+                # Unbudgeted, every cache-on solve hits the cache or runs out
+                # of replies, so the cache-off setting solves every problem.
+                assert len(served) == 2 * len(problems)
             expected = _per_cell_rows(problems, budgets, config, provider, workers)
             assert [row.to_dict() for row in rows] == [row.to_dict() for row in expected]
             (run_dir,) = out_dir.glob("*-sweep-*")
@@ -442,14 +449,18 @@ class TestDerivedSweep:
         problems, fixture = build_random_case(random.Random(606), 40)
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
         on = config.with_overrides(token_budget=max(budgets))
-        # The problems whose cache-on solve hits the cache: only they are solved
-        # again with the cache off.
-        hits = [
-            problem for problem in problems
-            if solve(problem, on, *scripted_provider(fixture)(problem))
-            .events_of(EventKind.CACHE_REJECTED)
+        # The problems whose cache-on solve hits the cache or ends in a failed
+        # call: only they are solved again with the cache off.
+        traces = [solve(problem, on, *scripted_provider(fixture)(problem))
+                  for problem in problems]
+        again = [
+            problem for problem, trace in zip(problems, traces)
+            if trace.events_of(EventKind.CACHE_REJECTED)
+            or trace.outcome is Outcome.BACKEND_FAILURE
         ]
-        assert 0 < len(hits) < len(problems)
+        assert 0 < len(again) < len(problems)
+        assert any(trace.outcome is Outcome.BACKEND_FAILURE
+                   and not trace.events_of(EventKind.CACHE_REJECTED) for trace in traces)
 
         def counting(backends):
             def provider(problem):
@@ -462,11 +473,52 @@ class TestDerivedSweep:
         swept, benched = [], []
         budget_sweep(problems, budgets, config, counting(swept))
         run_benchmark(problems, on, counting(benched))
-        run_benchmark(hits, on.with_overrides(cache_enabled=False), counting(benched))
-        assert len(swept) == len(problems) + len(hits)
+        run_benchmark(again, on.with_overrides(cache_enabled=False), counting(benched))
+        assert len(swept) == len(problems) + len(again)
         calls = [sum(len(backend.replies) for backend in backends)
                  for backends in (swept, benched)]
         assert calls[0] == calls[1] > 0
+
+    @pytest.mark.parametrize("role", ["decomposer_params", "evaluator_params"])
+    def test_sampled_decoding_solves_every_problem_per_cache_setting(self, role):
+        problems, fixture = build_sweep_case(count=6)
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        budgets = (150, 300)
+        greedy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        # A reply sampled above temperature 0 is not a function of its prompt,
+        # so no cache-on solve stands in for a cache-off one.
+        sampled = config.with_overrides(**{role: DecodeParams(temperature=0.7)})
+        served = []
+        provider = scripted_provider(fixture)
+        rows = budget_sweep(problems, budgets, sampled,
+                            lambda problem: served.append(problem) or provider(problem))
+        assert len(served) == 2 * len(problems)
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in greedy]
+
+    def test_cache_on_call_failure_is_solved_again_with_cache_off(self):
+        problems, fixture = build_sweep_case(count=3)
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        budgets = (150, 300)
+        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        served = []
+
+        class Down:
+            def complete(self, role, prompt, params=None):
+                raise BackendError("connection reset")
+
+        def provider(problem):
+            # The cache-on solve of the second problem meets a transport error;
+            # no cache-on solve hits the cache, so only that one is repeated.
+            served.append(problem.id)
+            if len(served) == 2:
+                return Down(), Down()
+            return scripted_provider(fixture)(problem)
+
+        rows = budget_sweep(problems, budgets, config, provider)
+        assert served == [problem.id for problem in problems] + [problems[1].id]
+        assert [rows[cell].to_dict() for cell in (0, 2)] == [healthy[cell].to_dict()
+                                                            for cell in (0, 2)]
+        assert [rows[cell].outcomes["backend_failure"] for cell in (1, 3)] == [1, 1]
 
 
 class TestRunDirectories:
