@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
-from .solver import EventKind, Outcome, SolverConfig, SolveTrace, solve
+from .solver import BudgetCuts, EventKind, Outcome, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -324,15 +324,19 @@ def budget_sweep(
     Emits one summary row per (budget, cache) cell, budget by budget in
     the given order and cache off first: the axes of the accuracy-vs-budget
     comparison. Each problem is solved at ``max(budgets)`` with the cache
-    on, and every cell's result is that trace cut at the cell's budget
-    (``SolveTrace.at_budget``), which is the trace a solve at that budget
-    leaves. Under greedy decoding (both roles at temperature 0) a reply
-    depends on its prompt alone, so a cache-on solve that never hit the
-    cache and had no failed call is the solve the cache-off setting would
-    make: its results are the problem's cache-off results too. Only the
-    other problems are solved again with the cache off, so the provider is
-    called n + h times, h being their number. At a temperature above 0
-    the cache-off setting solves every problem, as a sample of its own.
+    on, and one walk over that trace (``BudgetCuts``) gives every cell's
+    result. A budget that stops the solve, at the check before an agent
+    call or at the end of the trace, scores as ``budget_exhausted`` with the
+    spend and Evaluator calls before that check, as does the trace
+    ``SolveTrace.at_budget`` cuts there, which is the trace a solve at that
+    budget leaves; any other budget shares the whole trace's result. Under
+    greedy decoding (both roles at temperature 0) a reply depends on its
+    prompt alone, so a cache-on solve that never hit the cache and had no
+    failed call is the solve the cache-off setting would make: its results
+    are the problem's cache-off results too. Only the other problems are
+    solved again with the cache off, so the provider is called n + h
+    times, h being their number. At a temperature above 0 the cache-off
+    setting solves every problem, as a sample of its own.
 
     The budgets and the problem set are checked before anything runs. An
     error in a solve fails every cell of its cache setting; it propagates
@@ -356,7 +360,16 @@ def budget_sweep(
 
     def cut(problem: Problem, cache_enabled: bool) -> tuple[list[RunResult], SolveTrace]:
         trace = solve(problem, solve_configs[cache_enabled], *provider(problem))
-        return [_result(problem, trace.at_budget(budget)) for budget in budgets], trace
+        whole, cuts = _result(problem, trace), BudgetCuts(trace)
+        results = []
+        for budget in budgets:
+            stop = cuts.at(budget)
+            results.append(whole if stop is None else RunResult(
+                problem_id=problem.id, predicted=None, correct=False,
+                tokens_spent=stop.spent, outcome=Outcome.BUDGET_EXHAUSTED,
+                evaluator_calls=stop.evaluator_calls,
+            ))
+        return results, trace
 
     # Per cache setting: each problem's results, one per budget, or the error.
     solved: dict[bool, list[list[RunResult]] | Exception] = {}

@@ -12,15 +12,19 @@ Budget discipline: every agent call leaves exactly one event
 it charged, and spend is the sum of those events. The budget is checked
 before every agent call and never mid-call, so total spend can overshoot
 the limit by at most the cost of the final call. So a solve at a smaller
-budget is a prefix of the same solve at a larger one, and
-``SolveTrace.at_budget`` reads it off the larger solve's trace.
+budget B is a prefix of the same solve at a larger one: it stops at the
+first agent call whose spend-before is at or above B. ``BudgetCuts``
+finds that call for every B in one walk over the larger solve's trace,
+and ``SolveTrace.at_budget`` cuts the trace there.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .agents import BackendError, DecodeParams, Role
 from .cache import REJECTION_FEEDBACK, CacheDecision, RejectionCache, fingerprint
@@ -163,39 +167,21 @@ class SolveTrace:
     def at_budget(self, budget: int) -> "SolveTrace":
         """The trace the same solve leaves at a budget no larger than this one's.
 
-        Replays the budget check that precedes every agent call: the first
-        call event reached with the spend at or above ``budget`` becomes a
-        budget stop. The end of the trace is one more check when it is a
-        budget stop, or a failed call that left no event (an Evaluator reply
-        that does not parse leaves its event, so it is not one).
+        ``BudgetCuts`` finds where ``budget`` stops the solve: at the budget
+        check before an agent call, or at the end of the trace. If it does,
+        the events before that check are kept and a budget stop at the spend
+        there follows them; otherwise the whole trace is kept. Either way the
+        config records ``budget``.
 
         Raises:
             ValueError: ``budget`` exceeds the budget this trace was solved at.
         """
-        if budget > self.config["token_budget"]:
-            raise ValueError(
-                f"cannot cut a trace solved at {self.config['token_budget']} at {budget}"
-            )
+        cut = BudgetCuts(self).at(budget)
         config = {**self.config, "token_budget": budget}
-        spent = 0
-        for index, event in enumerate(self.events):
-            if spent >= budget and event.is_agent_call:
-                return self._budget_stopped(index, spent, config)
-            spent += event.tokens_charged  # 0 unless the event is an agent call
-        if self.outcome is Outcome.BUDGET_EXHAUSTED:
-            return self._budget_stopped(len(self.events) - 1, spent, config)
-        last = self.events[-1] if self.events else None
-        raised = not (last and last.kind is EventKind.EVALUATED and last.payload["score"] is None)
-        if self.outcome is Outcome.BACKEND_FAILURE and raised and spent >= budget:
-            return self._budget_stopped(len(self.events), spent, config)
-        return replace(self, config=config)
-
-    def _budget_stopped(self, end: int, spent: int, config: dict) -> "SolveTrace":
-        """This trace's first ``end`` events, then a budget stop at ``spent``."""
-        events = self.events[:end]
-        events.append(
-            TraceEvent(EventKind.BUDGET_STOP, {"spent": spent, "limit": config["token_budget"]})
-        )
+        if cut is None:
+            return replace(self, config=config)
+        events = self.events[: cut.end]
+        events.append(TraceEvent(EventKind.BUDGET_STOP, {"spent": cut.spent, "limit": budget}))
         accepted = sum(
             event.kind in (EventKind.ACCEPTED, EventKind.FORCED_ACCEPT) for event in events
         )
@@ -220,6 +206,63 @@ class SolveTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
+
+
+class BudgetCut(NamedTuple):
+    """Where a budget stops a solve: before event ``end``, with ``spent``
+    tokens charged and ``evaluator_calls`` real Evaluator calls made."""
+
+    end: int
+    spent: int
+    evaluator_calls: int
+
+
+class BudgetCuts:
+    """Where every budget up to a trace's own stops the same solve, from one
+    walk over its events.
+
+    A solve checks its budget before every agent call (a ``generated``
+    event, or an ``evaluated`` one that is not synthetic): budget B stops
+    it at the first call whose spend-before is at or above B. Spend only
+    grows, so that call is one ``bisect_left`` over the spends-before. The
+    end of the trace is one more check, at the total spend, when the trace
+    ends in a budget stop (which it replaces) or in a call that raised and
+    left no event; an Evaluator reply that does not parse left its event,
+    so it is not one.
+    """
+
+    def __init__(self, trace: SolveTrace):
+        self._limit: int = trace.config["token_budget"]
+        self._spends: list[int] = []  # the spend before each check, in order
+        self._cuts: list[BudgetCut] = []  # the cut each check makes
+        spent = evaluator_calls = 0
+        for index, event in enumerate(trace.events):
+            if event.is_agent_call:
+                self._spends.append(spent)
+                self._cuts.append(BudgetCut(index, spent, evaluator_calls))
+                evaluator_calls += event.kind is EventKind.EVALUATED
+            spent += event.tokens_charged  # 0 unless the event is an agent call
+        end = None
+        if trace.outcome is Outcome.BUDGET_EXHAUSTED:
+            end = len(trace.events) - 1
+        elif trace.outcome is Outcome.BACKEND_FAILURE:
+            last = trace.events[-1] if trace.events else None
+            if not (last and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
+                end = len(trace.events)
+        if end is not None:
+            self._spends.append(spent)
+            self._cuts.append(BudgetCut(end, spent, evaluator_calls))
+
+    def at(self, budget: int) -> BudgetCut | None:
+        """Where ``budget`` stops the solve, or None if it ends as it did.
+
+        Raises:
+            ValueError: ``budget`` exceeds the budget the trace was solved at.
+        """
+        if budget > self._limit:
+            raise ValueError(f"cannot cut a trace solved at {self._limit} at {budget}")
+        index = bisect_left(self._spends, budget)
+        return self._cuts[index] if index < len(self._cuts) else None
 
 
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:

@@ -19,6 +19,9 @@ from dualtrack import (
     ScriptedBackend,
 )
 
+# A token budget above the spend of every solve in these tests.
+BIG_BUDGET = 1_000_000
+
 # The distance-between-stops retry trajectory: bad step scored 0 with a
 # corrective hint, corrected step scored 3.
 HENRY_QUESTION = (

@@ -26,6 +26,7 @@ from dualtrack.solver import (
 )
 
 from conftest import (
+    BIG_BUDGET,
     HENRY_FEEDBACK,
     HENRY_GOOD_STEP,
     HENRY_QUESTION,
@@ -45,8 +46,6 @@ from conftest import (
     scripted_provider,
     with_malformed,
 )
-
-BIG_BUDGET = 1_000_000
 
 
 @contextmanager

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from dualtrack.agents import BackendError, DecodeParams, ScriptedBackend
+from dualtrack import harness
 from dualtrack.dataset import DataError
 from dualtrack.harness import (
     CSV_COLUMNS,
@@ -24,6 +26,7 @@ from dualtrack.protocol import CanonicalNumber, Problem
 from dualtrack.solver import EventKind, Outcome, SolverConfig, solve
 
 from conftest import (
+    BIG_BUDGET,
     HENRY_QUESTION,
     RecordingBackend,
     build_bench_case,
@@ -31,8 +34,6 @@ from conftest import (
     build_sweep_case,
     scripted_provider,
 )
-
-BIG_BUDGET = 1_000_000
 
 
 def _wilson_center(correct, n, z=1.96):
@@ -519,6 +520,77 @@ class TestDerivedSweep:
         assert [rows[cell].to_dict() for cell in (0, 2)] == [healthy[cell].to_dict()
                                                             for cell in (0, 2)]
         assert [rows[cell].outcomes["backend_failure"] for cell in (1, 3)] == [1, 1]
+
+
+class TestSweepResultsPerProblem:
+    """Every (problem, cache, budget) result of a sweep against the result of
+    a real solve at that budget. Rows alone can hide an off-by-one in the cut
+    that cancels out over problems."""
+
+    @pytest.mark.parametrize("retries", [1, 3])
+    @pytest.mark.parametrize("seed", [606, 707, 808])
+    def test_each_result_equals_a_real_solve_at_its_budget(self, monkeypatch, seed, retries):
+        problems, fixture = build_random_case(random.Random(seed), 12)
+        provider = scripted_provider(fixture)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40,
+                              max_retries_per_step=retries)
+        cells = []
+
+        def recording(results, **cell):
+            cells.append((cell["budget"], cell["cache"], list(results)))
+            return summarize(results, **cell)
+
+        monkeypatch.setattr(harness, "summarize", recording)
+        rng = random.Random(seed)
+        reached = Counter()
+        for problem in problems:
+            solves = {}
+
+            def run(budget, cache):
+                if (budget, cache) not in solves:
+                    solves[budget, cache] = solve(
+                        problem,
+                        config.with_overrides(token_budget=budget, cache_enabled=cache),
+                        *provider(problem),
+                    )
+                return solves[budget, cache]
+
+            # 1, 2, the exact spend of each unbudgeted solve, and the spend
+            # before each of its agent calls with one either side.
+            edges = {1, 2}
+            for cache in (False, True):
+                spent = 0
+                for event in run(BIG_BUDGET, cache).events:
+                    if event.is_agent_call:
+                        edges.update((spent - 1, spent, spent + 1))
+                    spent += event.tokens_charged
+                edges.add(spent)
+            for top in (600, BIG_BUDGET):
+                budgets = sorted(budget for budget in edges if 0 < budget < top) + [top]
+                budgets += rng.sample(budgets, len(budgets) // 3)
+                rng.shuffle(budgets)
+                cells.clear()
+                budget_sweep([problem], budgets, config, provider)
+                assert [cell[:2] for cell in cells] == [
+                    (budget, cache) for budget in budgets for cache in (False, True)
+                ]
+                for budget, cache, (result,) in cells:
+                    real, whole = run(budget, cache), run(top, cache)
+                    assert result == harness._result(problem, real), (problem.id, cache, budget)
+                    last = whole.events[-1] if whole.events else None
+                    stopped = real.outcome is Outcome.BUDGET_EXHAUSTED
+                    if stopped and real.events[-1].payload["spent"] == budget:
+                        reached["stop at a spend before a call"] += 1
+                    if (budget < top and stopped and whole.outcome is Outcome.BUDGET_EXHAUSTED
+                            and len(real.events) == len(whole.events)):
+                        reached["terminal budget_stop"] += 1
+                    if (stopped and whole.outcome is Outcome.BACKEND_FAILURE
+                            and len(real.events) == len(whole.events) + 1):
+                        reached["failed call with no event"] += 1
+                    if (real.outcome is Outcome.BACKEND_FAILURE and budget <= whole.tokens_spent
+                            and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
+                        reached["unparseable Evaluator reply"] += 1
+        assert len(reached) == 4, reached
 
 
 class TestRunDirectories:

@@ -19,6 +19,7 @@ from dualtrack.solver import (
 )
 
 from conftest import (
+    BIG_BUDGET,
     HENRY_FEEDBACK,
     HENRY_GOOD_STEP,
     HENRY_SCRIPTS,
@@ -29,8 +30,6 @@ from conftest import (
     build_random_case,
     check_cache_soundness,
 )
-
-BIG_BUDGET = 1_000_000
 
 
 def config(**overrides) -> SolverConfig:
