@@ -1,11 +1,13 @@
 """Agent backends with uniform token accounting.
 
-Two interchangeable backends expose ``complete(role, prompt, params)``:
+Interchangeable backends expose ``complete(role, prompt, params)``:
 
 * :class:`ScriptedBackend` replays canned replies per role — the
   deterministic test/replay double.
 * :class:`HTTPBackend` speaks the OpenAI-compatible chat-completions
   protocol against a real model endpoint.
+* :class:`ReplayBackend` serves the replies a trace recorded, then hands
+  calls on to a live backend pair.
 
 Token usage comes from the endpoint's ``usage`` report when available
 and otherwise from :func:`estimate_tokens`, a tokenizer-free byte-based
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import requests
 
@@ -121,8 +123,53 @@ class ScriptedBackend:
         )
 
     def calls(self, role: Role | str) -> int:
-        """Number of replies served so far for the role."""
+        """Number of replies served or skipped so far for the role."""
         return self._cursor.get(Role(role), 0)
+
+    def skip(self, role: Role | str, count: int) -> None:
+        """Move the role's cursor past ``count`` replies served elsewhere."""
+        self._cursor[Role(role)] = self.calls(role) + count
+
+
+class ReplayBackend:
+    """Serves each role's recorded ``(raw, tokens_charged)`` replies in order,
+    then hands that role's calls to the (decomposer, evaluator) pair ``live()``
+    makes, once; without ``live`` they raise ``ScriptExhausted``.
+
+    A served reply reaches no backend and charges its recorded total, since a
+    trace does not split it into prompt and completion. A live backend with a
+    ``skip`` method (a positional script) first skips the recorded replies.
+    Single-owner, like ScriptedBackend.
+    """
+
+    def __init__(
+        self,
+        replies: Mapping[Role | str, Sequence[tuple[str, int]]],
+        live: Callable[[], tuple[object, object]] | None = None,
+    ):
+        self._replies = {Role(role): list(recorded) for role, recorded in replies.items()}
+        self._served = {role: 0 for role in Role}
+        self._live = live
+        self._backends: dict[Role, object] | None = None
+
+    def complete(
+        self, role: Role | str, prompt: str, params: DecodeParams | None = None
+    ) -> AgentReply:
+        role = Role(role)
+        recorded = self._replies.get(role, [])
+        served = self._served[role]
+        if served < len(recorded):
+            self._served[role] = served + 1
+            raw, tokens = recorded[served]
+            return AgentReply(raw_text=raw, prompt_tokens=tokens, completion_tokens=0)
+        if self._backends is None:
+            if self._live is None:
+                raise ScriptExhausted(f"{role.value} replay exhausted after {served} replies")
+            self._backends = dict(zip((Role.DECOMPOSER, Role.EVALUATOR), self._live()))
+            for live_role, backend in self._backends.items():
+                if hasattr(backend, "skip"):
+                    backend.skip(live_role, len(self._replies.get(live_role, [])))
+        return self._backends[role].complete(role, prompt, params)
 
 
 def _http_error(what: str, response: requests.Response) -> BackendError:

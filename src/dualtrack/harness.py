@@ -24,7 +24,8 @@ from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
-from .solver import BudgetCuts, EventKind, Outcome, SolverConfig, SolveTrace, solve
+from .agents import ReplayBackend
+from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -192,26 +193,31 @@ def load_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
-def _result(problem: Problem, trace: SolveTrace, trace_path: str | None = None) -> RunResult:
-    """Score one solve: its answer counts only if the solve finished."""
+def _result(
+    problem: Problem, trace: SolveTrace, trace_path: str | None = None,
+    totals: tuple[int, int] | None = None,
+) -> RunResult:
+    """Score one solve: its answer counts only if the solve finished.
+    ``totals`` is the trace's ``(tokens_spent, evaluator_calls)`` if known."""
+    spent, evaluator_calls = trace.totals() if totals is None else totals
     predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
     return RunResult(
         problem_id=problem.id,
         predicted=predicted,
         correct=predicted is not None and predicted == problem.gold_answer,
-        tokens_spent=trace.tokens_spent,
+        tokens_spent=spent,
         outcome=trace.outcome,
-        evaluator_calls=trace.evaluator_calls,
+        evaluator_calls=evaluator_calls,
         trace_path=trace_path,
     )
 
 
-def _map(fn: Callable[[Problem], object], problems: Sequence[Problem], workers: int) -> list:
-    """``fn`` over ``problems`` in order, on ``workers`` threads when above 1."""
+def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
+    """``fn`` over ``items`` in order, on ``workers`` threads when above 1."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(fn, problems))
-    return [fn(problem) for problem in problems]
+            return list(executor.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _as_provider(backends: BackendPair | BackendProvider) -> BackendProvider:
@@ -318,31 +324,13 @@ def budget_sweep(
     workers: int = 1,
     continue_on_error: bool = False,
 ) -> list[SummaryRow]:
-    """Benchmark every budget with the cache off and on, from at most one
-    solve per problem and cache setting.
+    """Benchmark every budget with the cache off and on: one summary row per
+    (budget, cache) cell, budget by budget in the given order, cache off first.
 
-    Emits one summary row per (budget, cache) cell, budget by budget in
-    the given order and cache off first: the axes of the accuracy-vs-budget
-    comparison. Each problem is solved at ``max(budgets)`` with the cache
-    on, and one walk over that trace (``BudgetCuts``) gives every cell's
-    result. A budget that stops the solve, at the check before an agent
-    call or at the end of the trace, scores as ``budget_exhausted`` with the
-    spend and Evaluator calls before that check, as does the trace
-    ``SolveTrace.at_budget`` cuts there, which is the trace a solve at that
-    budget leaves; any other budget shares the whole trace's result. Under
-    greedy decoding (both roles at temperature 0) a reply depends on its
-    prompt alone, so a cache-on solve that never hit the cache and had no
-    failed call is the solve the cache-off setting would make: its results
-    are the problem's cache-off results too. Only the other problems are
-    solved again with the cache off, so the provider is called n + h
-    times, h being their number. At a temperature above 0 the cache-off
-    setting solves every problem, as a sample of its own.
-
-    The budgets and the problem set are checked before anything runs. An
-    error in a solve fails every cell of its cache setting; it propagates
-    unless ``continue_on_error`` is set, in which case those cells are
-    skipped and logged, and after a cache-on error the cache-off setting
-    solves every problem.
+    Every cell is cut from one solve per problem at ``max(budgets)``; the
+    cache-off solve forks from the cache-on one (PROTOCOL.md, Budget sweep).
+    An error in a solve fails every cell of its cache setting; it propagates
+    unless ``continue_on_error`` is set, and then those cells are logged.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
@@ -350,7 +338,6 @@ def budget_sweep(
         raise ValueError("budgets must be positive")
     _check_problems(problems)
     provider = _as_provider(backends)
-    greedy = config.decomposer_params.temperature == config.evaluator_params.temperature == 0
     solve_configs = {
         cache_enabled: config.with_overrides(
             token_budget=max(budgets), cache_enabled=cache_enabled
@@ -358,49 +345,41 @@ def budget_sweep(
         for cache_enabled in (False, True)
     }
 
-    def cut(problem: Problem, cache_enabled: bool) -> tuple[list[RunResult], SolveTrace]:
-        trace = solve(problem, solve_configs[cache_enabled], *provider(problem))
-        whole, cuts = _result(problem, trace), BudgetCuts(trace)
-        results = []
-        for budget in budgets:
-            stop = cuts.at(budget)
-            results.append(whole if stop is None else RunResult(
-                problem_id=problem.id, predicted=None, correct=False,
-                tokens_spent=stop.spent, outcome=Outcome.BUDGET_EXHAUSTED,
-                evaluator_calls=stop.evaluator_calls,
-            ))
-        return results, trace
+    def cut(problem: Problem, cache_enabled: bool, backends: BackendPair) -> tuple:
+        """The problem's results, one per budget, its trace and its fork."""
+        trace = solve(problem, solve_configs[cache_enabled], *backends)
+        cuts = BudgetCuts(trace)
+        whole = _result(problem, trace, totals=cuts.totals)
+        results = [whole if stop is None else RunResult(
+            problem_id=problem.id, predicted=None, correct=False,
+            tokens_spent=stop.spent, outcome=Outcome.BUDGET_EXHAUSTED,
+            evaluator_calls=stop.evaluator_calls,
+        ) for stop in map(cuts.at, budgets)]
+        return results, trace, cuts.fork
 
-    # Per cache setting: each problem's results, one per budget, or the error.
-    solved: dict[bool, list[list[RunResult]] | Exception] = {}
+    def cache_off(problem: Problem, on: tuple | None) -> tuple:
+        """The cache-off ``cut``, forked from the cache-on one if there is one."""
+        if on is None:
+            return cut(problem, False, provider(problem))
+        _, trace, fork = on
+        if fork is None:
+            return on
+        replay = ReplayBackend(trace.replies(fork), lambda: provider(problem))
+        return cut(problem, False, (replay, replay))
 
-    def solve_each(cache_enabled: bool, chosen: Sequence[Problem]) -> list | None:
-        """Each chosen problem's (results, trace), or None once the error is in ``solved``."""
+    def solve_each(fn: Callable, items: Sequence) -> list | Exception:
+        """``fn`` over ``items``, or the error once ``continue_on_error`` caught it."""
         try:
-            return _map(lambda problem: cut(problem, cache_enabled), chosen, workers)
+            return _map(fn, items, workers)
         except Exception as exc:
             if not continue_on_error:
                 raise
-            solved[cache_enabled] = exc
-            return None
+            return exc
 
-    on = solve_each(True, problems)
-    # Each problem's cache-off results, where its cache-on solve gives them.
-    off: list[list[RunResult] | None] = [None] * len(problems)
-    if on is not None:
-        solved[True] = [results for results, _ in on]
-        if greedy:
-            off = [
-                None if trace.events_of(EventKind.CACHE_REJECTED)
-                or trace.outcome is Outcome.BACKEND_FAILURE else results
-                for results, trace in on
-            ]
-    todo = [index for index, results in enumerate(off) if results is None]
-    fresh = solve_each(False, [problems[index] for index in todo])
-    if fresh is not None:
-        for index, (results, _) in zip(todo, fresh):
-            off[index] = results
-        solved[False] = off
+    on = solve_each(lambda problem: cut(problem, True, provider(problem)), problems)
+    # After a cache-on error the cache-off setting solves every problem from scratch.
+    pairs = zip(problems, [None] * len(problems) if isinstance(on, Exception) else on)
+    solved = {True: on, False: solve_each(lambda pair: cache_off(*pair), list(pairs))}
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for index, budget in enumerate(budgets):
@@ -409,7 +388,7 @@ def budget_sweep(
             if isinstance(cell, Exception):
                 errors.append(f"budget={budget} cache={cache_enabled}: {cell}")
                 continue
-            rows.append(summarize([results[index] for results in cell], method=method,
+            rows.append(summarize([results[index] for results, _, _ in cell], method=method,
                                   budget=budget, cache=cache_enabled))
     if out_dir is not None:
         run_dir = _new_run_dir(out_dir, "sweep-" + config_hash(config, method))

@@ -11,11 +11,9 @@ Budget discipline: every agent call leaves exactly one event
 (``generated`` or ``evaluated``) carrying its raw reply and the tokens
 it charged, and spend is the sum of those events. The budget is checked
 before every agent call and never mid-call, so total spend can overshoot
-the limit by at most the cost of the final call. So a solve at a smaller
-budget B is a prefix of the same solve at a larger one: it stops at the
-first agent call whose spend-before is at or above B. ``BudgetCuts``
-finds that call for every B in one walk over the larger solve's trace,
-and ``SolveTrace.at_budget`` cuts the trace there.
+the limit by at most the cost of the final call, and a solve at a smaller
+budget is a prefix of the same solve at a larger one (PROTOCOL.md,
+Budget sweep).
 """
 
 from __future__ import annotations
@@ -158,20 +156,35 @@ class SolveTrace:
     @property
     def evaluator_calls(self) -> int:
         """Real Evaluator calls: evaluated events that are not synthetic."""
-        return sum(1 for event in self.events_of(EventKind.EVALUATED) if event.is_agent_call)
+        return self.totals()[1]
 
     @property
     def tokens_spent(self) -> int:
-        return sum(event.tokens_charged for event in self.events)
+        return self.totals()[0]
+
+    def totals(self) -> tuple[int, int]:
+        """``(tokens_spent, evaluator_calls)`` from one walk over the events."""
+        spent = evaluator_calls = 0
+        for event in self.events:
+            spent += event.tokens_charged
+            if event.kind is EventKind.EVALUATED and event.is_agent_call:
+                evaluator_calls += 1
+        return spent, evaluator_calls
+
+    def replies(self, end: int | None = None) -> dict[Role, list[tuple[str, int]]]:
+        """Each role's recorded ``(raw, tokens_charged)`` replies, in order,
+        from the agent-call events before ``end`` (all of them by default)."""
+        replies: dict[Role, list[tuple[str, int]]] = {role: [] for role in Role}
+        for event in self.events[:end]:
+            if event.is_agent_call:
+                role = Role.DECOMPOSER if event.kind is EventKind.GENERATED else Role.EVALUATOR
+                replies[role].append((event.payload["raw"], event.tokens_charged))
+        return replies
 
     def at_budget(self, budget: int) -> "SolveTrace":
-        """The trace the same solve leaves at a budget no larger than this one's.
-
-        ``BudgetCuts`` finds where ``budget`` stops the solve: at the budget
-        check before an agent call, or at the end of the trace. If it does,
-        the events before that check are kept and a budget stop at the spend
-        there follows them; otherwise the whole trace is kept. Either way the
-        config records ``budget``.
+        """The trace the same solve leaves at a budget no larger than this
+        one's: the events before the check where ``BudgetCuts`` stops it and a
+        budget stop, or the whole trace; its config records ``budget``.
 
         Raises:
             ValueError: ``budget`` exceeds the budget this trace was solved at.
@@ -218,17 +231,14 @@ class BudgetCut(NamedTuple):
 
 
 class BudgetCuts:
-    """Where every budget up to a trace's own stops the same solve, from one
-    walk over its events.
+    """Where every budget up to a trace's own stops the same solve, by the
+    cut rule of PROTOCOL.md "Budget sweep": one walk notes the spend before
+    each budget check, and a budget takes the first at or above it.
 
-    A solve checks its budget before every agent call (a ``generated``
-    event, or an ``evaluated`` one that is not synthetic): budget B stops
-    it at the first call whose spend-before is at or above B. Spend only
-    grows, so that call is one ``bisect_left`` over the spends-before. The
-    end of the trace is one more check, at the total spend, when the trace
-    ends in a budget stop (which it replaces) or in a call that raised and
-    left no event; an Evaluator reply that does not parse left its event,
-    so it is not one.
+    The walk also keeps the trace's ``totals``, as ``SolveTrace.totals``, and
+    ``fork``, the event index where the cache-off solve leaves this trace:
+    the first ``cache_rejected`` event, else the end of a trace whose last
+    call raised and left no event, else None (the trace is the cache-off solve).
     """
 
     def __init__(self, trace: SolveTrace):
@@ -236,11 +246,14 @@ class BudgetCuts:
         self._spends: list[int] = []  # the spend before each check, in order
         self._cuts: list[BudgetCut] = []  # the cut each check makes
         spent = evaluator_calls = 0
+        fork = None
         for index, event in enumerate(trace.events):
             if event.is_agent_call:
                 self._spends.append(spent)
                 self._cuts.append(BudgetCut(index, spent, evaluator_calls))
                 evaluator_calls += event.kind is EventKind.EVALUATED
+            elif fork is None and event.kind is EventKind.CACHE_REJECTED:
+                fork = index
             spent += event.tokens_charged  # 0 unless the event is an agent call
         end = None
         if trace.outcome is Outcome.BUDGET_EXHAUSTED:
@@ -249,9 +262,11 @@ class BudgetCuts:
             last = trace.events[-1] if trace.events else None
             if not (last and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
                 end = len(trace.events)
+                fork = end if fork is None else fork
         if end is not None:
             self._spends.append(spent)
             self._cuts.append(BudgetCut(end, spent, evaluator_calls))
+        self.totals, self.fork = (spent, evaluator_calls), fork
 
     def at(self, budget: int) -> BudgetCut | None:
         """Where ``budget`` stops the solve, or None if it ends as it did.

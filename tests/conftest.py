@@ -81,16 +81,23 @@ def henry_backend() -> ScriptedBackend:
 
 
 class RecordingBackend:
-    """Wraps a backend, capturing every prompt it is asked to complete and
-    every reply it serves, in order, as ``(role, reply)`` pairs."""
+    """Wraps a backend, capturing every call it is asked to make, in order,
+    as ``(role, prompt)`` attempts (and each role's prompts), and every reply
+    it serves, in order, as ``(role, reply)`` pairs. Other attributes, such
+    as a script's ``skip``, are the wrapped backend's."""
 
     def __init__(self, inner):
         self.inner = inner
         self.prompts: dict[Role, list[str]] = {role: [] for role in Role}
+        self.attempts: list = []
         self.replies: list = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def complete(self, role, prompt, params=None):
         self.prompts[Role(role)].append(prompt)
+        self.attempts.append((Role(role), prompt))
         reply = self.inner.complete(role, prompt, params)
         self.replies.append((Role(role), reply))
         return reply

@@ -7,10 +7,12 @@ import requests
 from hypothesis import given, strategies as st
 
 from dualtrack.agents import (
+    AgentReply,
     BackendError,
     BackendTimeout,
     DecodeParams,
     HTTPBackend,
+    ReplayBackend,
     Role,
     ScriptExhausted,
     ScriptedBackend,
@@ -99,6 +101,74 @@ class TestScriptedBackend:
     def test_role_accepts_plain_strings(self):
         backend = ScriptedBackend({"decomposer": ["STEP: a"]})
         assert backend.complete("decomposer", "p").raw_text == "STEP: a"
+
+    def test_skip_moves_only_that_roles_cursor(self):
+        backend = ScriptedBackend(
+            {"decomposer": ["STEP: a", "STEP: b", "STEP: c"], "evaluator": ["Score: 3"]}
+        )
+        backend.skip(Role.DECOMPOSER, 2)
+        backend.skip("evaluator", 0)
+        assert backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: c"
+        assert backend.complete(Role.EVALUATOR, "p").raw_text == "Score: 3"
+        assert backend.calls(Role.DECOMPOSER) == 3
+        with pytest.raises(ScriptExhausted):
+            backend.complete(Role.DECOMPOSER, "p")
+
+
+class _Counting:
+    """A prompt-keyed backend that counts the calls that reach it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def complete(self, role, prompt, params=None):
+        self.calls.append((Role(role), prompt))
+        return AgentReply(raw_text=f"live {prompt}", prompt_tokens=2, completion_tokens=1)
+
+
+class TestReplayBackend:
+    RECORDED = {"decomposer": [("STEP: a", 11), ("STEP: b", 12)], "evaluator": [("Score: 3", 13)]}
+
+    def test_serves_each_roles_recorded_replies_then_delegates(self):
+        decomposer, evaluator = _Counting(), _Counting()
+        made = []
+        replay = ReplayBackend(self.RECORDED,
+                               lambda: made.append(1) or (decomposer, evaluator))
+        served = [replay.complete(Role.DECOMPOSER, "p1"),
+                  replay.complete(Role.EVALUATOR, "p2"),
+                  replay.complete(Role.DECOMPOSER, "p3")]
+        # A recorded reply charges its recorded total and reaches no backend.
+        assert [(reply.raw_text, reply.total_tokens) for reply in served] == [
+            ("STEP: a", 11), ("Score: 3", 13), ("STEP: b", 12)]
+        assert made == [] and decomposer.calls == evaluator.calls == []
+        # Past its recorded replies, each role goes to its own live backend,
+        # made once.
+        assert replay.complete("evaluator", "p4").raw_text == "live p4"
+        assert replay.complete(Role.DECOMPOSER, "p5").total_tokens == 3
+        assert replay.complete(Role.EVALUATOR, "p6").raw_text == "live p6"
+        assert made == [1]
+        assert decomposer.calls == [(Role.DECOMPOSER, "p5")]
+        assert evaluator.calls == [(Role.EVALUATOR, "p4"), (Role.EVALUATOR, "p6")]
+
+    def test_positional_live_backend_starts_past_the_recorded_replies(self):
+        script = ScriptedBackend({"decomposer": ["STEP: a", "STEP: b", "STEP: c"],
+                                  "evaluator": ["Score: 3", "Score: 1"]})
+        replay = ReplayBackend(self.RECORDED, lambda: (script, script))
+        assert replay.complete(Role.DECOMPOSER, "p").raw_text == "STEP: a"
+        assert replay.complete(Role.EVALUATOR, "p").raw_text == "Score: 3"
+        assert replay.complete(Role.EVALUATOR, "p").raw_text == "Score: 1"
+        assert replay.complete(Role.DECOMPOSER, "p").raw_text == "STEP: b"
+        assert replay.complete(Role.DECOMPOSER, "p").raw_text == "STEP: c"
+        assert script.calls(Role.DECOMPOSER) == 3
+        assert script.calls(Role.EVALUATOR) == 2
+
+    def test_without_a_live_backend_running_out_raises(self):
+        replay = ReplayBackend({Role.EVALUATOR: [("Score: 3", 13)]})
+        assert replay.complete(Role.EVALUATOR, "p").raw_text == "Score: 3"
+        with pytest.raises(ScriptExhausted):
+            replay.complete(Role.EVALUATOR, "p")
+        with pytest.raises(ScriptExhausted):
+            replay.complete(Role.DECOMPOSER, "p")
 
 
 class _FakeResponse:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from dualtrack.agents import BackendError, DecodeParams, ScriptedBackend
+from dualtrack.agents import BackendError, DecodeParams, Role, ScriptedBackend
 from dualtrack import harness
 from dualtrack.dataset import DataError
 from dualtrack.harness import (
@@ -354,9 +356,8 @@ class TestBudgetSweep:
         served = []
 
         def provider(problem):
-            # The provider call after every cache-on solve is the cache-off
-            # solve of the first problem whose cache-on solve hit the cache
-            # or failed.
+            # The provider call after every cache-on solve is the live backend
+            # of the first cache-off fork that gets past its replayed prefix.
             served.append(problem.id)
             if len(served) == len(problems) + 1:
                 raise RuntimeError(f"endpoint down for {problem.id}")
@@ -403,10 +404,66 @@ def _per_cell_rows(problems, budgets, config, provider, workers):
     ]
 
 
+def _fork_calls(problems, config, fixture):
+    """Per problem, the calls its cache-on solve at ``config``'s budget makes,
+    and the calls its cache-off solve makes past the longest prefix it shares
+    with the calls the cache-on solve made and got a reply to. Counted from
+    one solve per problem and cache setting, apart from the sweep: a sweep
+    forks the cache-off solve there, so its live backend gets the second count
+    of calls, and the provider is asked for it where that count is above 0."""
+    counts = []
+    for problem in problems:
+        solves = {}
+        for cache in (True, False):
+            backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+            solve(problem, config.with_overrides(cache_enabled=cache), backend, backend)
+            solves[cache] = backend
+        on, off = solves[True], solves[False]
+        shared = 0
+        for replied, asked in zip(on.attempts[: len(on.replies)], off.attempts):
+            if replied != asked:
+                break
+            shared += 1
+        counts.append((len(on.attempts), len(off.attempts) - shared))
+    return counts
+
+
+class _Sampled:
+    """A sampled model over one problem whose outcomes can be enumerated.
+
+    Its first Decomposer reply is a coin flip: a right final answer, or a wrong
+    step that the Evaluator scores 0 and the retry repeats, so that the cache
+    fires with the cache on. Either way the repeat is force-accepted (one
+    retry), and a second flip picks one of two wrong final answers. So
+    P(hit) = 0.5, and the accuracy is 1 without a hit and 0 with one, with
+    the cache off or on. The flips come from ``draws``, one per reply that
+    is sampled; every other reply follows from the prompt alone.
+    """
+
+    WRONG = "STEP: Take 2 + 2 = 5 apples."
+    PROBLEM = Problem(id="coin", question="How many apples are left?",
+                      gold_answer=CanonicalNumber("5"))
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def complete(self, role, prompt, params=None):
+        if role == "evaluator":
+            text = ("Score: 0\nFeedback: 2 + 2 is 4." if f"step:\n{self.WRONG}\n" in prompt
+                    else "Score: 3\nFeedback: Correct.")
+        elif "HINT:" in prompt:
+            text = self.WRONG
+        elif self.WRONG[len("STEP: "):] in prompt:
+            text = ("FINAL_ANSWER: 4", "FINAL_ANSWER: 6 apples are left")[next(self.draws)]
+        else:
+            text = ("FINAL_ANSWER: 5", self.WRONG)[next(self.draws)]
+        return ScriptedBackend({role: [text]}).complete(role, prompt, params)
+
+
 class TestDerivedSweep:
     """Cells cut from one max-budget solve per problem with the cache on, and
-    with the cache off where the cache fired or a call failed, against the
-    same cells solved one by one."""
+    one with the cache off forked from it at its first cache hit or failed
+    call, against the same cells solved one by one."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("retries", [1, 3])
@@ -431,95 +488,177 @@ class TestDerivedSweep:
             rows = budget_sweep(problems, budgets, config,
                                 lambda problem: served.append(problem) or provider(problem),
                                 out_dir=out_dir, workers=workers)
-            if max(budgets) == 600:
-                # Both paths are reached: some cache-off cells reuse a cache-on
-                # solve that neither hit the cache nor failed, and the rest are
-                # solved again.
-                assert len(problems) < len(served) < 2 * len(problems)
-            else:
-                # Unbudgeted, every cache-on solve hits the cache or runs out
-                # of replies, so the cache-off setting solves every problem.
-                assert len(served) == 2 * len(problems)
+            # Both paths are reached: some cache-off cells are the cache-on
+            # solve's, and the rest fork from it onto the live backend.
+            top = config.with_overrides(token_budget=max(budgets))
+            forks = sum(live > 0 for _, live in _fork_calls(problems, top, fixture))
+            assert 0 < forks < len(problems)
+            assert len(served) == len(problems) + forks
             expected = _per_cell_rows(problems, budgets, config, provider, workers)
             assert [row.to_dict() for row in rows] == [row.to_dict() for row in expected]
             (run_dir,) = out_dir.glob("*-sweep-*")
             assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(expected)
 
-    @pytest.mark.parametrize("budgets", [(600,), (100, 600, 300), SWEEP_BUDGETS])
+    @pytest.mark.parametrize("budgets", [(600,), (100, 600, 300), SWEEP_BUDGETS, (100, 300)])
     def test_one_solve_per_problem_and_cache_setting(self, budgets):
         problems, fixture = build_random_case(random.Random(606), 40)
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
-        on = config.with_overrides(token_budget=max(budgets))
-        # The problems whose cache-on solve hits the cache or ends in a failed
-        # call: only they are solved again with the cache off.
-        traces = [solve(problem, on, *scripted_provider(fixture)(problem))
-                  for problem in problems]
-        again = [
-            problem for problem, trace in zip(problems, traces)
-            if trace.events_of(EventKind.CACHE_REJECTED)
-            or trace.outcome is Outcome.BACKEND_FAILURE
-        ]
-        assert 0 < len(again) < len(problems)
-        assert any(trace.outcome is Outcome.BACKEND_FAILURE
-                   and not trace.events_of(EventKind.CACHE_REJECTED) for trace in traces)
+        # At 300 a few cache-off forks stop at the budget check before their
+        # first call past the prefix, so they never reach the live backend.
+        on_calls, live_calls = zip(*_fork_calls(
+            problems, config.with_overrides(token_budget=max(budgets)), fixture))
+        forks = sum(live > 0 for live in live_calls)
+        assert 0 < forks < len(problems)
+        swept = []
 
-        def counting(backends):
-            def provider(problem):
-                backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
-                backends.append(backend)
-                return backend, backend
+        def provider(problem):
+            backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+            swept.append(backend)
+            return backend, backend
 
-            return provider
+        budget_sweep(problems, budgets, config, provider)
+        assert len(swept) == len(problems) + forks
+        assert sum(len(backend.attempts) for backend in swept) == sum(on_calls) + sum(live_calls)
 
-        swept, benched = [], []
-        budget_sweep(problems, budgets, config, counting(swept))
-        run_benchmark(problems, on, counting(benched))
-        run_benchmark(again, on.with_overrides(cache_enabled=False), counting(benched))
-        assert len(swept) == len(problems) + len(again)
-        calls = [sum(len(backend.replies) for backend in backends)
-                 for backends in (swept, benched)]
-        assert calls[0] == calls[1] > 0
-
-    @pytest.mark.parametrize("role", ["decomposer_params", "evaluator_params"])
-    def test_sampled_decoding_solves_every_problem_per_cache_setting(self, role):
-        problems, fixture = build_sweep_case(count=6)
+    @pytest.mark.parametrize("keyed", [False, True], ids=["positional", "prompt-keyed"])
+    def test_fork_replays_the_prefix_and_solves_the_rest_live(self, keyed):
+        # The second step restates the first, so with the cache on it is a
+        # duplicate: the cache-off solve forks there, before its Evaluator call.
+        problem = Problem(id="dup", question="How many apples remain on the cart?",
+                          gold_answer=CanonicalNumber("40"))
+        scripts = {
+            "decomposer": ["STEP: First he adds 12 + 30 = 42 apples.",
+                           "STEP: First he adds 12 + 30 = 42 apples.",
+                           "STEP: Then he removes 42 - 2 = 40 apples.",
+                           "FINAL_ANSWER: 40"],
+            "evaluator": ["Score: 3\nFeedback: fine."] * 4,
+        }
         config = SolverConfig(token_budget=BIG_BUDGET)
-        budgets = (150, 300)
-        greedy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
-        # A reply sampled above temperature 0 is not a function of its prompt,
-        # so no cache-on solve stands in for a cache-off one.
-        sampled = config.with_overrides(**{role: DecodeParams(temperature=0.7)})
-        served = []
+        replies = {}
+        for cache in (True, False):
+            scratch = RecordingBackend(ScriptedBackend(scripts))
+            off = solve(problem, config.with_overrides(cache_enabled=cache), scratch, scratch)
+            replies.update(zip(scratch.attempts, (reply for _, reply in scratch.replies)))
+
+        class Keyed:
+            def complete(self, role, prompt, params=None):
+                return replies[Role(role), prompt]
+
+        live = []
+
+        def provider(problem):
+            backend = RecordingBackend(Keyed() if keyed else ScriptedBackend(scripts))
+            live.append(backend)
+            return backend, backend
+
+        budgets = (100, 250, BIG_BUDGET)
+        rows = budget_sweep([problem], budgets, config, provider)
+        on, fork = live
+        # Of the cache-off solve's 8 calls, the first 3 are the cache-on
+        # solve's replayed; only the other 5 reach a backend.
+        assert scratch.attempts[:3] == on.attempts[:3] and len(scratch.attempts) == 8
+        assert fork.attempts == scratch.attempts[3:]
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
+            [problem], budgets, config, scripted_provider({"dup": scripts}), 1)]
+        assert rows[-2].evaluator_calls == off.evaluator_calls == 4
+
+    def test_trace_ending_in_an_unparsed_evaluator_reply_is_the_cache_off_solve(
+            self, monkeypatch):
+        problems, fixture = build_sweep_case(count=3)
+        fixture["s001"]["evaluator"][1] = "Score: high\nFeedback: x"
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        budgets = (150, BIG_BUDGET)
+        served, solved = [], []
         provider = scripted_provider(fixture)
-        rows = budget_sweep(problems, budgets, sampled,
+        monkeypatch.setattr(harness, "solve", lambda *args: solved.append(args) or solve(*args))
+        rows = budget_sweep(problems, budgets, config,
                             lambda problem: served.append(problem) or provider(problem))
-        assert len(served) == 2 * len(problems)
-        assert [row.to_dict() for row in rows] == [row.to_dict() for row in greedy]
+        # The reply left its event, so the trace has no failed call to retry:
+        # no cache-off solve runs, not even a replay.
+        assert served == problems
+        assert len(solved) == len(problems)
+        assert [row.outcomes.get("backend_failure") for row in rows[2:]] == [1, 1]
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
+            problems, budgets, config, provider, 1)]
+
+    def test_sampled_fork_has_the_cache_off_distribution(self):
+        config = SolverConfig(
+            token_budget=BIG_BUDGET, max_retries_per_step=1,
+            decomposer_params=DecodeParams(temperature=0.7),
+            evaluator_params=DecodeParams(temperature=0.7),
+        )
+        problem = _Sampled.PROBLEM
+        flips = list(itertools.product((0, 1), repeat=2))  # a solve draws at most 2
+
+        def solved(cache_enabled, draws):
+            model = _Sampled(draws)
+            return solve(problem, config.with_overrides(cache_enabled=cache_enabled),
+                         model, model)
+
+        # Every problem solved from scratch with the cache off: the target.
+        scratch = Counter()
+        for draws in flips:
+            row = summarize([harness._result(problem, solved(False, draws))],
+                            method="dual_cot", budget=BIG_BUDGET, cache=False)
+            scratch[json.dumps(row.to_dict())] += Fraction(1, len(flips))
+        assert sorted(scratch.values()) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+        # The sweep over every outcome: the cache-on solve draws first, and a
+        # fork's live backend draws afresh.
+        swept, old_rule = Counter(), Fraction(0)
+        outcomes = list(itertools.product(flips, flips))
+        for first, second in outcomes:
+            backends = iter([_Sampled(first), _Sampled(second)])
+            off, on = budget_sweep([problem], (BIG_BUDGET,), config,
+                                   lambda problem: (next(backends),) * 2)
+            swept[json.dumps(off.to_dict())] += Fraction(1, len(outcomes))
+            # Paired: cache off and on share the first flip, which decides both.
+            assert off.correct == on.correct
+            # The rule that took the cache-on solve where the cache never
+            # fired, and sampled the cache-off solve afresh everywhere else.
+            trace = solved(True, first)
+            if trace.events_of(EventKind.CACHE_REJECTED):
+                trace = solved(False, second)
+            old_rule += Fraction(harness._result(problem, trace).correct, len(outcomes))
+        assert swept == scratch
+        assert sum(json.loads(row)["correct"] * weight
+                   for row, weight in swept.items()) == Fraction(1, 2)
+        assert old_rule == Fraction(3, 4)
 
     def test_cache_on_call_failure_is_solved_again_with_cache_off(self):
         problems, fixture = build_sweep_case(count=3)
         config = SolverConfig(token_budget=BIG_BUDGET)
-        budgets = (150, 300)
+        budgets = (150, BIG_BUDGET)
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
         served = []
 
-        class Down:
+        class Flaky(ScriptedBackend):
             def complete(self, role, prompt, params=None):
-                raise BackendError("connection reset")
+                if self.calls(Role.EVALUATOR) == 1 and role == "evaluator":
+                    raise BackendError("connection reset")
+                return super().complete(role, prompt, params)
 
         def provider(problem):
-            # The cache-on solve of the second problem meets a transport error;
-            # no cache-on solve hits the cache, so only that one is repeated.
-            served.append(problem.id)
-            if len(served) == 2:
-                return Down(), Down()
-            return scripted_provider(fixture)(problem)
+            # The cache-on solve of the second problem meets a transport error
+            # at its second Evaluator call; no cache-on solve hits the cache,
+            # so only that one is forked, after the 3 calls it got replies to.
+            scripts = fixture[problem.id]
+            backend = Flaky(scripts) if len(served) == 1 else RecordingBackend(
+                ScriptedBackend(scripts))
+            served.append((problem.id, backend))
+            return backend, backend
 
         rows = budget_sweep(problems, budgets, config, provider)
-        assert served == [problem.id for problem in problems] + [problems[1].id]
+        assert [problem_id for problem_id, _ in served] == [
+            problem.id for problem in problems] + [problems[1].id]
+        # The fork's live backend makes its own attempt at the failed call and
+        # serves the rest of the script: 5 of its 8 replies.
+        fork = served[-1][1]
+        assert [role for role, _ in fork.attempts] == [Role.EVALUATOR] + [
+            Role.DECOMPOSER, Role.EVALUATOR] * 2
+        assert (fork.inner.calls(Role.DECOMPOSER), fork.inner.calls(Role.EVALUATOR)) == (4, 4)
         assert [rows[cell].to_dict() for cell in (0, 2)] == [healthy[cell].to_dict()
                                                             for cell in (0, 2)]
-        assert [rows[cell].outcomes["backend_failure"] for cell in (1, 3)] == [1, 1]
+        assert rows[3].outcomes["backend_failure"] == 1
 
 
 class TestSweepResultsPerProblem:
