@@ -581,6 +581,29 @@ class TestDerivedSweep:
         assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
             problems, budgets, config, provider, 1)]
 
+    @pytest.mark.parametrize("role", ["decomposer_params", "evaluator_params"])
+    def test_sampled_decoding_solves_every_problem_per_cache_setting(self, role):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (100, 600, 300)
+        greedy_served, served = [], []
+        provider = scripted_provider(fixture)
+        greedy = budget_sweep(problems, budgets, config,
+                              lambda problem: greedy_served.append(problem) or provider(problem))
+        # Every problem gets a cache-off solve at any temperature: the cache-on
+        # trace where the cache never fired, a fork from it everywhere else.
+        # The fork rule does not look at the temperature, so a sampled sweep
+        # asks the provider for the same backends as a greedy one.
+        sampled = config.with_overrides(**{role: DecodeParams(temperature=0.7)})
+        rows = budget_sweep(problems, budgets, sampled,
+                            lambda problem: served.append(problem) or provider(problem))
+        forks = sum(live > 0 for _, live in _fork_calls(
+            problems, config.with_overrides(token_budget=max(budgets)), fixture))
+        assert 0 < forks < len(problems)
+        assert served == greedy_served
+        assert len(served) == len(problems) + forks
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in greedy]
+
     def test_sampled_fork_has_the_cache_off_distribution(self):
         config = SolverConfig(
             token_budget=BIG_BUDGET, max_retries_per_step=1,
