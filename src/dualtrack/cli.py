@@ -252,9 +252,9 @@ def _start_run(args: argparse.Namespace, problems: Sequence[Problem] | None = No
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
-    examples = load_gsm8k_examples(args.input)
     if not 0 <= args.split_ratio <= 1:
         raise ConfigError(f"split_ratio: must be within [0, 1], got {args.split_ratio}")
+    examples = load_gsm8k_examples(args.input)
     train, val = split_examples(examples, val_fraction=args.split_ratio, seed=args.seed)
     out_dir = Path(args.output)
     train_count = write_instances(

@@ -327,10 +327,11 @@ def budget_sweep(
     """Benchmark every budget with the cache off and on: one summary row per
     (budget, cache) cell, budget by budget in the given order, cache off first.
 
-    Every cell is cut from one solve per problem at ``max(budgets)``; the
-    cache-off solve forks from the cache-on one (PROTOCOL.md, Budget sweep).
-    An error in a solve fails every cell of its cache setting; it propagates
-    unless ``continue_on_error`` is set, and then those cells are logged.
+    Every cell is cut from one solve per problem at ``max(budgets)``, and the
+    cache-off solve forks from the cache-on one in the same task (PROTOCOL.md,
+    Budget sweep). An error in a solve fails every cell of its cache setting; it
+    propagates unless ``continue_on_error`` is set, and then those cells are
+    logged. After a cache-on error the problem's cache-off solve starts afresh.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
@@ -345,9 +346,17 @@ def budget_sweep(
         for cache_enabled in (False, True)
     }
 
-    def cut(problem: Problem, cache_enabled: bool, backends: BackendPair) -> tuple:
-        """The problem's results, one per budget, its trace and its fork."""
-        trace = solve(problem, solve_configs[cache_enabled], *backends)
+    def cut(
+        problem: Problem, cache_enabled: bool, backends: Callable[[], BackendPair]
+    ) -> tuple | Exception:
+        """The problem's results, one per budget, its trace and its fork; or the
+        error its solve raised, once ``continue_on_error`` caught it."""
+        try:
+            trace = solve(problem, solve_configs[cache_enabled], *backends())
+        except Exception as exc:
+            if not continue_on_error:
+                raise
+            return exc
         cuts = BudgetCuts(trace)
         whole = _result(problem, trace, totals=cuts.totals)
         results = [whole if stop is None else RunResult(
@@ -357,29 +366,19 @@ def budget_sweep(
         ) for stop in map(cuts.at, budgets)]
         return results, trace, cuts.fork
 
-    def cache_off(problem: Problem, on: tuple | None) -> tuple:
-        """The cache-off ``cut``, forked from the cache-on one if there is one."""
-        if on is None:
-            return cut(problem, False, provider(problem))
-        _, trace, fork = on
-        if fork is None:
-            return on
-        replay = ReplayBackend(trace.replies(fork), lambda: provider(problem))
-        return cut(problem, False, (replay, replay))
+    def cut_both(problem: Problem) -> tuple:
+        """The problem's (cache-off, cache-on) ``cut``, cache off forked from cache on."""
+        on = cut(problem, True, lambda: provider(problem))
+        if isinstance(on, Exception):  # no trace to fork from
+            return cut(problem, False, lambda: provider(problem)), on
+        if on[2] is None:
+            return on, on
+        replay = ReplayBackend(on[1].replies(on[2]), lambda: provider(problem))
+        return cut(problem, False, lambda: (replay, replay)), on
 
-    def solve_each(fn: Callable, items: Sequence) -> list | Exception:
-        """``fn`` over ``items``, or the error once ``continue_on_error`` caught it."""
-        try:
-            return _map(fn, items, workers)
-        except Exception as exc:
-            if not continue_on_error:
-                raise
-            return exc
-
-    on = solve_each(lambda problem: cut(problem, True, provider(problem)), problems)
-    # After a cache-on error the cache-off setting solves every problem from scratch.
-    pairs = zip(problems, [None] * len(problems) if isinstance(on, Exception) else on)
-    solved = {True: on, False: solve_each(lambda pair: cache_off(*pair), list(pairs))}
+    off, on = zip(*_map(cut_both, problems, workers))
+    solved = {cache: next((item for item in cuts if isinstance(item, Exception)), cuts)
+              for cache, cuts in ((False, off), (True, on))}
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for index, budget in enumerate(budgets):

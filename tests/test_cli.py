@@ -164,6 +164,16 @@ class TestPrep:
         assert code == EXIT_CONFIG
         assert "split_ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, "not json\n"], ids=["missing", "malformed"])
+    def test_split_ratio_checked_before_the_input_is_read(self, tmp_path, capsys, content):
+        data = tmp_path / "gsm8k.jsonl"
+        if content is not None:
+            data.write_text(content, encoding="utf-8")
+        code = main(["prep", str(data), str(tmp_path / "out"), "--split-ratio", "2"])
+        assert code == EXIT_CONFIG
+        assert "split_ratio" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolve:
     def test_henry_trajectory_prints_retry_then_fix(self, henry_fixture_file, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -319,8 +320,10 @@ class TestBudgetSweep:
         budgets = (150, 300)
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
         # Each problem is solved with the cache on first. A failing cache-on solve,
-        # the first one or the last, fails every cache-on cell, and then the
-        # cache-off setting reuses nothing: it solves every problem.
+        # the first one or the last, fails every cache-on cell. It leaves no
+        # trace, so its problem's cache-off solve, next, replays nothing and
+        # asks the provider again; no other problem's cache hits, so each other
+        # cache-on trace is its cache-off solve.
         for failing in (1, len(problems)):
             served = []
 
@@ -334,7 +337,7 @@ class TestBudgetSweep:
             rows = budget_sweep(
                 problems, budgets, config, provider, out_dir=out_dir, continue_on_error=True
             )
-            assert served == ids[:failing] + ids
+            assert served == ids[:failing] + ids[failing - 1:]
             assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (0, 2)]
             (run_dir,) = out_dir.glob("*-sweep-*")
             failed_id = ids[failing - 1]
@@ -353,13 +356,15 @@ class TestBudgetSweep:
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
         budgets = (150, 600)
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        # A problem's second provider call is the live backend of its cache-off
+        # fork, asked for once the fork gets past its replayed prefix.
+        failed_id = next(problem.id for problem, (_, live) in zip(problems, _fork_calls(
+            problems, config.with_overrides(token_budget=max(budgets)), fixture)) if live)
         served = []
 
         def provider(problem):
-            # The provider call after every cache-on solve is the live backend
-            # of the first cache-off fork that gets past its replayed prefix.
             served.append(problem.id)
-            if len(served) == len(problems) + 1:
+            if problem.id == failed_id and served.count(failed_id) == 2:
                 raise RuntimeError(f"endpoint down for {problem.id}")
             return scripted_provider(fixture)(problem)
 
@@ -367,13 +372,54 @@ class TestBudgetSweep:
             problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
         )
         assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (1, 3)]
-        failed_id = served[len(problems)]
+        assert served.count(failed_id) == 2
         (run_dir,) = tmp_path.glob("*-sweep-*")
         assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
             f"budget=150 cache=False: endpoint down for {failed_id}\n"
             f"budget=600 cache=False: endpoint down for {failed_id}\n"
         )
         assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
+
+    @pytest.mark.parametrize("failing", [(0,), (13,), (39,), (39, 13)],
+                             ids=["first", "middle", "last", "two"])
+    def test_failed_cache_on_solve_touches_only_its_own_problem(self, tmp_path, failing):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (150, 600)
+        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        failed_ids = {problems[index].id for index in failing}
+        forks = _fork_calls(problems, config.with_overrides(token_budget=max(budgets)), fixture)
+        # Every problem once for its cache-on solve and once more for each fork
+        # that reaches the live backend. A failed problem's cache-off solve has
+        # no trace to replay, so it asks the provider once more too.
+        expected = Counter(problem.id for problem in problems) + Counter(
+            problem.id for problem, (_, live) in zip(problems, forks)
+            if live or problem.id in failed_ids)
+        assert 0 < sum(expected.values()) - len(problems) < len(problems)
+        for workers in (1, 2):
+            served = Counter()
+            lock = threading.Lock()
+
+            def provider(problem):
+                with lock:
+                    served[problem.id] += 1
+                    first = served[problem.id] == 1
+                if problem.id in failed_ids and first:
+                    raise RuntimeError(f"endpoint down for {problem.id}")
+                return scripted_provider(fixture)(problem)
+
+            out_dir = tmp_path / str(workers)
+            rows = budget_sweep(problems, budgets, config, provider, out_dir=out_dir,
+                                workers=workers, continue_on_error=True)
+            assert served == expected
+            assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (0, 2)]
+            # The setting's error is its first failed problem's, in problem order.
+            first_id = problems[min(failing)].id
+            (run_dir,) = out_dir.glob("*-sweep-*")
+            assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+                f"budget=150 cache=True: endpoint down for {first_id}\n"
+                f"budget=600 cache=True: endpoint down for {first_id}\n"
+            )
 
     def test_sweep_csv_written(self, tmp_path):
         problems, fixture = build_sweep_case(count=2)
@@ -663,7 +709,8 @@ class TestDerivedSweep:
         def provider(problem):
             # The cache-on solve of the second problem meets a transport error
             # at its second Evaluator call; no cache-on solve hits the cache,
-            # so only that one is forked, after the 3 calls it got replies to.
+            # so only that one is forked, next, after the 3 calls it got
+            # replies to.
             scripts = fixture[problem.id]
             backend = Flaky(scripts) if len(served) == 1 else RecordingBackend(
                 ScriptedBackend(scripts))
@@ -672,10 +719,10 @@ class TestDerivedSweep:
 
         rows = budget_sweep(problems, budgets, config, provider)
         assert [problem_id for problem_id, _ in served] == [
-            problem.id for problem in problems] + [problems[1].id]
+            problems[0].id, problems[1].id, problems[1].id, problems[2].id]
         # The fork's live backend makes its own attempt at the failed call and
         # serves the rest of the script: 5 of its 8 replies.
-        fork = served[-1][1]
+        fork = served[2][1]
         assert [role for role, _ in fork.attempts] == [Role.EVALUATOR] + [
             Role.DECOMPOSER, Role.EVALUATOR] * 2
         assert (fork.inner.calls(Role.DECOMPOSER), fork.inner.calls(Role.EVALUATOR)) == (4, 4)
