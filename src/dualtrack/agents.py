@@ -17,13 +17,15 @@ estimate, so budget accounting works identically for both backends.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT
+
+if TYPE_CHECKING:
+    import requests
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 API_BASE_ENV = "DUALTRACK_API_BASE"
@@ -178,6 +180,15 @@ def _http_error(what: str, response: requests.Response) -> BackendError:
     return BackendError(f"{what}: {body}", status=response.status_code, body=body)
 
 
+def _retry_after(response: requests.Response) -> float | None:
+    """The delta-seconds ``Retry-After`` of a 429 or 503, else None (an
+    HTTP-date included)."""
+    if response.status_code not in (429, 503):
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class HTTPBackend:
     """OpenAI-compatible chat-completions client.
 
@@ -188,8 +199,9 @@ class HTTPBackend:
     system prompts; the role is carried in configuration.
 
     One automatic retry is made for transient failures only (timeouts,
-    connection errors, HTTP 429/500/502/503/504); transport retries
-    never consume the solver's step-retry budget. Calls share no
+    connection errors, HTTP 429/500/502/503/504), after the delta-seconds
+    ``Retry-After`` of a 429 or 503, capped at the timeout; transport
+    retries never consume the solver's step-retry budget. Calls share no
     mutable state, so a single instance is safe under concurrent workers.
     """
 
@@ -201,6 +213,11 @@ class HTTPBackend:
         system_prompts: Mapping[Role | str, str] | None = None,
         timeout: float = 60.0,
     ):
+        # Loaded here rather than at import, so runs without an endpoint never
+        # load the HTTP stack and a live run pays for it before its first call.
+        import requests
+
+        self._http = requests
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
@@ -232,13 +249,13 @@ class HTTPBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        for _ in range(2):
+        for attempt in range(2):
             try:
-                response = requests.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.Timeout:
+                response = self._http.post(url, json=body, headers=headers, timeout=self.timeout)
+            except self._http.Timeout:
                 error = BackendTimeout(f"no response within {self.timeout}s")
                 continue
-            except requests.RequestException as exc:
+            except self._http.RequestException as exc:
                 error = BackendError(f"transport error: {exc}")
                 continue
             if response.status_code == 200:
@@ -246,6 +263,8 @@ class HTTPBackend:
             error = _http_error(f"HTTP {response.status_code}", response)
             if response.status_code not in _TRANSIENT_STATUSES:
                 break
+            if attempt == 0 and (delay := _retry_after(response)) is not None:
+                time.sleep(min(delay, self.timeout))
         raise error
 
     def _parse_response(self, response: requests.Response, prompt: str) -> AgentReply:

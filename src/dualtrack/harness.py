@@ -17,14 +17,13 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
-from .agents import ReplayBackend
+from .agents import BackendError, ReplayBackend
 from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
@@ -35,6 +34,11 @@ BackendProvider = Callable[[Problem], BackendPair]
 
 class InvalidCounts(ValueError):
     """Counts unusable for a binomial interval (n < 1 or correct outside 0..n)."""
+
+
+class _ProviderFailed(Exception):
+    """Carries the provider's error out of a fork's ``solve``, which would score
+    a ``BackendError`` as the problem's ``backend_failure``."""
 
 
 @dataclass(frozen=True)
@@ -215,6 +219,8 @@ def _result(
 def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
     """``fn`` over ``items`` in order, on ``workers`` threads when above 1."""
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as executor:
             return list(executor.map(fn, items))
     return [fn(item) for item in items]
@@ -329,9 +335,10 @@ def budget_sweep(
 
     Every cell is cut from one solve per problem at ``max(budgets)``, and the
     cache-off solve forks from the cache-on one in the same task (PROTOCOL.md,
-    Budget sweep). An error in a solve fails every cell of its cache setting; it
-    propagates unless ``continue_on_error`` is set, and then those cells are
-    logged. After a cache-on error the problem's cache-off solve starts afresh.
+    Budget sweep). An error in a solve, or the provider's error for it, fails
+    every cell of its cache setting; it propagates unless ``continue_on_error``
+    is set, and then those cells are logged. After a cache-on error the
+    problem's cache-off solve starts afresh.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
@@ -353,6 +360,10 @@ def budget_sweep(
         error its solve raised, once ``continue_on_error`` caught it."""
         try:
             trace = solve(problem, solve_configs[cache_enabled], *backends())
+        except _ProviderFailed as exc:
+            if not continue_on_error:
+                raise exc.__cause__ from None
+            return exc.__cause__
         except Exception as exc:
             if not continue_on_error:
                 raise
@@ -373,7 +384,14 @@ def budget_sweep(
             return cut(problem, False, lambda: provider(problem)), on
         if on[2] is None:
             return on, on
-        replay = ReplayBackend(on[1].replies(on[2]), lambda: provider(problem))
+
+        def live() -> BackendPair:
+            try:
+                return provider(problem)
+            except BackendError as exc:
+                raise _ProviderFailed from exc
+
+        replay = ReplayBackend(on[1].replies(on[2]), live)
         return cut(problem, False, lambda: (replay, replay)), on
 
     off, on = zip(*_map(cut_both, problems, workers))

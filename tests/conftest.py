@@ -318,8 +318,8 @@ def chat_ok(content, usage=None):
 
 class _Handler(BaseHTTPRequestHandler):
     """Records the request, then plays the server's next action: ``(status,
-    body bytes)`` sent with one ``write``, ``"close"`` (no response) or
-    ``"stall"`` (no response for 1 s)."""
+    body bytes)`` or ``(status, body bytes, extra headers)`` sent with one
+    ``write``, ``"close"`` (no response) or ``"stall"`` (no response for 1 s)."""
 
     protocol_version = "HTTP/1.1"
 
@@ -337,10 +337,13 @@ class _Handler(BaseHTTPRequestHandler):
                 server.released.wait(1.0)
             self.close_connection = True
             return
-        status, body = action
+        status, body, *extra = action
+        headers = {"Content-Type": "application/json", "Content-Length": len(body),
+                   **(extra[0] if extra else {})}
         head = (
-            f"HTTP/1.1 {status} Status\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
+            f"HTTP/1.1 {status} Status\r\n"
+            + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+            + "\r\n"
         ).encode("ascii")
         self.wfile.write(head + body)
 

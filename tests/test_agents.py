@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 import requests
@@ -172,8 +173,9 @@ class TestReplayBackend:
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
+        self.headers = headers or {}
         self._payload = payload
         self.text = text if payload is None else json.dumps(payload)
 
@@ -321,6 +323,43 @@ class TestHTTPBackendAgainstLocalServer:
         assert excinfo.value.status == status
         assert str(excinfo.value).startswith(message)
         assert endpoint.received == received
+
+    @pytest.mark.parametrize(
+        "status, retry_after, slept",
+        [
+            (429, "2", [2.0]),
+            (503, " 1 ", [1.0]),
+            (503, "30", [5.0]),
+            (429, "0", [0.0]),
+            (429, None, []),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", []),
+            (429, "1.5", []),
+            (500, "2", []),
+        ],
+        ids=["429-delta", "503-delta", "capped-at-timeout", "zero", "missing", "http-date",
+             "not-delta-seconds", "500-ignores-it"],
+    )
+    def test_retry_after_delays_the_one_retry(
+        self, endpoint, monkeypatch, status, retry_after, slept
+    ):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        backend = endpoint.backend((status, b"busy", headers), chat_ok("STEP: fine"),
+                                   timeout=5.0)
+        assert backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: fine"
+        assert sleeps == slept
+        assert endpoint.received == 2
+
+    def test_retry_after_is_not_waited_after_the_last_attempt(self, endpoint, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        backend = endpoint.backend((429, b"slow down", {"Retry-After": "3"}))
+        with pytest.raises(BackendError) as excinfo:
+            backend.complete(Role.DECOMPOSER, "p")
+        assert str(excinfo.value) == "HTTP 429: slow down"
+        assert sleeps == [3.0]
+        assert endpoint.received == 2
 
     @pytest.mark.parametrize("usage", [[1], "12", 7], ids=["list", "string", "number"])
     def test_usage_that_is_not_an_object_is_estimated(self, endpoint, usage):

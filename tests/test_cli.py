@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -636,3 +638,43 @@ class TestEntryPoint:
         assert result.returncode == 0
         for command in ("prep", "solve", "bench", "sweep"):
             assert command in result.stdout
+
+    def test_scripted_commands_load_no_http_stack_or_thread_pool(self, tmp_path):
+        problems, fixture = build_sweep_case(count=2)
+        problems_file = write_problems(tmp_path / "problems.jsonl", problems)
+        fixture_file = write_json(tmp_path / "scripts.json", fixture)
+        data = tmp_path / "gsm8k.jsonl"
+        data.write_text(json.dumps({"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER})
+                        + "\n", encoding="utf-8")
+        out = str(tmp_path / "runs")
+        commands = [
+            ["bench", problems_file, "--script", fixture_file, "--out", out],
+            ["sweep", problems_file, "--script", fixture_file, "--budgets", "200",
+             "--out", out],
+            ["prep", str(data), str(tmp_path / "prepped"), "--split-ratio", "0"],
+        ]
+        # Each command in a fresh interpreter, with ``requests`` importable and
+        # with it blocked; the last stdout line reports the exit codes and the
+        # start-up modules that got loaded.
+        program = (
+            "import json, sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['requests'] = None\n"
+            "from dualtrack.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "loaded = [name for name in ('requests', 'concurrent.futures')\n"
+            "          if sys.modules.get(name) is not None]\n"
+            "print(json.dumps([codes, loaded]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for mode in ("importable", "blocked"):
+            result = subprocess.run(
+                [sys.executable, "-c", program, mode, json.dumps(commands)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert result.returncode == 0, result.stderr
+            codes, loaded = json.loads(result.stdout.splitlines()[-1])
+            assert codes == [EXIT_OK] * 3, result.stderr
+            assert loaded == []

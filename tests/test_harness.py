@@ -380,6 +380,44 @@ class TestBudgetSweep:
         )
         assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
 
+    def test_provider_backend_error_for_a_fork_fails_the_cache_off_cells(self, tmp_path):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (150, 600)
+        healthy_served = Counter()
+
+        def healthy_provider(problem):
+            healthy_served[problem.id] += 1
+            return scripted_provider(fixture)(problem)
+
+        healthy = budget_sweep(problems, budgets, config, healthy_provider)
+        # r000's second provider request is its fork's live backend. Raised
+        # inside the fork's solve, a BackendError would otherwise be scored as
+        # that problem's backend_failure; it fails the setting instead, as a
+        # provider error for a cache-on solve fails the cache-on cells.
+        assert healthy_served["r000"] == 2
+        served = Counter()
+
+        def provider(problem):
+            served[problem.id] += 1
+            if problem.id == "r000" and served[problem.id] == 2:
+                raise BackendError("no backends for r000")
+            return scripted_provider(fixture)(problem)
+
+        rows = budget_sweep(
+            problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
+        )
+        assert served == healthy_served
+        assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (1, 3)]
+        (run_dir,) = tmp_path.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+            "budget=150 cache=False: no backends for r000\n"
+            "budget=600 cache=False: no backends for r000\n"
+        )
+        served.clear()
+        with pytest.raises(BackendError, match="^no backends for r000$"):
+            budget_sweep(problems, budgets, config, provider)
+
     @pytest.mark.parametrize("failing", [(0,), (13,), (39,), (39, 13)],
                              ids=["first", "middle", "last", "two"])
     def test_failed_cache_on_solve_touches_only_its_own_problem(self, tmp_path, failing):
