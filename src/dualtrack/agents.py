@@ -16,7 +16,6 @@ estimate, so budget accounting works identically for both backends.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -92,7 +91,9 @@ class AgentReply:
 
 def estimate_tokens(text: str) -> int:
     """Approximate token count as ceil(utf-8 bytes / 4); 0 for empty text."""
-    return math.ceil(len(text.encode("utf-8")) / 4)
+    # An ASCII text has one byte per character, so it need not be encoded.
+    size = len(text) if text.isascii() else len(text.encode("utf-8"))
+    return (size + 3) // 4
 
 
 class ScriptedBackend:
@@ -111,7 +112,8 @@ class ScriptedBackend:
     def complete(
         self, role: Role | str, prompt: str, params: DecodeParams | None = None
     ) -> AgentReply:
-        role = Role(role)
+        if not isinstance(role, Role):
+            role = Role(role)
         replies = self._scripts.get(role, [])
         served = self._cursor.get(role, 0)
         if served >= len(replies):
@@ -157,7 +159,8 @@ class ReplayBackend:
     def complete(
         self, role: Role | str, prompt: str, params: DecodeParams | None = None
     ) -> AgentReply:
-        role = Role(role)
+        if not isinstance(role, Role):
+            role = Role(role)
         recorded = self._replies.get(role, [])
         served = self._served[role]
         if served < len(recorded):

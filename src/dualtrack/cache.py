@@ -53,8 +53,11 @@ def fingerprint(step_text: str) -> str:
     """
     text = step_text.replace("<<", "").replace(">>", "")
     text = text.replace("÷", "/")
-    text = _MULT_GLYPH_RE.sub(r"\1*", text)
-    text = _BARE_DOT_RE.sub("", text)
+    # A pass cannot match a text without its trigger character, so it is skipped.
+    if "x" in text or "×" in text or "·" in text:
+        text = _MULT_GLYPH_RE.sub(r"\1*", text)
+    if "." in text:
+        text = _BARE_DOT_RE.sub("", text)
     return _NON_ALPHABET_RE.sub("", text)
 
 

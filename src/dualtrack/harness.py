@@ -378,21 +378,24 @@ def budget_sweep(
         return results, trace, cuts.fork
 
     def cut_both(problem: Problem) -> tuple:
-        """The problem's (cache-off, cache-on) ``cut``, cache off forked from cache on."""
+        """The problem's (cache-off, cache-on) results, one per budget, or each
+        setting's error; cache off forked from cache on. The traces stay in
+        this task, so each is freed once the problem is cut."""
         on = cut(problem, True, lambda: provider(problem))
         if isinstance(on, Exception):  # no trace to fork from
-            return cut(problem, False, lambda: provider(problem)), on
-        if on[2] is None:
-            return on, on
+            off = cut(problem, False, lambda: provider(problem))
+        elif on[2] is None:
+            off = on
+        else:
+            def live() -> BackendPair:
+                try:
+                    return provider(problem)
+                except BackendError as exc:
+                    raise _ProviderFailed from exc
 
-        def live() -> BackendPair:
-            try:
-                return provider(problem)
-            except BackendError as exc:
-                raise _ProviderFailed from exc
-
-        replay = ReplayBackend(on[1].replies(on[2]), live)
-        return cut(problem, False, lambda: (replay, replay)), on
+            replay = ReplayBackend(on[1].replies(on[2]), live)
+            off = cut(problem, False, lambda: (replay, replay))
+        return tuple(item if isinstance(item, Exception) else item[0] for item in (off, on))
 
     off, on = zip(*_map(cut_both, problems, workers))
     solved = {cache: next((item for item in cuts if isinstance(item, Exception)), cuts)
@@ -405,7 +408,7 @@ def budget_sweep(
             if isinstance(cell, Exception):
                 errors.append(f"budget={budget} cache={cache_enabled}: {cell}")
                 continue
-            rows.append(summarize([results[index] for results, _, _ in cell], method=method,
+            rows.append(summarize([results[index] for results in cell], method=method,
                                   budget=budget, cache=cache_enabled))
     if out_dir is not None:
         run_dir = _new_run_dir(out_dir, "sweep-" + config_hash(config, method))

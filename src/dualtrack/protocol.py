@@ -44,6 +44,15 @@ SCORE_RUBRIC = (
     " progress.",
 )
 
+# What follows the candidate step in every Evaluator prompt.
+EVALUATOR_PROMPT_TAIL = "\n".join((
+    "Rate the candidate step on this scale:",
+    *SCORE_RUBRIC,
+    "Respond with exactly two lines:",
+    f"{SCORE_PREFIX} <0-3>",
+    f"{FEEDBACK_PREFIX} <one sentence>",
+))
+
 DECOMPOSER_SYSTEM_PROMPT = (
     "You solve grade-school math word problems one step at a time. Given the"
     " problem and the steps completed so far, reply with exactly one line:"
@@ -181,53 +190,33 @@ class AcceptedStep:
 def render_problem_block(question: str, step_texts: Sequence[str]) -> str:
     """Render the shared problem-plus-history block.
 
-    Used verbatim by both prompt builders and by the training-data
-    serializer, so training and inference see identical bytes.
+    Both prompt builders start with it, and the training-data serializer
+    uses it verbatim, so training and inference see identical bytes. It
+    changes only when a step is accepted, so the solver renders it once
+    per accepted step and hands it to both builders.
     """
     lines = [f"{PROBLEM_PREFIX} {question}", HISTORY_HEADER]
     lines.extend(f"STEP {k}: {text}" for k, text in enumerate(step_texts, start=1))
     return "\n".join(lines)
 
 
-def build_decomposer_prompt(
-    problem: Problem,
-    history: Sequence[str] = (),
-    hint: str | None = None,
-) -> str:
+def build_decomposer_prompt(block: str, hint: str | None = None) -> str:
     """Build the next-step request sent to the Decomposer.
 
     Emits the problem block followed, when a hint is present, by one
     trailing ``HINT:`` line. Pure function of its inputs.
     """
-    block = render_problem_block(problem.question, history)
-    if hint:
-        block += f"\n{HINT_PREFIX} {hint}"
-    return block
+    return f"{block}\n{HINT_PREFIX} {hint}" if hint else block
 
 
-def build_evaluator_prompt(
-    problem: Problem,
-    history: Sequence[str],
-    candidate: StepCandidate,
-) -> str:
+def build_evaluator_prompt(block: str, candidate: StepCandidate) -> str:
     """Build the scoring request sent to the Evaluator.
 
-    Contains the problem, the numbered history of accepted steps, the
-    candidate step verbatim, the four-line 0-3 rubric, and the required
-    ``Score:`` / ``Feedback:`` output format.
+    Contains the problem block, the candidate step verbatim, and the fixed
+    tail: the four-line 0-3 rubric and the required ``Score:`` /
+    ``Feedback:`` output format.
     """
-    block = render_problem_block(problem.question, history)
-    rubric = "\n".join(SCORE_RUBRIC)
-    return (
-        f"{block}\n"
-        f"Candidate step:\n"
-        f"{candidate.wire_line}\n"
-        f"Rate the candidate step on this scale:\n"
-        f"{rubric}\n"
-        f"Respond with exactly two lines:\n"
-        f"{SCORE_PREFIX} <0-3>\n"
-        f"{FEEDBACK_PREFIX} <one sentence>"
-    )
+    return f"{block}\nCandidate step:\n{candidate.wire_line}\n{EVALUATOR_PROMPT_TAIL}"
 
 
 def parse_agent_step(raw: str) -> StepCandidate:

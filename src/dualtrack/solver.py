@@ -39,6 +39,7 @@ from .protocol import (
     build_evaluator_prompt,
     parse_agent_step,
     parse_evaluation,
+    render_problem_block,
 )
 
 MALFORMED_STEP_FEEDBACK = "emit exactly one STEP: or FINAL_ANSWER: line"
@@ -345,7 +346,7 @@ def solve(
         )
         return Evaluation(0, feedback)
 
-    def judge(raw: str, history: list[str]) -> tuple[StepCandidate | None, str, Evaluation]:
+    def judge(raw: str, block: str) -> tuple[StepCandidate | None, str, Evaluation]:
         """Score a generation: parse it, screen it against the cache, or
         have the Evaluator score it. Returns no candidate if unparseable."""
         try:
@@ -368,7 +369,7 @@ def solve(
 
         # score and feedback stay null in the trace if the reply fails to parse
         payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None}
-        raw = call(Role.EVALUATOR, build_evaluator_prompt(problem, history, candidate), payload)
+        raw = call(Role.EVALUATOR, build_evaluator_prompt(block, candidate), payload)
         try:
             evaluation = parse_evaluation(raw)
         except ProtocolError as exc:
@@ -378,18 +379,19 @@ def solve(
             cache.record(fp, CacheDecision.KNOWN_BAD)
         return candidate, fp, evaluation
 
+    # The problem and its accepted steps, rendered again only when a step is accepted.
+    block = render_problem_block(problem.question, ())
     hint: str | None = None
     retries = 0
     try:
         while True:
             slot = len(accepted) + 1
-            history = [step.text for step in accepted]
             raw = call(
                 Role.DECOMPOSER,
-                build_decomposer_prompt(problem, history, hint),
+                build_decomposer_prompt(block, hint),
                 {"slot": slot, "attempt": retries},
             )
-            candidate, fp, evaluation = judge(raw, history)
+            candidate, fp, evaluation = judge(raw, block)
 
             decision = step_decision(evaluation.score, retries, config)
             if decision is Decision.RETRY:
@@ -434,6 +436,7 @@ def solve(
             if len(accepted) >= config.max_steps:
                 emit(EventKind.STEP_LIMIT_STOP, {"steps": len(accepted)})
                 raise _Stop(Outcome.STEP_LIMIT)
+            block = render_problem_block(problem.question, [step.text for step in accepted])
     except _Stop as stop:
         trace.outcome = stop.outcome
         trace.error = stop.error

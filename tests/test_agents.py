@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -35,6 +36,10 @@ class TestEstimateTokens:
 
     def test_multibyte_counts_bytes(self):
         assert estimate_tokens("éé") == 1  # 4 utf-8 bytes
+
+    @given(text=st.text())
+    def test_is_the_utf8_byte_ceiling(self, text):
+        assert estimate_tokens(text) == math.ceil(len(text.encode("utf-8")) / 4)
 
     @given(a=st.text(max_size=64), b=st.text(max_size=64))
     def test_monotone_and_subadditive_within_one(self, a, b):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import re
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dualtrack.cache import (
     DUPLICATE_FEEDBACK,
@@ -25,6 +25,24 @@ WORDS = [
     "he", "she", "then", "sold", "counted", "apples", "before", "lunch",
     "total", "each", "box", "with", "spare", "finally", "notes", "again",
 ]
+
+
+# Digits, whitespace, each gated pass's trigger characters, the other
+# characters the chain rewrites or deletes, and letters.
+GATE_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("0123456789 \t\nx×·.<>÷$,"), st.characters(categories=("Lu", "Ll"))
+    ),
+    max_size=60,
+)
+
+
+def _ungated_fingerprint(step_text: str) -> str:
+    """The fingerprint chain with every regex pass run, as PROTOCOL.md lists it."""
+    text = step_text.replace("<<", "").replace(">>", "").replace("÷", "/")
+    text = re.sub(r"(\d)\s*[x×·]\s*(?=\d)", r"\1*", text)
+    text = re.sub(r"(?<!\d)\.|\.(?!\d)", "", text)
+    return re.sub(f"[^{re.escape(FINGERPRINT_ALPHABET)}]", "", text)
 
 
 class TestFingerprint:
@@ -57,6 +75,14 @@ class TestFingerprint:
 
     def test_currency_and_commas_removed(self):
         assert fingerprint("It cost $1,200 - $200 = $1,000.") == "1200-200=1000"
+
+    @given(text=GATE_TEXT)
+    @example("no trigger: 12 + 3 = 15")
+    @example("3 x 4 = 12 but no dot")
+    @example("no glyph, 1.5. then .5")
+    @example("0.2 × 50 = 10.")
+    def test_gated_passes_match_the_ungated_chain(self, text):
+        assert fingerprint(text) == _ungated_fingerprint(text)
 
     @given(text=st.text(max_size=200))
     def test_output_stays_in_alphabet(self, text):

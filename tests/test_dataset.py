@@ -17,20 +17,22 @@ from dualtrack.dataset import (
     split_examples,
     write_instances,
 )
+from dualtrack.agents import Role, ScriptedBackend
 from dualtrack.protocol import (
     MissingMarker,
     Problem,
-    build_decomposer_prompt,
     parse_worked_solution,
 )
+from dualtrack.solver import SolverConfig, solve
 
 from conftest import (
+    BIG_BUDGET,
     NATALIA_ANSWER,
     NATALIA_QUESTION,
     NATALIA_STEPS,
+    RecordingBackend,
     WENG_ANSWER,
     WENG_QUESTION,
-    WENG_STEPS,
 )
 
 NATALIA = RawExample(question=NATALIA_QUESTION, answer=NATALIA_ANSWER, id="natalia")
@@ -130,11 +132,18 @@ class TestMakeInstances:
             assert len(make_instances(example)) == len(steps) + 1
 
     def test_problem_block_matches_decomposer_prompt(self):
+        # Each instance's block is the prompt the solver sends for its slot
+        # once the gold steps before it are accepted.
         instances = make_instances(WENG)
+        backend = RecordingBackend(ScriptedBackend({
+            Role.DECOMPOSER: [instance.target for instance in instances],
+            Role.EVALUATOR: ["Score: 3\nFeedback: ok"] * len(instances),
+        }))
         problem = Problem(id="weng", question=WENG_QUESTION)
-        assert instances[1].problem_block == build_decomposer_prompt(
-            problem, WENG_STEPS[:1]
-        )
+        solve(problem, SolverConfig(token_budget=BIG_BUDGET), backend, backend)
+        assert backend.prompts[Role.DECOMPOSER] == [
+            instance.problem_block for instance in instances
+        ]
 
 
 class TestInstanceSerialization:

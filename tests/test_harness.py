@@ -5,6 +5,7 @@ import json
 import random
 import threading
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -838,6 +839,35 @@ class TestSweepResultsPerProblem:
                             and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
                         reached["unparseable Evaluator reply"] += 1
         assert len(reached) == 4, reached
+
+    def test_each_problems_traces_are_freed_before_the_next_problem(self, monkeypatch, tmp_path):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (150, 600)
+        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture),
+                               out_dir=tmp_path / "healthy")
+        traces = []  # (problem id, weak reference to a trace that solve returned)
+        alive = []  # (asking problem, earlier problem) whose trace was still held
+
+        def recording_solve(problem, *args):
+            trace = solve(problem, *args)
+            traces.append((problem.id, weakref.ref(trace)))
+            return trace
+
+        def provider(problem):
+            alive.extend((problem.id, problem_id) for problem_id, ref in traces
+                         if problem_id != problem.id and ref() is not None)
+            return scripted_provider(fixture)(problem)
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        rows = budget_sweep(problems, budgets, config, provider, out_dir=tmp_path / "freed")
+        # Cache-off traces were watched too: some problems forked.
+        assert len(traces) > len(problems)
+        assert alive == []
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in healthy]
+        (healthy_dir,), (freed_dir,) = ((tmp_path / name).glob("*-sweep-*")
+                                        for name in ("healthy", "freed"))
+        assert (freed_dir / "sweep.csv").read_bytes() == (healthy_dir / "sweep.csv").read_bytes()
 
 
 class TestRunDirectories:

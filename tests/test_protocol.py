@@ -43,7 +43,7 @@ step_texts = st.text(
 class TestDecomposerPrompt:
     def test_weng_serialization_block(self):
         problem = Problem(id="weng", question=WENG_QUESTION)
-        prompt = build_decomposer_prompt(problem, WENG_STEPS[:1])
+        prompt = build_decomposer_prompt(render_problem_block(problem.question, WENG_STEPS[:1]))
         assert prompt == (
             "Problem: Weng earns $12 an hour for babysitting. Yesterday, she just"
             " did 50 minutes of babysitting. How much did she earn?\n"
@@ -53,22 +53,24 @@ class TestDecomposerPrompt:
 
     def test_empty_history_has_header_and_no_step_lines(self):
         problem = Problem(id="q1", question="What is 2 + 2?")
-        prompt = build_decomposer_prompt(problem, [])
+        prompt = build_decomposer_prompt(render_problem_block(problem.question, []))
         assert prompt == "Problem: What is 2 + 2?\nSteps completed so far:"
 
     def test_hint_appended_as_trailing_line(self):
         problem = Problem(id="q1", question="How many post-it notes remain?")
         history = ["She started with 220 post-it notes."]
         hint = "account for the 23 post-it notes"
-        without = build_decomposer_prompt(problem, history)
-        with_hint = build_decomposer_prompt(problem, history, hint)
+        block = render_problem_block(problem.question, history)
+        without = build_decomposer_prompt(block)
+        with_hint = build_decomposer_prompt(block, hint)
         assert with_hint == without + "\nHINT: account for the 23 post-it notes"
 
     def test_deterministic_bytes(self):
         problem = Problem(id="q1", question="Count the apples.")
         history = ["He picked 3 + 4 = 7 apples."]
-        first = build_decomposer_prompt(problem, history, "keep going")
-        second = build_decomposer_prompt(problem, history, "keep going")
+        block = render_problem_block(problem.question, history)
+        first = build_decomposer_prompt(block, "keep going")
+        second = build_decomposer_prompt(block, "keep going")
         assert first == second
 
 
@@ -122,13 +124,13 @@ class TestEvaluatorPrompt:
     def test_contains_candidate_verbatim(self):
         problem = Problem(id="henry", question="How many miles between stops?")
         candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="60 - 45 = 15")
-        prompt = build_evaluator_prompt(problem, [], candidate)
+        prompt = build_evaluator_prompt(render_problem_block(problem.question, []), candidate)
         assert "60 - 45 = 15" in prompt
 
     def test_contains_format_instruction_and_rubric(self):
         problem = Problem(id="q1", question="Count.")
         candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="1 + 1 = 2")
-        prompt = build_evaluator_prompt(problem, [], candidate)
+        prompt = build_evaluator_prompt(render_problem_block(problem.question, []), candidate)
         assert "Score: <0-3>" in prompt
         assert "Feedback: <one sentence>" in prompt
         assert "3 (good step):" in prompt
@@ -140,7 +142,7 @@ class TestEvaluatorPrompt:
         problem = Problem(id="q1", question="Count.")
         history = ["first step text", "second step text"]
         candidate = StepCandidate(kind=StepKind.FINAL, text="9")
-        prompt = build_evaluator_prompt(problem, history, candidate)
+        prompt = build_evaluator_prompt(render_problem_block(problem.question, history), candidate)
         assert "STEP 1: first step text" in prompt
         assert "STEP 2: second step text" in prompt
         assert "FINAL_ANSWER: 9" in prompt
@@ -148,9 +150,8 @@ class TestEvaluatorPrompt:
     def test_deterministic_bytes(self):
         problem = Problem(id="q1", question="Count.")
         candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text="2 * 3 = 6")
-        assert build_evaluator_prompt(problem, [], candidate) == build_evaluator_prompt(
-            problem, [], candidate
-        )
+        block = render_problem_block(problem.question, [])
+        assert build_evaluator_prompt(block, candidate) == build_evaluator_prompt(block, candidate)
 
 
 class TestParseEvaluation:
@@ -267,6 +268,5 @@ class TestProblemType:
     def test_render_problem_block_matches_prompt_builder(self):
         problem = Problem(id="p", question="Count the pears.")
         steps = ["He picked 2 + 2 = 4 pears."]
-        assert render_problem_block(problem.question, steps) == build_decomposer_prompt(
-            problem, steps
-        )
+        block = render_problem_block(problem.question, steps)
+        assert build_decomposer_prompt(block) == block

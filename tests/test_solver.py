@@ -6,7 +6,13 @@ import pytest
 
 from dualtrack.agents import DecodeParams, Role, ScriptedBackend
 from dualtrack.cache import DUPLICATE_FEEDBACK, KNOWN_BAD_FEEDBACK
-from dualtrack.protocol import CanonicalNumber, Problem, StepKind
+from dualtrack.protocol import (
+    SCORE_RUBRIC,
+    CanonicalNumber,
+    Problem,
+    StepKind,
+    parse_agent_step,
+)
 from dualtrack.solver import (
     Decision,
     EventKind,
@@ -118,6 +124,48 @@ class TestGoldenRetryTrajectory:
         assert "HINT:" not in prompts[0]
         # hints do not persist once the slot is accepted
         assert "HINT:" not in prompts[2]
+
+
+def _expected_prompts(question: str, trace) -> list[tuple[Role, str]]:
+    """Every prompt a solve sent, rebuilt from its trace by the templates of
+    PROTOCOL.md: the block of the steps accepted so far, then the hint, or
+    the candidate step with the rubric and the reply format."""
+    steps, hint, prompts = [], None, []
+    for event in trace.events:
+        block = "\n".join([f"Problem: {question}", "Steps completed so far:",
+                           *(f"STEP {k}: {text}" for k, text in enumerate(steps, start=1))])
+        if event.kind is EventKind.GENERATED:
+            prompts.append((Role.DECOMPOSER, f"{block}\nHINT: {hint}" if hint else block))
+            candidate = event.payload["raw"]
+        elif event.is_agent_call:  # a real evaluation of the last generation
+            prompts.append((Role.EVALUATOR, "\n".join([
+                block, "Candidate step:", parse_agent_step(candidate).wire_line,
+                "Rate the candidate step on this scale:", *SCORE_RUBRIC,
+                "Respond with exactly two lines:", "Score: <0-3>", "Feedback: <one sentence>",
+            ])))
+        elif event.kind is EventKind.RETRIED:
+            hint = event.payload["hint"] or None
+        elif event.kind in (EventKind.ACCEPTED, EventKind.FORCED_ACCEPT):
+            steps.append(event.payload["text"])
+            hint = None
+    return prompts
+
+
+class TestPrompts:
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("retries", [1, 3])
+    def test_every_prompt_follows_the_templates(self, cache, retries):
+        problems, fixture = build_random_case(random.Random(404), 40)
+        cfg = config(max_steps=6, cache_enabled=cache, max_retries_per_step=retries)
+        reached = set()
+        for problem in problems:
+            backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+            trace = solve(problem, cfg, backend, backend)
+            # A call that raised left no event; the calls that replied did.
+            assert backend.attempts[: len(backend.replies)] == _expected_prompts(
+                problem.question, trace)
+            reached.update(event.kind for event in trace.events)
+        assert {EventKind.RETRIED, EventKind.ACCEPTED, EventKind.FORCED_ACCEPT} <= reached
 
 
 class TestTermination:
