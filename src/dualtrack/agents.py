@@ -7,7 +7,7 @@ Interchangeable backends expose ``complete(role, prompt, params)``:
 * :class:`HTTPBackend` speaks the OpenAI-compatible chat-completions
   protocol against a real model endpoint.
 * :class:`ReplayBackend` serves the replies a trace recorded, then hands
-  calls on to a live backend pair.
+  each role's calls on to that role's live backend.
 
 Token usage comes from the endpoint's ``usage`` report when available
 and otherwise from :func:`estimate_tokens`, a tokenizer-free byte-based
@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT
 
@@ -137,24 +137,27 @@ class ScriptedBackend:
 
 class ReplayBackend:
     """Serves each role's recorded ``(raw, tokens_charged)`` replies in order,
-    then hands that role's calls to the (decomposer, evaluator) pair ``live()``
-    makes, once; without ``live`` they raise ``ScriptExhausted``.
+    then hands that role's calls to its live backend; a role with none raises
+    ``ScriptExhausted``.
 
     A served reply reaches no backend and charges its recorded total, since a
     trace does not split it into prompt and completion. A live backend with a
-    ``skip`` method (a positional script) first skips the recorded replies.
-    Single-owner, like ScriptedBackend.
+    ``skip`` method (a positional script) is moved past the recorded replies
+    here. Single-owner, like ScriptedBackend.
     """
 
     def __init__(
         self,
         replies: Mapping[Role | str, Sequence[tuple[str, int]]],
-        live: Callable[[], tuple[object, object]] | None = None,
+        decomposer: object | None = None,
+        evaluator: object | None = None,
     ):
         self._replies = {Role(role): list(recorded) for role, recorded in replies.items()}
         self._served = {role: 0 for role in Role}
-        self._live = live
-        self._backends: dict[Role, object] | None = None
+        self._live = {Role.DECOMPOSER: decomposer, Role.EVALUATOR: evaluator}
+        for role, backend in self._live.items():
+            if hasattr(backend, "skip"):
+                backend.skip(role, len(self._replies.get(role, [])))
 
     def complete(
         self, role: Role | str, prompt: str, params: DecodeParams | None = None
@@ -167,14 +170,9 @@ class ReplayBackend:
             self._served[role] = served + 1
             raw, tokens = recorded[served]
             return AgentReply(raw_text=raw, prompt_tokens=tokens, completion_tokens=0)
-        if self._backends is None:
-            if self._live is None:
-                raise ScriptExhausted(f"{role.value} replay exhausted after {served} replies")
-            self._backends = dict(zip((Role.DECOMPOSER, Role.EVALUATOR), self._live()))
-            for live_role, backend in self._backends.items():
-                if hasattr(backend, "skip"):
-                    backend.skip(live_role, len(self._replies.get(live_role, [])))
-        return self._backends[role].complete(role, prompt, params)
+        if self._live[role] is None:
+            raise ScriptExhausted(f"{role.value} replay exhausted after {served} replies")
+        return self._live[role].complete(role, prompt, params)
 
 
 def _http_error(what: str, response: requests.Response) -> BackendError:

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
-from .agents import BackendError, ReplayBackend
+from .agents import ReplayBackend
 from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
@@ -34,11 +34,6 @@ BackendProvider = Callable[[Problem], BackendPair]
 
 class InvalidCounts(ValueError):
     """Counts unusable for a binomial interval (n < 1 or correct outside 0..n)."""
-
-
-class _ProviderFailed(Exception):
-    """Carries the provider's error out of a fork's ``solve``, which would score
-    a ``BackendError`` as the problem's ``backend_failure``."""
 
 
 @dataclass(frozen=True)
@@ -257,16 +252,16 @@ def _new_run_dir(out_dir: str | Path, name: str) -> Path:
 
 def _check_problems(problems: Sequence[Problem]) -> None:
     """Reject a problem set that cannot be scored or filed: empty, a missing
-    gold answer, an id that is not one path component, or a repeated id."""
+    gold answer, an id that cannot name a trace file, or a repeated id."""
     if not problems:
         raise InvalidCounts("empty problem list")
     seen: set[str] = set()
     for problem in problems:
         if problem.gold_answer is None:
             raise DataError(f"problem {problem.id!r} has no gold answer")
-        # The id names the trace file, so it must stay one path component.
-        if "/" in problem.id or "\\" in problem.id:
-            raise DataError(f"problem id {problem.id!r} must not contain '/' or '\\'")
+        # The id names the trace file: one path component, with no NUL.
+        if "/" in problem.id or "\\" in problem.id or "\0" in problem.id:
+            raise DataError(f"problem id {problem.id!r} must not contain '/', '\\' or NUL")
         if problem.id in seen:
             raise DataError(f"duplicate problem id {problem.id!r}")
         seen.add(problem.id)
@@ -334,11 +329,11 @@ def budget_sweep(
     (budget, cache) cell, budget by budget in the given order, cache off first.
 
     Every cell is cut from one solve per problem at ``max(budgets)``, and the
-    cache-off solve forks from the cache-on one in the same task (PROTOCOL.md,
-    Budget sweep). An error in a solve, or the provider's error for it, fails
-    every cell of its cache setting; it propagates unless ``continue_on_error``
-    is set, and then those cells are logged. After a cache-on error the
-    problem's cache-off solve starts afresh.
+    cache-off solve forks from the cache-on one in the same task, on a pair
+    the provider gives before it starts (PROTOCOL.md, Budget sweep). An error
+    in a solve, or the provider's error for it, fails every cell of its cache
+    setting; it propagates unless ``continue_on_error`` is set, and then those
+    cells are logged. After a cache-on error the problem's fork replays nothing.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
@@ -353,17 +348,15 @@ def budget_sweep(
         for cache_enabled in (False, True)
     }
 
-    def cut(
-        problem: Problem, cache_enabled: bool, backends: Callable[[], BackendPair]
-    ) -> tuple | Exception:
+    def cut(problem: Problem, replies: Mapping | None = None) -> tuple | Exception:
         """The problem's results, one per budget, its trace and its fork; or the
-        error its solve raised, once ``continue_on_error`` caught it."""
+        error its provider or solve raised, once ``continue_on_error`` caught
+        it. With ``replies``, the cache-off fork that replays them."""
         try:
-            trace = solve(problem, solve_configs[cache_enabled], *backends())
-        except _ProviderFailed as exc:
-            if not continue_on_error:
-                raise exc.__cause__ from None
-            return exc.__cause__
+            backends = provider(problem)
+            if replies is not None:
+                backends = (ReplayBackend(replies, *backends),) * 2
+            trace = solve(problem, solve_configs[replies is None], *backends)
         except Exception as exc:
             if not continue_on_error:
                 raise
@@ -381,20 +374,11 @@ def budget_sweep(
         """The problem's (cache-off, cache-on) results, one per budget, or each
         setting's error; cache off forked from cache on. The traces stay in
         this task, so each is freed once the problem is cut."""
-        on = cut(problem, True, lambda: provider(problem))
-        if isinstance(on, Exception):  # no trace to fork from
-            off = cut(problem, False, lambda: provider(problem))
-        elif on[2] is None:
-            off = on
+        on = cut(problem)
+        if isinstance(on, Exception):  # no trace: the fork replays nothing
+            off = cut(problem, {})
         else:
-            def live() -> BackendPair:
-                try:
-                    return provider(problem)
-                except BackendError as exc:
-                    raise _ProviderFailed from exc
-
-            replay = ReplayBackend(on[1].replies(on[2]), live)
-            off = cut(problem, False, lambda: (replay, replay))
+            off = on if on[2] is None else cut(problem, on[1].replies(on[2]))
         return tuple(item if isinstance(item, Exception) else item[0] for item in (off, on))
 
     off, on = zip(*_map(cut_both, problems, workers))

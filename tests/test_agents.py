@@ -137,29 +137,28 @@ class TestReplayBackend:
 
     def test_serves_each_roles_recorded_replies_then_delegates(self):
         decomposer, evaluator = _Counting(), _Counting()
-        made = []
-        replay = ReplayBackend(self.RECORDED,
-                               lambda: made.append(1) or (decomposer, evaluator))
+        replay = ReplayBackend(self.RECORDED, decomposer, evaluator)
         served = [replay.complete(Role.DECOMPOSER, "p1"),
                   replay.complete(Role.EVALUATOR, "p2"),
                   replay.complete(Role.DECOMPOSER, "p3")]
         # A recorded reply charges its recorded total and reaches no backend.
         assert [(reply.raw_text, reply.total_tokens) for reply in served] == [
             ("STEP: a", 11), ("Score: 3", 13), ("STEP: b", 12)]
-        assert made == [] and decomposer.calls == evaluator.calls == []
-        # Past its recorded replies, each role goes to its own live backend,
-        # made once.
+        assert decomposer.calls == evaluator.calls == []
+        # Past its recorded replies, each role goes to its own live backend.
         assert replay.complete("evaluator", "p4").raw_text == "live p4"
         assert replay.complete(Role.DECOMPOSER, "p5").total_tokens == 3
         assert replay.complete(Role.EVALUATOR, "p6").raw_text == "live p6"
-        assert made == [1]
         assert decomposer.calls == [(Role.DECOMPOSER, "p5")]
         assert evaluator.calls == [(Role.EVALUATOR, "p4"), (Role.EVALUATOR, "p6")]
 
     def test_positional_live_backend_starts_past_the_recorded_replies(self):
         script = ScriptedBackend({"decomposer": ["STEP: a", "STEP: b", "STEP: c"],
                                   "evaluator": ["Score: 3", "Score: 1"]})
-        replay = ReplayBackend(self.RECORDED, lambda: (script, script))
+        replay = ReplayBackend(self.RECORDED, script, script)
+        # The script is skipped when the replay is built, before any call.
+        assert script.calls(Role.DECOMPOSER) == 2
+        assert script.calls(Role.EVALUATOR) == 1
         assert replay.complete(Role.DECOMPOSER, "p").raw_text == "STEP: a"
         assert replay.complete(Role.EVALUATOR, "p").raw_text == "Score: 3"
         assert replay.complete(Role.EVALUATOR, "p").raw_text == "Score: 1"
@@ -175,6 +174,13 @@ class TestReplayBackend:
             replay.complete(Role.EVALUATOR, "p")
         with pytest.raises(ScriptExhausted):
             replay.complete(Role.DECOMPOSER, "p")
+        # A role without a live backend raises even when the other has one.
+        decomposer = _Counting()
+        replay = ReplayBackend({}, decomposer)
+        assert replay.complete(Role.DECOMPOSER, "p").raw_text == "live p"
+        with pytest.raises(ScriptExhausted):
+            replay.complete(Role.EVALUATOR, "p")
+        assert decomposer.calls == [(Role.DECOMPOSER, "p")]
 
 
 class _FakeResponse:

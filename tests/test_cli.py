@@ -353,6 +353,19 @@ class TestBench:
         assert "../escape" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_problem_id_with_nul_is_data_error_before_any_file(self, tmp_path, capsys):
+        # The good problem comes first: no trace of it is written either.
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text("".join(
+            json.dumps({"id": problem_id, "question": "q?", "gold_answer": "1"}) + "\n"
+            for problem_id in ("p1", "p\0x")), encoding="utf-8")
+        fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+        out_dir = tmp_path / "runs"
+        argv = ["bench", str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+        assert main(argv) == EXIT_DATA
+        assert repr("p\0x") in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestLiveEndpoint:
     def test_bench_sends_role_models_system_prompts_and_key(

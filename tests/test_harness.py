@@ -27,7 +27,7 @@ from dualtrack.harness import (
     wilson_interval,
 )
 from dualtrack.protocol import CanonicalNumber, Problem
-from dualtrack.solver import EventKind, Outcome, SolverConfig, solve
+from dualtrack.solver import BudgetCuts, EventKind, Outcome, SolverConfig, solve
 
 from conftest import (
     BIG_BUDGET,
@@ -287,6 +287,7 @@ class TestBudgetSweep:
             ([], InvalidCounts),
             (["p000", None], DataError),
             (["../x"], DataError),
+            (["p\0x"], DataError),
             (["p000", "p000"], DataError),
         ],
     )
@@ -357,8 +358,8 @@ class TestBudgetSweep:
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
         budgets = (150, 600)
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
-        # A problem's second provider call is the live backend of its cache-off
-        # fork, asked for once the fork gets past its replayed prefix.
+        # A problem's second provider call is the pair of its cache-off fork,
+        # asked for before the fork starts.
         failed_id = next(problem.id for problem, (_, live) in zip(problems, _fork_calls(
             problems, config.with_overrides(token_budget=max(budgets)), fixture)) if live)
         served = []
@@ -392,10 +393,10 @@ class TestBudgetSweep:
             return scripted_provider(fixture)(problem)
 
         healthy = budget_sweep(problems, budgets, config, healthy_provider)
-        # r000's second provider request is its fork's live backend. Raised
-        # inside the fork's solve, a BackendError would otherwise be scored as
-        # that problem's backend_failure; it fails the setting instead, as a
-        # provider error for a cache-on solve fails the cache-on cells.
+        # r000's second provider request is its fork's pair, made before the
+        # fork's solve, so a BackendError from it is not that problem's
+        # backend_failure: it fails the setting, as a provider error for a
+        # cache-on solve fails the cache-on cells.
         assert healthy_served["r000"] == 2
         served = Counter()
 
@@ -419,6 +420,39 @@ class TestBudgetSweep:
         with pytest.raises(BackendError, match="^no backends for r000$"):
             budget_sweep(problems, budgets, config, provider)
 
+    def test_provider_error_for_a_fork_the_budget_stops_fails_the_cache_off_cells(
+            self, tmp_path):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (100, 300)
+        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        # A fork whose first budget check stops it never calls its live pair,
+        # but the pair is asked for before the fork starts, so the provider's
+        # error for it fails the cache-off cells.
+        top = config.with_overrides(token_budget=max(budgets))
+        failed_id = next(
+            problem.id for problem, (_, live), forked in zip(
+                problems, _fork_calls(problems, top, fixture), _has_fork(problems, top, fixture))
+            if forked and live == 0)
+        served = Counter()
+
+        def provider(problem):
+            served[problem.id] += 1
+            if problem.id == failed_id and served[problem.id] == 2:
+                raise BackendError(f"no backends for {problem.id}")
+            return scripted_provider(fixture)(problem)
+
+        rows = budget_sweep(
+            problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
+        )
+        assert served[failed_id] == 2
+        assert [row.to_dict() for row in rows] == [healthy[cell].to_dict() for cell in (1, 3)]
+        (run_dir,) = tmp_path.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+            f"budget=100 cache=False: no backends for {failed_id}\n"
+            f"budget=300 cache=False: no backends for {failed_id}\n"
+        )
+
     @pytest.mark.parametrize("failing", [(0,), (13,), (39,), (39, 13)],
                              ids=["first", "middle", "last", "two"])
     def test_failed_cache_on_solve_touches_only_its_own_problem(self, tmp_path, failing):
@@ -428,9 +462,9 @@ class TestBudgetSweep:
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
         failed_ids = {problems[index].id for index in failing}
         forks = _fork_calls(problems, config.with_overrides(token_budget=max(budgets)), fixture)
-        # Every problem once for its cache-on solve and once more for each fork
-        # that reaches the live backend. A failed problem's cache-off solve has
-        # no trace to replay, so it asks the provider once more too.
+        # Every problem once for its cache-on solve and once more for its fork,
+        # if it has one; at 600 every fork reaches the live backend. A failed
+        # problem's fork has no trace to replay, but asks the provider too.
         expected = Counter(problem.id for problem in problems) + Counter(
             problem.id for problem, (_, live) in zip(problems, forks)
             if live or problem.id in failed_ids)
@@ -495,7 +529,8 @@ def _fork_calls(problems, config, fixture):
     with the calls the cache-on solve made and got a reply to. Counted from
     one solve per problem and cache setting, apart from the sweep: a sweep
     forks the cache-off solve there, so its live backend gets the second count
-    of calls, and the provider is asked for it where that count is above 0."""
+    of calls. At budgets that stop no fork before its first live call, the
+    problems where that count is above 0 are those ``_has_fork`` names."""
     counts = []
     for problem in problems:
         solves = {}
@@ -511,6 +546,14 @@ def _fork_calls(problems, config, fixture):
             shared += 1
         counts.append((len(on.attempts), len(off.attempts) - shared))
     return counts
+
+
+def _has_fork(problems, config, fixture):
+    """Per problem, whether its cache-on solve at ``config``'s budget has a
+    fork point: a sweep asks the provider for a pair for its cache-off fork."""
+    on = config.with_overrides(cache_enabled=True)
+    return [BudgetCuts(solve(problem, on, *scripted_provider(fixture)(problem))).fork
+            is not None for problem in problems]
 
 
 class _Sampled:
@@ -574,7 +617,8 @@ class TestDerivedSweep:
                                 lambda problem: served.append(problem) or provider(problem),
                                 out_dir=out_dir, workers=workers)
             # Both paths are reached: some cache-off cells are the cache-on
-            # solve's, and the rest fork from it onto the live backend.
+            # solve's, and the rest fork from it onto the live backend (at
+            # these top budgets no fork stops before its first live call).
             top = config.with_overrides(token_budget=max(budgets))
             forks = sum(live > 0 for _, live in _fork_calls(problems, top, fixture))
             assert 0 < forks < len(problems)
@@ -590,10 +634,14 @@ class TestDerivedSweep:
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
         # At 300 a few cache-off forks stop at the budget check before their
         # first call past the prefix, so they never reach the live backend.
-        on_calls, live_calls = zip(*_fork_calls(
-            problems, config.with_overrides(token_budget=max(budgets)), fixture))
+        top = config.with_overrides(token_budget=max(budgets))
+        on_calls, live_calls = zip(*_fork_calls(problems, top, fixture))
         forks = sum(live > 0 for live in live_calls)
         assert 0 < forks < len(problems)
+        # The provider is asked for a fork's pair before the fork starts, so
+        # once for each cache-on trace with a fork point, whether or not the
+        # fork reaches the live backend.
+        forked = sum(_has_fork(problems, top, fixture))
         swept = []
 
         def provider(problem):
@@ -602,7 +650,7 @@ class TestDerivedSweep:
             return backend, backend
 
         budget_sweep(problems, budgets, config, provider)
-        assert len(swept) == len(problems) + forks
+        assert len(swept) == len(problems) + forked == {600: 65, 300: 56}[max(budgets)]
         assert sum(len(backend.attempts) for backend in swept) == sum(on_calls) + sum(live_calls)
 
     @pytest.mark.parametrize("keyed", [False, True], ids=["positional", "prompt-keyed"])
