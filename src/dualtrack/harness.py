@@ -18,6 +18,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -132,29 +133,36 @@ class BenchmarkReport:
     run_dir: Path | None = None
 
 
-def summarize(
-    results: Sequence[RunResult], *, method: str, budget: int, cache: bool
-) -> SummaryRow:
+_score = attrgetter("outcome", "correct", "tokens_spent", "evaluator_calls")
+
+
+def summarize(results: Sequence[RunResult], *, method: str, budget: int,
+              cache: bool) -> SummaryRow:
     """Aggregate per-problem results; pure, so reports can be recomputed.
 
     Raises:
         InvalidCounts: ``results`` is empty.
     """
-    correct = sum(1 for result in results if result.correct)
-    interval = wilson_interval(correct, len(results))
-    outcomes = Counter(result.outcome.value for result in results)
+    return _summary(list(map(_score, results)), method=method, budget=budget, cache=cache)
+
+
+def _summary(scores: Sequence[tuple], *, method: str, budget: int, cache: bool) -> SummaryRow:
+    """The row that sums per-problem ``_score``s: every summary row is built here."""
+    outcomes, correct, tokens, evaluator_calls = zip(*scores) if scores else ((),) * 4
+    n, correct = len(scores), sum(correct)
+    interval = wilson_interval(correct, n)
     return SummaryRow(
         method=method,
         budget=budget,
         cache=cache,
         correct=correct,
-        n=len(results),
-        accuracy=correct / len(results),
+        n=n,
+        accuracy=correct / n,
         ci_low=interval.low,
         ci_high=interval.high,
-        mean_tokens=sum(result.tokens_spent for result in results) / len(results),
-        evaluator_calls=sum(result.evaluator_calls for result in results),
-        outcomes=dict(outcomes),
+        mean_tokens=sum(tokens) / n,
+        evaluator_calls=sum(evaluator_calls),
+        outcomes={outcome.value: count for outcome, count in Counter(outcomes).items()},
     )
 
 
@@ -211,6 +219,13 @@ def _result(
     )
 
 
+def _scores(problem: Problem, trace: SolveTrace, cuts: BudgetCuts, budgets: Sequence[int]) -> list:
+    """Each budget's ``_score``: the whole solve's, scored once, or its cut's budget stop."""
+    whole, stopped = _score(_result(problem, trace, totals=cuts.totals)), Outcome.BUDGET_EXHAUSTED
+    return [whole if stop is None else (stopped, False, stop.spent, stop.evaluator_calls)
+            for stop in map(cuts.at, budgets)]
+
+
 def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
     """``fn`` over ``items`` in order, on ``workers`` threads when above 1."""
     if workers > 1:
@@ -259,9 +274,11 @@ def _check_problems(problems: Sequence[Problem]) -> None:
     for problem in problems:
         if problem.gold_answer is None:
             raise DataError(f"problem {problem.id!r} has no gold answer")
-        # The id names the trace file: one path component, with no NUL.
+        # The id names the trace file: one path component, no NUL, at most 255 bytes with .json
         if "/" in problem.id or "\\" in problem.id or "\0" in problem.id:
             raise DataError(f"problem id {problem.id!r} must not contain '/', '\\' or NUL")
+        if len(problem.id.encode("utf-8", "surrogatepass")) > 250:
+            raise DataError(f"problem id {problem.id[:20]!r}... is over 250 bytes in UTF-8")
         if problem.id in seen:
             raise DataError(f"duplicate problem id {problem.id!r}")
         seen.add(problem.id)
@@ -293,7 +310,7 @@ def run_benchmark(
     run_dir: Path | None = None
     trace_dir: Path | None = None
     if out_dir is not None:
-        run_dir = _new_run_dir(out_dir, config_hash(config, method))
+        run_dir = _new_run_dir(out_dir, digest := config_hash(config, method))
         trace_dir = run_dir / "traces"
         trace_dir.mkdir()
 
@@ -310,7 +327,8 @@ def run_benchmark(
     summary = summarize(results, method=method, budget=config.token_budget,
                         cache=config.cache_enabled)
     if run_dir is not None:
-        _write_report(run_dir, results, summary, config)
+        _write_report(run_dir, results, summary)
+        _write_meta(run_dir, config, method, digest)
     return BenchmarkReport(results=results, summary=summary, run_dir=run_dir)
 
 
@@ -349,7 +367,7 @@ def budget_sweep(
     }
 
     def cut(problem: Problem, replies: Mapping | None = None) -> tuple | Exception:
-        """The problem's results, one per budget, its trace and its fork; or the
+        """The problem's scores, one per budget, its trace and its fork; or the
         error its provider or solve raised, once ``continue_on_error`` caught
         it. With ``replies``, the cache-off fork that replays them."""
         try:
@@ -362,16 +380,10 @@ def budget_sweep(
                 raise
             return exc
         cuts = BudgetCuts(trace)
-        whole = _result(problem, trace, totals=cuts.totals)
-        results = [whole if stop is None else RunResult(
-            problem_id=problem.id, predicted=None, correct=False,
-            tokens_spent=stop.spent, outcome=Outcome.BUDGET_EXHAUSTED,
-            evaluator_calls=stop.evaluator_calls,
-        ) for stop in map(cuts.at, budgets)]
-        return results, trace, cuts.fork
+        return _scores(problem, trace, cuts, budgets), trace, cuts.fork
 
     def cut_both(problem: Problem) -> tuple:
-        """The problem's (cache-off, cache-on) results, one per budget, or each
+        """The problem's (cache-off, cache-on) scores, one per budget, or each
         setting's error; cache off forked from cache on. The traces stay in
         this task, so each is freed once the problem is cut."""
         on = cut(problem)
@@ -382,8 +394,8 @@ def budget_sweep(
         return tuple(item if isinstance(item, Exception) else item[0] for item in (off, on))
 
     off, on = zip(*_map(cut_both, problems, workers))
-    solved = {cache: next((item for item in cuts if isinstance(item, Exception)), cuts)
-              for cache, cuts in ((False, off), (True, on))}
+    solved = {cache: next((item for item in scores if isinstance(item, Exception)), scores)
+              for cache, scores in ((False, off), (True, on))}
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for index, budget in enumerate(budgets):
@@ -392,11 +404,11 @@ def budget_sweep(
             if isinstance(cell, Exception):
                 errors.append(f"budget={budget} cache={cache_enabled}: {cell}")
                 continue
-            rows.append(summarize([results[index] for results in cell], method=method,
-                                  budget=budget, cache=cache_enabled))
+            rows.append(_summary([scores[index] for scores in cell], method=method,
+                                 budget=budget, cache=cache_enabled))
     if out_dir is not None:
-        run_dir = _new_run_dir(out_dir, "sweep-" + config_hash(config, method))
-        _write_meta(run_dir, config, method)
+        run_dir = _new_run_dir(out_dir, "sweep-" + (digest := config_hash(config, method)))
+        _write_meta(run_dir, config, method, digest)
         (run_dir / "sweep.csv").write_text(rows_to_csv(rows), encoding="utf-8")
         if errors:
             (run_dir / "errors.txt").write_text("\n".join(errors) + "\n", encoding="utf-8")
@@ -420,9 +432,7 @@ def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
     return buffer.getvalue()
 
 
-def _write_report(
-    run_dir: Path, results: Sequence[RunResult], summary: SummaryRow, config: SolverConfig
-) -> None:
+def _write_report(run_dir: Path, results: Sequence[RunResult], summary: SummaryRow) -> None:
     with (run_dir / "results.jsonl").open("w", encoding="utf-8") as handle:
         for result in results:
             handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
@@ -430,14 +440,13 @@ def _write_report(
         json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (run_dir / "summary.csv").write_text(rows_to_csv([summary]), encoding="utf-8")
-    _write_meta(run_dir, config, summary.method)
 
 
-def _write_meta(run_dir: Path, config: SolverConfig, method: str) -> None:
+def _write_meta(run_dir: Path, config: SolverConfig, method: str, digest: str) -> None:
     meta = {
         "config": config.to_dict(),
         "method": method,
-        "config_hash": config_hash(config, method),
+        "config_hash": digest,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     (run_dir / "run_meta.json").write_text(

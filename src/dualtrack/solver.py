@@ -244,16 +244,20 @@ class BudgetCuts:
 
     def __init__(self, trace: SolveTrace):
         self._limit: int = trace.config["token_budget"]
-        self._spends: list[int] = []  # the spend before each check, in order
-        self._cuts: list[BudgetCut] = []  # the cut each check makes
+        # Per budget check: the spend before it, its event index, the Evaluator calls before it.
+        self._spends, self._ends, self._calls = spends, ends, calls = [], [], []
         spent = evaluator_calls = 0
         fork = None
+        generated, evaluated, rejected = (  # one lookup each: an Enum member is a descriptor
+            EventKind.GENERATED, EventKind.EVALUATED, EventKind.CACHE_REJECTED)
         for index, event in enumerate(trace.events):
-            if event.is_agent_call:
-                self._spends.append(spent)
-                self._cuts.append(BudgetCut(index, spent, evaluator_calls))
-                evaluator_calls += event.kind is EventKind.EVALUATED
-            elif fork is None and event.kind is EventKind.CACHE_REJECTED:
+            kind = event.kind  # an agent call: TraceEvent.is_agent_call's test, inline
+            if kind is generated or (kind is evaluated and event.payload.get("synthetic") is None):
+                spends.append(spent)
+                ends.append(index)
+                calls.append(evaluator_calls)
+                evaluator_calls += kind is evaluated
+            elif fork is None and kind is rejected:
                 fork = index
             spent += event.tokens_charged  # 0 unless the event is an agent call
         end = None
@@ -265,8 +269,9 @@ class BudgetCuts:
                 end = len(trace.events)
                 fork = end if fork is None else fork
         if end is not None:
-            self._spends.append(spent)
-            self._cuts.append(BudgetCut(end, spent, evaluator_calls))
+            spends.append(spent)
+            ends.append(end)
+            calls.append(evaluator_calls)
         self.totals, self.fork = (spent, evaluator_calls), fork
 
     def at(self, budget: int) -> BudgetCut | None:
@@ -277,8 +282,9 @@ class BudgetCuts:
         """
         if budget > self._limit:
             raise ValueError(f"cannot cut a trace solved at {self._limit} at {budget}")
-        index = bisect_left(self._spends, budget)
-        return self._cuts[index] if index < len(self._cuts) else None
+        if (index := bisect_left(self._spends, budget)) < len(self._spends):
+            return BudgetCut(self._ends[index], self._spends[index], self._calls[index])
+        return None
 
 
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:

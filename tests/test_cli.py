@@ -366,6 +366,22 @@ class TestBench:
         assert repr("p\0x") in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_problem_id_too_long_to_name_a_file_is_data_error_before_any_file(
+            self, tmp_path, capsys, command):
+        # 251 bytes of id and ".json" exceed the 255-byte limit on a file
+        # name, whatever the file system here allows.
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text("".join(
+            json.dumps({"id": problem_id, "question": "q?", "gold_answer": "1"}) + "\n"
+            for problem_id in ("p1", "x" * 251)), encoding="utf-8")
+        fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+        out_dir = tmp_path / "runs"
+        argv = [command, str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+        assert main(argv) == EXIT_DATA
+        assert "over 250 bytes" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestLiveEndpoint:
     def test_bench_sends_role_models_system_prompts_and_key(

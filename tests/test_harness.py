@@ -289,6 +289,8 @@ class TestBudgetSweep:
             (["../x"], DataError),
             (["p\0x"], DataError),
             (["p000", "p000"], DataError),
+            (["p000", "x" * 251], DataError),
+            (["é" * 126], DataError),  # 252 bytes in UTF-8
         ],
     )
     def test_bad_problem_set_rejected_before_any_cell(self, tmp_path, ids, error):
@@ -314,6 +316,17 @@ class TestBudgetSweep:
             )
         assert served == []
         assert list(tmp_path.iterdir()) == []
+
+    # 250 bytes and ".json" make 255, the longest name a file can have. A lone
+    # surrogate (valid in JSON, not in UTF-8) is counted, not an error.
+    @pytest.mark.parametrize("problem_id", ["x" * 250, "é" * 125, "p\ud800"])
+    def test_id_of_at_most_250_utf8_bytes_is_accepted(self, problem_id):
+        problem = Problem(id=problem_id, question=HENRY_QUESTION,
+                          gold_answer=CanonicalNumber("25"))
+        provider = scripted_provider({problem_id: {"decomposer": [], "evaluator": []}})
+        config = SolverConfig(token_budget=10)
+        assert run_benchmark([problem], config, provider).summary.n == 1
+        assert [row.n for row in budget_sweep([problem], (5,), config, provider)] == [1, 1]
 
     def test_failed_cell_is_logged_and_other_cells_reported(self, tmp_path):
         problems, fixture = build_sweep_case(count=3)
@@ -819,9 +832,9 @@ class TestDerivedSweep:
 
 
 class TestSweepResultsPerProblem:
-    """Every (problem, cache, budget) result of a sweep against the result of
-    a real solve at that budget. Rows alone can hide an off-by-one in the cut
-    that cancels out over problems."""
+    """Every (problem, cache, budget) score of a sweep, and the row summed from
+    it, against the result of a real solve at that budget. Rows over many
+    problems can hide an off-by-one in the cut that cancels out."""
 
     @pytest.mark.parametrize("retries", [1, 3])
     @pytest.mark.parametrize("seed", [606, 707, 808])
@@ -830,13 +843,15 @@ class TestSweepResultsPerProblem:
         provider = scripted_provider(fixture)
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40,
                               max_retries_per_step=retries)
-        cells = []
+        scored = {}  # cache setting -> the scores its solve gave, one per budget
+        scores_of = harness._scores
 
-        def recording(results, **cell):
-            cells.append((cell["budget"], cell["cache"], list(results)))
-            return summarize(results, **cell)
+        def recording(problem, trace, cuts, budgets):
+            scores = scores_of(problem, trace, cuts, budgets)
+            scored[trace.config["cache_enabled"]] = scores
+            return scores
 
-        monkeypatch.setattr(harness, "summarize", recording)
+        monkeypatch.setattr(harness, "_scores", recording)
         rng = random.Random(seed)
         reached = Counter()
         for problem in problems:
@@ -865,14 +880,22 @@ class TestSweepResultsPerProblem:
                 budgets = sorted(budget for budget in edges if 0 < budget < top) + [top]
                 budgets += rng.sample(budgets, len(budgets) // 3)
                 rng.shuffle(budgets)
-                cells.clear()
-                budget_sweep([problem], budgets, config, provider)
-                assert [cell[:2] for cell in cells] == [
+                scored.clear()
+                rows = budget_sweep([problem], budgets, config, provider)
+                # Without a fork point the cache-on solve is the cache-off one.
+                scored.setdefault(False, scored[True])
+                assert [(row.budget, row.cache) for row in rows] == [
                     (budget, cache) for budget in budgets for cache in (False, True)
                 ]
-                for budget, cache, (result,) in cells:
+                for index, row in enumerate(rows):
+                    budget, cache = row.budget, row.cache
                     real, whole = run(budget, cache), run(top, cache)
-                    assert result == harness._result(problem, real), (problem.id, cache, budget)
+                    result = harness._result(problem, real)
+                    assert scored[cache][index // 2] == (
+                        result.outcome, result.correct, result.tokens_spent,
+                        result.evaluator_calls), (problem.id, cache, budget)
+                    assert row == summarize([result], method="dual_cot", budget=budget,
+                                            cache=cache), (problem.id, cache, budget)
                     last = whole.events[-1] if whole.events else None
                     stopped = real.outcome is Outcome.BUDGET_EXHAUSTED
                     if stopped and real.events[-1].payload["spent"] == budget:

@@ -14,11 +14,15 @@ from dualtrack.protocol import (
     parse_agent_step,
 )
 from dualtrack.solver import (
+    BudgetCut,
+    BudgetCuts,
     Decision,
     EventKind,
     MALFORMED_STEP_FEEDBACK,
     Outcome,
     SolverConfig,
+    SolveTrace,
+    TraceEvent,
     UNPARSEABLE_FINAL_FEEDBACK,
     solve,
     step_decision,
@@ -564,6 +568,85 @@ class TestTraceSerialization:
         trace = solve(henry_problem, config(token_budget=400), henry_backend, henry_backend)
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.to_json() == HENRY_BUDGET_400_TRACE_JSON
+
+
+def _generated(tokens):
+    return TraceEvent(EventKind.GENERATED, {"slot": 1, "attempt": 0, "raw": "STEP: x"}, tokens)
+
+
+def _evaluated(tokens, score=3):
+    return TraceEvent(EventKind.EVALUATED, {"score": score, "feedback": "ok", "fingerprint": "x",
+                                            "synthetic": None, "raw": "Score: 3"}, tokens)
+
+
+def _event(kind, **payload):
+    return TraceEvent(kind, payload)
+
+
+# Hand-built traces that end four ways, each with the budget it was solved at
+# and, for every budget from 1 up, the cut ``at`` gives: a list of (the last
+# budget it applies to, (end, spent, evaluator_calls) or None). The spend
+# before each agent call is worked out in the comments.
+HAND_TRACES = {
+    "solved": (16, Outcome.SOLVED, [
+        _generated(3),  # 0: spend before 0
+        _evaluated(2),  # 1: 3
+        _event(EventKind.ACCEPTED),
+        _generated(4),  # 3: 5, after 1 Evaluator call
+        _event(EventKind.CACHE_REJECTED, decision="duplicate"),  # the fork
+        _event(EventKind.RETRIED),
+        _generated(3),  # 6: 9
+        _event(EventKind.EVALUATED, score=0, feedback="", fingerprint="",
+               synthetic="malformed_step"),  # no agent call: not a check
+        _event(EventKind.RETRIED),
+        _generated(2),  # 9: 12
+        _evaluated(1),  # 10: 14
+        _event(EventKind.ACCEPTED),
+        _event(EventKind.FINISHED, final_answer="1"),
+    ], [(3, (1, 3, 0)), (5, (3, 5, 1)), (9, (6, 9, 1)), (12, (9, 12, 1)), (14, (10, 14, 1)),
+        (16, None)], (15, 2), 4),
+    "budget_stop": (10, Outcome.BUDGET_EXHAUSTED, [
+        _generated(4),  # 0: 0
+        _evaluated(3, score=0),  # 1: 4
+        _event(EventKind.RETRIED),
+        _generated(4),  # 3: 7
+        _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # the fork
+        _event(EventKind.RETRIED),
+        _event(EventKind.BUDGET_STOP, spent=11, limit=10),  # 6: 11, a check at the end
+    ], [(4, (1, 4, 0)), (7, (3, 7, 1)), (10, (6, 11, 1))], (11, 1), 4),
+    # The Evaluator call after event 3 raised and left no event, so the end,
+    # at spend 13, is a check, and the fork.
+    "raised call": (20, Outcome.BACKEND_FAILURE, [
+        _generated(5),  # 0: 0
+        _evaluated(2),  # 1: 5
+        _event(EventKind.ACCEPTED),
+        _generated(6),  # 3: 7
+    ], [(5, (1, 5, 0)), (7, (3, 7, 1)), (13, (4, 13, 1)), (20, None)], (13, 1), 4),
+    # The Evaluator's reply left its event, so the end is no check.
+    "unparsed reply": (20, Outcome.BACKEND_FAILURE, [
+        _generated(5),  # 0: 0
+        _evaluated(2, score=None),  # 1: 5, a reply that did not parse
+    ], [(5, (1, 5, 0)), (20, None)], (7, 1), None),
+}
+
+
+class TestBudgetCuts:
+    @pytest.mark.parametrize("name", list(HAND_TRACES))
+    def test_every_budget_cuts_where_worked_out_by_hand(self, name):
+        limit, outcome, events, spans, totals, fork = HAND_TRACES[name]
+        cuts = BudgetCuts(SolveTrace(problem_id="p", config={"token_budget": limit},
+                                     events=events, outcome=outcome))
+        expected, budget = [], 1
+        for last, cut in spans:
+            expected += [cut] * (last - budget + 1)
+            budget = last + 1
+        assert len(expected) == limit
+        got = [cuts.at(budget) for budget in range(1, limit + 1)]
+        assert got == expected
+        assert all(cut is None or type(cut) is BudgetCut for cut in got)
+        assert (cuts.totals, cuts.fork) == (totals, fork)
+        with pytest.raises(ValueError):
+            cuts.at(limit + 1)
 
 
 class TestAtBudget:
