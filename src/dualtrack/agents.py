@@ -114,17 +114,13 @@ class ScriptedBackend:
     ) -> AgentReply:
         if not isinstance(role, Role):
             role = Role(role)
-        replies = self._scripts.get(role, [])
+        replies = self._scripts.get(role, ())
         served = self._cursor.get(role, 0)
         if served >= len(replies):
             raise ScriptExhausted(f"{role.value} script exhausted after {served} replies")
         self._cursor[role] = served + 1
         text = replies[served]
-        return AgentReply(
-            raw_text=text,
-            prompt_tokens=estimate_tokens(prompt),
-            completion_tokens=estimate_tokens(text),
-        )
+        return AgentReply(text, estimate_tokens(prompt), estimate_tokens(text))
 
     def calls(self, role: Role | str) -> int:
         """Number of replies served or skipped so far for the role."""

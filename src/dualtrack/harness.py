@@ -17,7 +17,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -200,14 +200,11 @@ def load_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
-def _result(
-    problem: Problem, trace: SolveTrace, trace_path: str | None = None,
-    totals: tuple[int, int] | None = None,
-) -> RunResult:
-    """Score one solve: its answer counts only if the solve finished.
-    ``totals`` is the trace's ``(tokens_spent, evaluator_calls)`` if known."""
-    spent, evaluator_calls = trace.totals() if totals is None else totals
+def _result(problem: Problem, trace: SolveTrace, totals: tuple[int, int]) -> RunResult:
+    """Score one solve whose ``(tokens_spent, evaluator_calls)`` are ``totals``:
+    its answer counts only if the solve finished."""
     predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
+    spent, evaluator_calls = totals
     return RunResult(
         problem_id=problem.id,
         predicted=predicted,
@@ -215,15 +212,17 @@ def _result(
         tokens_spent=spent,
         outcome=trace.outcome,
         evaluator_calls=evaluator_calls,
-        trace_path=trace_path,
     )
 
 
-def _scores(problem: Problem, trace: SolveTrace, cuts: BudgetCuts, budgets: Sequence[int]) -> list:
-    """Each budget's ``_score``: the whole solve's, scored once, or its cut's budget stop."""
-    whole, stopped = _score(_result(problem, trace, totals=cuts.totals)), Outcome.BUDGET_EXHAUSTED
-    return [whole if stop is None else (stopped, False, stop.spent, stop.evaluator_calls)
-            for stop in map(cuts.at, budgets)]
+def _scores(problem: Problem, trace: SolveTrace, cuts: BudgetCuts,
+            budgets: Sequence[int]) -> tuple[RunResult, list]:
+    """The solve's ``RunResult``, scored once, and each budget's ``_score``:
+    the result's, or its cut's budget stop."""
+    result = _result(problem, trace, cuts.totals)
+    whole, stopped = _score(result), Outcome.BUDGET_EXHAUSTED
+    return result, [whole if stop is None else (stopped, False, stop.spent, stop.evaluator_calls)
+                    for stop in map(cuts.at, budgets)]
 
 
 def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
@@ -236,13 +235,6 @@ def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _as_provider(backends: BackendPair | BackendProvider) -> BackendProvider:
-    if callable(backends):
-        return backends
-    decomposer, evaluator = backends
-    return lambda problem: (decomposer, evaluator)
-
-
 def config_hash(config: SolverConfig, method: str) -> str:
     """Run identity: names the run directory and is kept in run_meta.json."""
     payload = json.dumps(
@@ -251,23 +243,36 @@ def config_hash(config: SolverConfig, method: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:10]
 
 
-def _new_run_dir(out_dir: str | Path, name: str) -> Path:
-    """Create ``<out_dir>/<stamp>-<name>`` exclusively, suffixing -2, -3, ...
-    when a run of the same config already took it within the same second."""
-    base = Path(out_dir) / f"{time.strftime('%Y%m%d-%H%M%S')}-{name}"
+def _new_run_dir(out_dir: str | Path, config: SolverConfig, method: str, prefix: str = "") -> Path:
+    """Create ``<out_dir>/<stamp>-<prefix><config hash>`` exclusively, suffixing
+    -2, -3, ... when a run of the same config already took it within the same
+    second, and write its run_meta.json."""
+    digest = config_hash(config, method)
+    base = Path(out_dir) / f"{time.strftime('%Y%m%d-%H%M%S')}-{prefix}{digest}"
     run_dir, attempt = base, 1
     while True:
         try:
             run_dir.mkdir(parents=True)
-            return run_dir
+            break
         except FileExistsError:
             attempt += 1
             run_dir = base.with_name(f"{base.name}-{attempt}")
+    meta = {
+        "config": config.to_dict(),
+        "method": method,
+        "config_hash": digest,
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }
+    (run_dir / "run_meta.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return run_dir
 
 
 def _check_problems(problems: Sequence[Problem]) -> None:
     """Reject a problem set that cannot be scored or filed: empty, a missing
-    gold answer, an id that cannot name a trace file, or a repeated id."""
+    gold answer, an id that cannot name a trace file (strict UTF-8, at most
+    250 bytes), or a repeated id."""
     if not problems:
         raise InvalidCounts("empty problem list")
     seen: set[str] = set()
@@ -277,11 +282,71 @@ def _check_problems(problems: Sequence[Problem]) -> None:
         # The id names the trace file: one path component, no NUL, at most 255 bytes with .json
         if "/" in problem.id or "\\" in problem.id or "\0" in problem.id:
             raise DataError(f"problem id {problem.id!r} must not contain '/', '\\' or NUL")
-        if len(problem.id.encode("utf-8", "surrogatepass")) > 250:
+        try:
+            size = len(problem.id.encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate: valid in JSON, not in UTF-8
+            raise DataError(f"problem id {problem.id!r} is not valid UTF-8") from None
+        if size > 250:
             raise DataError(f"problem id {problem.id[:20]!r}... is over 250 bytes in UTF-8")
         if problem.id in seen:
             raise DataError(f"duplicate problem id {problem.id!r}")
         seen.add(problem.id)
+
+
+def _solve_all(problems: Sequence[Problem], config: SolverConfig,
+               backends: BackendPair | BackendProvider, budgets: Sequence[int],
+               settings: tuple[bool, ...], *, workers: int, trace_dir: Path | None = None,
+               continue_on_error: bool = False) -> dict[bool, Sequence | Exception]:
+    """The engine of ``run_benchmark`` and ``budget_sweep``: maps each cache
+    setting, ``(cache_enabled,)`` or ``(False, True)``, to every problem's
+    ``(RunResult, scores)`` with one ``_score`` per budget, or to the first
+    error among that setting's solves.
+
+    One task per problem solves the trunk at ``max(budgets)`` under the last
+    setting and writes its trace to ``trace_dir`` if given. A cache-off setting
+    before it forks from that trace on a pair the provider gives first
+    (PROTOCOL.md, Budget sweep); after a trunk error it replays nothing. An
+    error propagates unless ``continue_on_error`` is set. Traces never leave
+    the task, so each is freed once its problem is scored.
+    """
+    provider = backends if callable(backends) else lambda problem: backends
+    configs = {cache: config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
+               for cache in settings}
+
+    def run(problem: Problem, cache: bool, replies: Mapping | None = None,
+            trace_path: Path | None = None) -> tuple:
+        """One scored solve, its trace and its fork point, or its caught error
+        and no trace. With ``replies``, the cache-off fork that replays them."""
+        try:
+            backends = provider(problem)
+            if replies is not None:
+                backends = (ReplayBackend(replies, *backends),) * 2
+            trace = solve(problem, configs[cache], *backends)
+        except Exception as exc:
+            if not continue_on_error:
+                raise
+            return exc, None, None
+        cuts = BudgetCuts(trace)
+        result, scores = _scores(problem, trace, cuts, budgets)
+        if trace_path is not None:
+            trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
+            result = replace(result, trace_path=str(trace_path))
+        return (result, scores), trace, cuts.fork
+
+    def task(problem: Problem) -> tuple:
+        """The problem's scored solves, one per setting."""
+        path = None if trace_dir is None else trace_dir / f"{problem.id}.json"
+        trunk, trace, fork = run(problem, settings[-1], trace_path=path)
+        if len(settings) == 1:
+            return (trunk,)
+        if trace is not None and fork is None:  # the trunk is the cache-off solve
+            return trunk, trunk
+        # After a trunk error there is no trace, and the fork replays nothing.
+        return run(problem, False, {} if trace is None else trace.replies(fork))[0], trunk
+
+    columns = zip(*_map(task, problems, workers))
+    return {cache: next((item for item in column if isinstance(item, Exception)), column)
+            for cache, column in zip(settings, columns)}
 
 
 def run_benchmark(
@@ -300,35 +365,34 @@ def run_benchmark(
     for scripted fixtures). Backend failures score as incorrect with
     outcome ``backend_failure``; the run continues and n stays fixed.
 
+    It runs the sweep engine (``_solve_all``) at one budget and one cache
+    setting: one provider call and one solve per problem, no fork, no cut.
     With ``out_dir`` set, writes per-problem traces, results.jsonl,
     summary.json, summary.csv, and run_meta.json under a fresh run
     directory.
     """
     _check_problems(problems)
-    provider = _as_provider(backends)
-
     run_dir: Path | None = None
     trace_dir: Path | None = None
     if out_dir is not None:
-        run_dir = _new_run_dir(out_dir, digest := config_hash(config, method))
+        run_dir = _new_run_dir(out_dir, config, method)
         trace_dir = run_dir / "traces"
         trace_dir.mkdir()
 
-    def run_one(problem: Problem) -> RunResult:
-        trace = solve(problem, config, *provider(problem))
-        trace_path = None
-        if trace_dir is not None:
-            path = trace_dir / f"{problem.id}.json"
-            path.write_text(trace.to_json() + "\n", encoding="utf-8")
-            trace_path = str(path)
-        return _result(problem, trace, trace_path)
-
-    results = _map(run_one, problems, workers)
-    summary = summarize(results, method=method, budget=config.token_budget,
-                        cache=config.cache_enabled)
+    budget, cache = config.token_budget, config.cache_enabled
+    solved = _solve_all(problems, config, backends, (budget,), (cache,),
+                        workers=workers, trace_dir=trace_dir)[cache]
+    results = [result for result, _ in solved]
+    summary = _summary([scores[0] for _, scores in solved], method=method, budget=budget,
+                       cache=cache)
     if run_dir is not None:
-        _write_report(run_dir, results, summary)
-        _write_meta(run_dir, config, method, digest)
+        with (run_dir / "results.jsonl").open("w", encoding="utf-8") as handle:
+            for result in results:
+                handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+        (run_dir / "summary.json").write_text(
+            json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        (run_dir / "summary.csv").write_text(rows_to_csv([summary]), encoding="utf-8")
     return BenchmarkReport(results=results, summary=summary, run_dir=run_dir)
 
 
@@ -346,56 +410,18 @@ def budget_sweep(
     """Benchmark every budget with the cache off and on: one summary row per
     (budget, cache) cell, budget by budget in the given order, cache off first.
 
-    Every cell is cut from one solve per problem at ``max(budgets)``, and the
-    cache-off solve forks from the cache-on one in the same task, on a pair
-    the provider gives before it starts (PROTOCOL.md, Budget sweep). An error
-    in a solve, or the provider's error for it, fails every cell of its cache
-    setting; it propagates unless ``continue_on_error`` is set, and then those
-    cells are logged. After a cache-on error the problem's fork replays nothing.
+    Every cell is cut from the engine's (``_solve_all``) one solve per problem
+    and cache setting at ``max(budgets)``, cache off forked from cache on. An
+    error in a solve, or the provider's error for it, fails every cell of its
+    cache setting; with ``continue_on_error`` those cells are logged.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
     if any(budget <= 0 for budget in budgets):
         raise ValueError("budgets must be positive")
     _check_problems(problems)
-    provider = _as_provider(backends)
-    solve_configs = {
-        cache_enabled: config.with_overrides(
-            token_budget=max(budgets), cache_enabled=cache_enabled
-        )
-        for cache_enabled in (False, True)
-    }
-
-    def cut(problem: Problem, replies: Mapping | None = None) -> tuple | Exception:
-        """The problem's scores, one per budget, its trace and its fork; or the
-        error its provider or solve raised, once ``continue_on_error`` caught
-        it. With ``replies``, the cache-off fork that replays them."""
-        try:
-            backends = provider(problem)
-            if replies is not None:
-                backends = (ReplayBackend(replies, *backends),) * 2
-            trace = solve(problem, solve_configs[replies is None], *backends)
-        except Exception as exc:
-            if not continue_on_error:
-                raise
-            return exc
-        cuts = BudgetCuts(trace)
-        return _scores(problem, trace, cuts, budgets), trace, cuts.fork
-
-    def cut_both(problem: Problem) -> tuple:
-        """The problem's (cache-off, cache-on) scores, one per budget, or each
-        setting's error; cache off forked from cache on. The traces stay in
-        this task, so each is freed once the problem is cut."""
-        on = cut(problem)
-        if isinstance(on, Exception):  # no trace: the fork replays nothing
-            off = cut(problem, {})
-        else:
-            off = on if on[2] is None else cut(problem, on[1].replies(on[2]))
-        return tuple(item if isinstance(item, Exception) else item[0] for item in (off, on))
-
-    off, on = zip(*_map(cut_both, problems, workers))
-    solved = {cache: next((item for item in scores if isinstance(item, Exception)), scores)
-              for cache, scores in ((False, off), (True, on))}
+    solved = _solve_all(problems, config, backends, budgets, (False, True),
+                        workers=workers, continue_on_error=continue_on_error)
     rows: list[SummaryRow] = []
     errors: list[str] = []
     for index, budget in enumerate(budgets):
@@ -404,11 +430,10 @@ def budget_sweep(
             if isinstance(cell, Exception):
                 errors.append(f"budget={budget} cache={cache_enabled}: {cell}")
                 continue
-            rows.append(_summary([scores[index] for scores in cell], method=method,
+            rows.append(_summary([scores[index] for _, scores in cell], method=method,
                                  budget=budget, cache=cache_enabled))
     if out_dir is not None:
-        run_dir = _new_run_dir(out_dir, "sweep-" + (digest := config_hash(config, method)))
-        _write_meta(run_dir, config, method, digest)
+        run_dir = _new_run_dir(out_dir, config, method, "sweep-")
         (run_dir / "sweep.csv").write_text(rows_to_csv(rows), encoding="utf-8")
         if errors:
             (run_dir / "errors.txt").write_text("\n".join(errors) + "\n", encoding="utf-8")
@@ -430,28 +455,6 @@ def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
         record["mean_tokens"] = f"{record['mean_tokens']:.2f}"
         writer.writerow(record)
     return buffer.getvalue()
-
-
-def _write_report(run_dir: Path, results: Sequence[RunResult], summary: SummaryRow) -> None:
-    with (run_dir / "results.jsonl").open("w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (run_dir / "summary.csv").write_text(rows_to_csv([summary]), encoding="utf-8")
-
-
-def _write_meta(run_dir: Path, config: SolverConfig, method: str, digest: str) -> None:
-    meta = {
-        "config": config.to_dict(),
-        "method": method,
-        "config_hash": digest,
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    (run_dir / "run_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def load_results(path: str | Path) -> list[RunResult]:

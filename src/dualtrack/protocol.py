@@ -250,7 +250,7 @@ def parse_agent_step(raw: str) -> StepCandidate:
                 answer = normalize_answer(text)
             except NoNumberFound:
                 pass
-        return StepCandidate(kind=kind, text=text, answer=answer)
+        return StepCandidate(kind, text, answer)
     raise MalformedStep("no line starting with STEP: or FINAL_ANSWER:")
 
 
@@ -294,7 +294,7 @@ def parse_evaluation(raw: str) -> Evaluation:
             feedback = stripped[len(FEEDBACK_PREFIX):].strip()
     if score is None:
         raise MalformedEvaluation("no Score: or Raw score: line found")
-    return Evaluation(score=score, feedback=feedback or "")
+    return Evaluation(score, feedback or "")
 
 
 def normalize_answer(text: str) -> CanonicalNumber:

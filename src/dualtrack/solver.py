@@ -157,20 +157,11 @@ class SolveTrace:
     @property
     def evaluator_calls(self) -> int:
         """Real Evaluator calls: evaluated events that are not synthetic."""
-        return self.totals()[1]
+        return BudgetCuts(self).totals[1]
 
     @property
     def tokens_spent(self) -> int:
-        return self.totals()[0]
-
-    def totals(self) -> tuple[int, int]:
-        """``(tokens_spent, evaluator_calls)`` from one walk over the events."""
-        spent = evaluator_calls = 0
-        for event in self.events:
-            spent += event.tokens_charged
-            if event.kind is EventKind.EVALUATED and event.is_agent_call:
-                evaluator_calls += 1
-        return spent, evaluator_calls
+        return BudgetCuts(self).totals[0]
 
     def replies(self, end: int | None = None) -> dict[Role, list[tuple[str, int]]]:
         """Each role's recorded ``(raw, tokens_charged)`` replies, in order,
@@ -236,10 +227,11 @@ class BudgetCuts:
     cut rule of PROTOCOL.md "Budget sweep": one walk notes the spend before
     each budget check, and a budget takes the first at or above it.
 
-    The walk also keeps the trace's ``totals``, as ``SolveTrace.totals``, and
-    ``fork``, the event index where the cache-off solve leaves this trace:
-    the first ``cache_rejected`` event, else the end of a trace whose last
-    call raised and left no event, else None (the trace is the cache-off solve).
+    The walk also keeps the trace's ``totals``, its ``(tokens_spent,
+    evaluator_calls)``, and ``fork``, the event index where the cache-off
+    solve leaves this trace: the first ``cache_rejected`` event, else the end
+    of a trace whose last call raised and left no event, else None (the trace
+    is the cache-off solve).
     """
 
     def __init__(self, trace: SolveTrace):
@@ -416,14 +408,7 @@ def solve(
                 text = raw.strip() or "(unparseable output)"
                 candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text=text)
                 fp = fingerprint(text)
-            step = AcceptedStep(
-                index=slot,
-                kind=candidate.kind,
-                text=candidate.text,
-                fingerprint=fp,
-                score=evaluation.score,
-                forced=forced,
-            )
+            step = AcceptedStep(slot, candidate.kind, candidate.text, fp, evaluation.score, forced)
             accepted.append(step)
             if config.cache_enabled:
                 cache.record(fp, CacheDecision.DUPLICATE_ACCEPTED)

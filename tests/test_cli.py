@@ -382,6 +382,22 @@ class TestBench:
         assert "over 250 bytes" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_problem_id_with_lone_surrogate_is_data_error_before_any_file(
+            self, tmp_path, capsys, command):
+        # "\ud800" is valid JSON but has no UTF-8 encoding, so it cannot name
+        # a trace file. The good problem comes first: no trace of it is written.
+        problems_file = tmp_path / "problems.jsonl"
+        problems_file.write_text("".join(
+            json.dumps({"id": problem_id, "question": "q?", "gold_answer": "1"}) + "\n"
+            for problem_id in ("p1", "p\ud800")), encoding="utf-8")
+        fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+        out_dir = tmp_path / "runs"
+        argv = [command, str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+        assert main(argv) == EXIT_DATA
+        assert repr("p\ud800") in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestLiveEndpoint:
     def test_bench_sends_role_models_system_prompts_and_key(

@@ -40,6 +40,11 @@ from conftest import (
 )
 
 
+def _result_of(problem, trace):
+    """The RunResult of a whole solve, from the trace's own totals."""
+    return harness._result(problem, trace, (trace.tokens_spent, trace.evaluator_calls))
+
+
 def _wilson_center(correct, n, z=1.96):
     p_hat = correct / n
     return (p_hat + z**2 / (2 * n)) / (1 + z**2 / n)
@@ -291,6 +296,7 @@ class TestBudgetSweep:
             (["p000", "p000"], DataError),
             (["p000", "x" * 251], DataError),
             (["é" * 126], DataError),  # 252 bytes in UTF-8
+            (["p\ud800"], DataError),  # valid in JSON, not in UTF-8
         ],
     )
     def test_bad_problem_set_rejected_before_any_cell(self, tmp_path, ids, error):
@@ -317,9 +323,8 @@ class TestBudgetSweep:
         assert served == []
         assert list(tmp_path.iterdir()) == []
 
-    # 250 bytes and ".json" make 255, the longest name a file can have. A lone
-    # surrogate (valid in JSON, not in UTF-8) is counted, not an error.
-    @pytest.mark.parametrize("problem_id", ["x" * 250, "é" * 125, "p\ud800"])
+    # 250 bytes and ".json" make 255, the longest name a file can have.
+    @pytest.mark.parametrize("problem_id", ["x" * 250, "é" * 125])
     def test_id_of_at_most_250_utf8_bytes_is_accepted(self, problem_id):
         problem = Problem(id=problem_id, question=HENRY_QUESTION,
                           gold_answer=CanonicalNumber("25"))
@@ -767,7 +772,7 @@ class TestDerivedSweep:
         # Every problem solved from scratch with the cache off: the target.
         scratch = Counter()
         for draws in flips:
-            row = summarize([harness._result(problem, solved(False, draws))],
+            row = summarize([_result_of(problem, solved(False, draws))],
                             method="dual_cot", budget=BIG_BUDGET, cache=False)
             scratch[json.dumps(row.to_dict())] += Fraction(1, len(flips))
         assert sorted(scratch.values()) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
@@ -787,7 +792,7 @@ class TestDerivedSweep:
             trace = solved(True, first)
             if trace.events_of(EventKind.CACHE_REJECTED):
                 trace = solved(False, second)
-            old_rule += Fraction(harness._result(problem, trace).correct, len(outcomes))
+            old_rule += Fraction(_result_of(problem, trace).correct, len(outcomes))
         assert swept == scratch
         assert sum(json.loads(row)["correct"] * weight
                    for row, weight in swept.items()) == Fraction(1, 2)
@@ -847,9 +852,9 @@ class TestSweepResultsPerProblem:
         scores_of = harness._scores
 
         def recording(problem, trace, cuts, budgets):
-            scores = scores_of(problem, trace, cuts, budgets)
+            result, scores = scores_of(problem, trace, cuts, budgets)
             scored[trace.config["cache_enabled"]] = scores
-            return scores
+            return result, scores
 
         monkeypatch.setattr(harness, "_scores", recording)
         rng = random.Random(seed)
@@ -890,7 +895,7 @@ class TestSweepResultsPerProblem:
                 for index, row in enumerate(rows):
                     budget, cache = row.budget, row.cache
                     real, whole = run(budget, cache), run(top, cache)
-                    result = harness._result(problem, real)
+                    result = _result_of(problem, real)
                     assert scored[cache][index // 2] == (
                         result.outcome, result.correct, result.tokens_spent,
                         result.evaluator_calls), (problem.id, cache, budget)
@@ -911,34 +916,53 @@ class TestSweepResultsPerProblem:
                         reached["unparseable Evaluator reply"] += 1
         assert len(reached) == 4, reached
 
-    def test_each_problems_traces_are_freed_before_the_next_problem(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_each_problems_traces_are_freed_before_the_next_problem(
+            self, monkeypatch, tmp_path, command, workers):
         problems, fixture = build_random_case(random.Random(606), 40)
-        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
-        budgets = (150, 600)
-        healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture),
-                               out_dir=tmp_path / "healthy")
-        traces = []  # (problem id, weak reference to a trace that solve returned)
+        config = SolverConfig(token_budget=600, max_steps=40)
+
+        def run(provider, out_dir):
+            """The run's outputs: a sweep's rows, or a benchmark's results and summary."""
+            if command == "sweep":
+                rows = budget_sweep(problems, (150, 600), config, provider, out_dir=out_dir,
+                                    workers=workers)
+                return [row.to_dict() for row in rows]
+            report = run_benchmark(problems, config, provider, out_dir=out_dir, workers=workers)
+            return ([{**result.to_dict(), "trace_path": None} for result in report.results],
+                    report.summary.to_dict())
+
+        healthy = run(scripted_provider(fixture), tmp_path / "healthy")
+        traces = []  # (thread, problem id, weak reference to a trace that solve returned)
         alive = []  # (asking problem, earlier problem) whose trace was still held
 
         def recording_solve(problem, *args):
             trace = solve(problem, *args)
-            traces.append((problem.id, weakref.ref(trace)))
+            traces.append((threading.get_ident(), problem.id, weakref.ref(trace)))
             return trace
 
+        # A problem's task runs on one thread, so the problems a thread took
+        # before this one are done, and none of their traces may be alive.
         def provider(problem):
-            alive.extend((problem.id, problem_id) for problem_id, ref in traces
-                         if problem_id != problem.id and ref() is not None)
+            alive.extend((problem.id, problem_id) for thread, problem_id, ref in list(traces)
+                         if thread == threading.get_ident() and problem_id != problem.id
+                         and ref() is not None)
             return scripted_provider(fixture)(problem)
 
         monkeypatch.setattr(harness, "solve", recording_solve)
-        rows = budget_sweep(problems, budgets, config, provider, out_dir=tmp_path / "freed")
-        # Cache-off traces were watched too: some problems forked.
-        assert len(traces) > len(problems)
+        assert run(provider, tmp_path / "freed") == healthy
+        # A sweep's cache-off traces were watched too: some problems forked.
+        assert len(traces) > len(problems) if command == "sweep" else len(traces) == len(problems)
         assert alive == []
-        assert [row.to_dict() for row in rows] == [row.to_dict() for row in healthy]
-        (healthy_dir,), (freed_dir,) = ((tmp_path / name).glob("*-sweep-*")
+        (healthy_dir,), (freed_dir,) = ((tmp_path / name).iterdir()
                                         for name in ("healthy", "freed"))
-        assert (freed_dir / "sweep.csv").read_bytes() == (healthy_dir / "sweep.csv").read_bytes()
+        names = sorted(path.relative_to(healthy_dir) for path in healthy_dir.rglob("*.*")
+                       if path.name not in ("run_meta.json", "results.jsonl"))
+        assert names == sorted(path.relative_to(freed_dir) for path in freed_dir.rglob("*.*")
+                               if path.name not in ("run_meta.json", "results.jsonl"))
+        for name in names:
+            assert (freed_dir / name).read_bytes() == (healthy_dir / name).read_bytes(), name
 
 
 class TestRunDirectories:
