@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -690,3 +692,45 @@ class TestAtBudget:
                                   and len(real.events) > len(solved.events)):
                                 ends["failed_call"] += 1
         assert ends["budget_stop"] > 0 and ends["failed_call"] > 0, ends
+
+
+# SHA-256 over the traces of TestTraceDigest's corpus, one JSON line each.
+TRACE_CORPUS_DIGEST = "5e0d55632d5cbca08dd6332c9f009a76703e33dca389b84d021a65681db4c3c7"
+
+
+class TestTraceDigest:
+    def test_corpus_traces_are_byte_identical(self):
+        """10,240 solves of random scripts pin the solve loop's bytes: every
+        outcome, both cache-hit kinds, both synthetic evaluations, forced
+        accepts and Evaluator protocol violations are in the corpus."""
+        digest = hashlib.sha256()
+        seen: Counter = Counter()
+        # (accept_threshold, cache_bad_threshold, max_retries_per_step, max_steps)
+        settings = ((1, 1, 3, 12), (2, 0, 1, 12), (0, 0, 2, 12), (1, 1, 3, 2))
+        for seed in range(1, 9):
+            problems, fixture = build_random_case(random.Random(seed), 40)
+            for cache in (False, True):
+                for budget in (0, 150, 400, 2048):
+                    for accept, bad, retries, steps in settings:
+                        solver_config = SolverConfig(
+                            token_budget=budget, accept_threshold=accept,
+                            cache_bad_threshold=bad, max_retries_per_step=retries,
+                            max_steps=steps, cache_enabled=cache)
+                        for problem in problems:
+                            backend = ScriptedBackend(fixture[problem.id])
+                            trace = solve(problem, solver_config, backend, backend)
+                            digest.update((trace.to_json() + "\n").encode("utf-8"))
+                            seen[trace.outcome.value] += 1
+                            seen["protocol_violation"] += "protocol violation" in (
+                                trace.error or "")
+                            for event in trace.events:
+                                seen[event.kind.value] += 1
+                                payload = event.payload
+                                seen[payload.get("decision")] += 1
+                                seen[payload.get("synthetic")] += 1
+        assert sum(seen[outcome.value] for outcome in Outcome) == 10_240
+        for key in ("solved", "budget_exhausted", "step_limit", "backend_failure",
+                    "duplicate_accepted", "known_bad", "malformed_step",
+                    "unparseable_final", "forced_accept", "protocol_violation"):
+            assert seen[key] > 0, key
+        assert digest.hexdigest() == TRACE_CORPUS_DIGEST
