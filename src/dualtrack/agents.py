@@ -105,9 +105,10 @@ class ScriptedBackend:
 
     def __init__(self, scripts: Mapping[Role | str, Sequence[str]]):
         self._scripts: dict[Role, list[str]] = {
-            Role(role): list(replies) for role, replies in scripts.items()
+            role if isinstance(role, Role) else Role(role): list(replies)
+            for role, replies in scripts.items()
         }
-        self._cursor: dict[Role, int] = {role: 0 for role in self._scripts}
+        self._cursor: dict[Role, int] = dict.fromkeys(self._scripts, 0)
 
     def complete(
         self, role: Role | str, prompt: str, params: DecodeParams | None = None
@@ -124,11 +125,12 @@ class ScriptedBackend:
 
     def calls(self, role: Role | str) -> int:
         """Number of replies served or skipped so far for the role."""
-        return self._cursor.get(Role(role), 0)
+        return self._cursor.get(role if isinstance(role, Role) else Role(role), 0)
 
     def skip(self, role: Role | str, count: int) -> None:
         """Move the role's cursor past ``count`` replies served elsewhere."""
-        self._cursor[Role(role)] = self.calls(role) + count
+        role = role if isinstance(role, Role) else Role(role)
+        self._cursor[role] = self._cursor.get(role, 0) + count
 
 
 class ReplayBackend:

@@ -9,11 +9,12 @@ on a backend failure, and records every event in a replayable trace.
 
 Budget discipline: every agent call leaves exactly one event
 (``generated`` or ``evaluated``) carrying its raw reply and the tokens
-it charged, and spend is the sum of those events. The budget is checked
-before every agent call and never mid-call, so total spend can overshoot
-the limit by at most the cost of the final call, and a solve at a smaller
-budget is a prefix of the same solve at a larger one (PROTOCOL.md,
-Budget sweep).
+it charged, and spend is the sum of those events. The loop makes agent
+calls in two places, the Decomposer's generation and the Evaluator's
+scoring, and checks the budget right before each and never mid-call, so
+total spend can overshoot the limit by at most the cost of the final call,
+and a solve at a smaller budget is a prefix of the same solve at a larger
+one (PROTOCOL.md, Budget sweep).
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .cache import REJECTION_FEEDBACK, CacheDecision, RejectionCache, fingerprin
 from .protocol import (
     AcceptedStep,
     CanonicalNumber,
-    Evaluation,
     MalformedStep,
     Problem,
     ProtocolError,
-    StepCandidate,
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
@@ -72,6 +71,23 @@ class Decision(str, Enum):
     ACCEPT = "accept"
     RETRY = "retry"
     FORCED_ACCEPT = "forced_accept"
+
+
+# The members the solve loop uses, bound once: on Python 3.11 every
+# ``EnumClass.MEMBER`` lookup is a descriptor call.
+_SOLVED, _STEP_LIMIT = Outcome.SOLVED, Outcome.STEP_LIMIT
+_BUDGET_EXHAUSTED, _BACKEND_FAILURE = Outcome.BUDGET_EXHAUSTED, Outcome.BACKEND_FAILURE
+_GENERATED, _EVALUATED, _CACHE_REJECTED = (
+    EventKind.GENERATED, EventKind.EVALUATED, EventKind.CACHE_REJECTED)
+_ACCEPTED, _FORCED_ACCEPT, _RETRIED = (
+    EventKind.ACCEPTED, EventKind.FORCED_ACCEPT, EventKind.RETRIED)
+_BUDGET_STOP, _STEP_LIMIT_STOP, _FINISHED = (
+    EventKind.BUDGET_STOP, EventKind.STEP_LIMIT_STOP, EventKind.FINISHED)
+_ACCEPT, _RETRY, _FORCE = Decision.ACCEPT, Decision.RETRY, Decision.FORCED_ACCEPT
+_DECOMPOSER, _EVALUATOR = Role.DECOMPOSER, Role.EVALUATOR
+_INTERMEDIATE, _FINAL = StepKind.INTERMEDIATE, StepKind.FINAL
+_MISS, _DUPLICATE_ACCEPTED, _KNOWN_BAD = (
+    CacheDecision.MISS, CacheDecision.DUPLICATE_ACCEPTED, CacheDecision.KNOWN_BAD)
 
 
 @dataclass(frozen=True)
@@ -126,8 +142,8 @@ class TraceEvent:
     def is_agent_call(self) -> bool:
         """Whether this event records an agent call: the Decomposer's
         generation or a real (not synthetic) evaluation."""
-        return self.kind is EventKind.GENERATED or (
-            self.kind is EventKind.EVALUATED and self.payload.get("synthetic") is None
+        return self.kind is _GENERATED or (
+            self.kind is _EVALUATED and self.payload.get("synthetic") is None
         )
 
     def to_dict(self) -> dict:
@@ -169,7 +185,7 @@ class SolveTrace:
         replies: dict[Role, list[tuple[str, int]]] = {role: [] for role in Role}
         for event in self.events[:end]:
             if event.is_agent_call:
-                role = Role.DECOMPOSER if event.kind is EventKind.GENERATED else Role.EVALUATOR
+                role = _DECOMPOSER if event.kind is _GENERATED else _EVALUATOR
                 replies[role].append((event.payload["raw"], event.tokens_charged))
         return replies
 
@@ -240,24 +256,23 @@ class BudgetCuts:
         self._spends, self._ends, self._calls = spends, ends, calls = [], [], []
         spent = evaluator_calls = 0
         fork = None
-        generated, evaluated, rejected = (  # one lookup each: an Enum member is a descriptor
-            EventKind.GENERATED, EventKind.EVALUATED, EventKind.CACHE_REJECTED)
         for index, event in enumerate(trace.events):
             kind = event.kind  # an agent call: TraceEvent.is_agent_call's test, inline
-            if kind is generated or (kind is evaluated and event.payload.get("synthetic") is None):
+            if kind is _GENERATED or (
+                    kind is _EVALUATED and event.payload.get("synthetic") is None):
                 spends.append(spent)
                 ends.append(index)
                 calls.append(evaluator_calls)
-                evaluator_calls += kind is evaluated
-            elif fork is None and kind is rejected:
+                evaluator_calls += kind is _EVALUATED
+            elif fork is None and kind is _CACHE_REJECTED:
                 fork = index
             spent += event.tokens_charged  # 0 unless the event is an agent call
         end = None
-        if trace.outcome is Outcome.BUDGET_EXHAUSTED:
+        if trace.outcome is _BUDGET_EXHAUSTED:
             end = len(trace.events) - 1
-        elif trace.outcome is Outcome.BACKEND_FAILURE:
+        elif trace.outcome is _BACKEND_FAILURE:
             last = trace.events[-1] if trace.events else None
-            if not (last and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
+            if not (last and last.kind is _EVALUATED and last.payload["score"] is None):
                 end = len(trace.events)
                 fork = end if fork is None else fork
         if end is not None:
@@ -282,17 +297,10 @@ class BudgetCuts:
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:
     """Accept above the threshold, retry while retries remain, then force."""
     if score > config.accept_threshold:
-        return Decision.ACCEPT
+        return _ACCEPT
     if retries_so_far < config.max_retries_per_step:
-        return Decision.RETRY
-    return Decision.FORCED_ACCEPT
-
-
-class _Stop(Exception):
-    """Ends a solve with the outcome (and error) it carries."""
-
-    def __init__(self, outcome: Outcome, error: str | None = None):
-        self.outcome, self.error = outcome, error
+        return _RETRY
+    return _FORCE
 
 
 def solve(
@@ -304,131 +312,115 @@ def solve(
     """Run the full Decomposer-Evaluator loop on one problem.
 
     Deterministic for deterministic backends: identical (problem,
-    config, scripts) yield a byte-identical trace. Backend failures end
-    the solve with outcome ``backend_failure`` and the partial trace
-    preserved.
+    config, scripts) yield a byte-identical trace. The budget is checked
+    right before each of the loop's two agent calls, the Decomposer's
+    generation and the Evaluator's scoring; a cache hit or a synthetic
+    evaluation makes no call and is not checked. Backend failures end the
+    solve with outcome ``backend_failure`` and the partial trace preserved.
     """
-    cache = RejectionCache()
     trace = SolveTrace(problem_id=problem.id, config=config.to_dict())
-    accepted = trace.accepted_steps
-    agents = {
-        Role.DECOMPOSER: (decomposer_backend, config.decomposer_params, EventKind.GENERATED),
-        Role.EVALUATOR: (evaluator_backend, config.evaluator_params, EventKind.EVALUATED),
-    }
-    spent = 0
-
-    def emit(kind: EventKind, payload: dict, tokens: int = 0) -> None:
-        trace.events.append(TraceEvent(kind, payload, tokens))
-
-    def call(role: Role, prompt: str, payload: dict) -> str:
-        """The only way to spend tokens: check the budget, call the agent,
-        and record the call as one event carrying its raw reply and cost."""
-        nonlocal spent
-        if spent >= config.token_budget:
-            emit(EventKind.BUDGET_STOP, {"spent": spent, "limit": config.token_budget})
-            raise _Stop(Outcome.BUDGET_EXHAUSTED)
-        backend, params, kind = agents[role]
-        try:
-            reply = backend.complete(role, prompt, params)
-        except BackendError as exc:
-            raise _Stop(Outcome.BACKEND_FAILURE, f"{role.value}: {exc}")
-        payload["raw"] = reply.raw_text
-        emit(kind, payload, reply.total_tokens)
-        spent += reply.total_tokens
-        return reply.raw_text
-
-    def synthetic(feedback: str, kind: str) -> Evaluation:
-        emit(
-            EventKind.EVALUATED,
-            {"score": 0, "feedback": feedback, "fingerprint": "", "synthetic": kind},
-        )
-        return Evaluation(0, feedback)
-
-    def judge(raw: str, block: str) -> tuple[StepCandidate | None, str, Evaluation]:
-        """Score a generation: parse it, screen it against the cache, or
-        have the Evaluator score it. Returns no candidate if unparseable."""
-        try:
-            candidate = parse_agent_step(raw)
-        except MalformedStep:
-            return None, "", synthetic(MALFORMED_STEP_FEEDBACK, "malformed_step")
-        if candidate.kind is StepKind.FINAL and candidate.answer is None:
-            return None, "", synthetic(UNPARSEABLE_FINAL_FEEDBACK, "unparseable_final")
-
-        fp = fingerprint(candidate.text)
-        cache_hit = cache.check(fp) if config.cache_enabled else CacheDecision.MISS
-        if cache_hit is not CacheDecision.MISS:
-            evaluation = Evaluation(0, REJECTION_FEEDBACK[cache_hit])
-            emit(
-                EventKind.CACHE_REJECTED,
-                {"decision": cache_hit.value, "fingerprint": fp,
-                 "score": evaluation.score, "feedback": evaluation.feedback},
-            )
-            return candidate, fp, evaluation
-
-        # score and feedback stay null in the trace if the reply fails to parse
-        payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None}
-        raw = call(Role.EVALUATOR, build_evaluator_prompt(block, candidate), payload)
-        try:
-            evaluation = parse_evaluation(raw)
-        except ProtocolError as exc:
-            raise _Stop(Outcome.BACKEND_FAILURE, f"evaluator protocol violation: {exc}")
-        payload.update(score=evaluation.score, feedback=evaluation.feedback)
-        if config.cache_enabled and evaluation.score <= config.cache_bad_threshold:
-            cache.record(fp, CacheDecision.KNOWN_BAD)
-        return candidate, fp, evaluation
-
+    emit, accepted = trace.events.append, trace.accepted_steps
+    cache = RejectionCache() if config.cache_enabled else None
+    budget, bad_threshold, max_steps = (
+        config.token_budget, config.cache_bad_threshold, config.max_steps)
+    generate, decomposer_params = decomposer_backend.complete, config.decomposer_params
+    evaluate, evaluator_params = evaluator_backend.complete, config.evaluator_params
     # The problem and its accepted steps, rendered again only when a step is accepted.
     block = render_problem_block(problem.question, ())
     hint: str | None = None
-    retries = 0
-    try:
-        while True:
-            slot = len(accepted) + 1
-            raw = call(
-                Role.DECOMPOSER,
-                build_decomposer_prompt(block, hint),
-                {"slot": slot, "attempt": retries},
-            )
-            candidate, fp, evaluation = judge(raw, block)
+    spent = retries = 0
+    while True:
+        slot = len(accepted) + 1
+        if spent >= budget:
+            emit(TraceEvent(_BUDGET_STOP, {"spent": spent, "limit": budget}))
+            trace.outcome = _BUDGET_EXHAUSTED
+            break
+        try:
+            reply = generate(_DECOMPOSER, build_decomposer_prompt(block, hint), decomposer_params)
+        except BackendError as exc:
+            trace.outcome, trace.error = _BACKEND_FAILURE, f"decomposer: {exc}"
+            break
+        raw, tokens = reply.raw_text, reply.total_tokens
+        emit(TraceEvent(_GENERATED, {"slot": slot, "attempt": retries, "raw": raw}, tokens))
+        spent += tokens
 
-            decision = step_decision(evaluation.score, retries, config)
-            if decision is Decision.RETRY:
-                retries += 1
-                emit(
-                    EventKind.RETRIED,
-                    {"slot": slot, "hint": evaluation.feedback, "retries_used": retries},
-                )
-                hint = evaluation.feedback or None
-                continue
+        # Judge the generation: a synthetic zero if it does not parse, else the
+        # cache's rejection or the Evaluator's score.
+        try:
+            candidate, synthetic = parse_agent_step(raw), None
+            if candidate.kind is _FINAL and candidate.answer is None:
+                synthetic, feedback = "unparseable_final", UNPARSEABLE_FINAL_FEEDBACK
+            else:
+                fp = fingerprint(candidate.text)
+        except MalformedStep:
+            synthetic, feedback = "malformed_step", MALFORMED_STEP_FEEDBACK
+        if synthetic is not None:
+            candidate, fp, score = None, "", 0
+            emit(TraceEvent(_EVALUATED, {"score": 0, "feedback": feedback, "fingerprint": "",
+                                         "synthetic": synthetic}))
+        elif cache is not None and (hit := cache.check(fp)) is not _MISS:
+            score, feedback = 0, REJECTION_FEEDBACK[hit]
+            emit(TraceEvent(_CACHE_REJECTED, {"decision": hit.value, "fingerprint": fp,
+                                              "score": 0, "feedback": feedback}))
+        else:
+            if spent >= budget:
+                emit(TraceEvent(_BUDGET_STOP, {"spent": spent, "limit": budget}))
+                trace.outcome = _BUDGET_EXHAUSTED
+                break
+            try:
+                reply = evaluate(_EVALUATOR, build_evaluator_prompt(block, candidate),
+                                 evaluator_params)
+            except BackendError as exc:
+                trace.outcome, trace.error = _BACKEND_FAILURE, f"evaluator: {exc}"
+                break
+            verdict, tokens = reply.raw_text, reply.total_tokens
+            # score and feedback stay null in the trace if the reply fails to parse
+            payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None,
+                       "raw": verdict}
+            emit(TraceEvent(_EVALUATED, payload, tokens))
+            spent += tokens
+            try:
+                evaluation = parse_evaluation(verdict)
+            except ProtocolError as exc:
+                trace.outcome = _BACKEND_FAILURE
+                trace.error = f"evaluator protocol violation: {exc}"
+                break
+            payload["score"] = score = evaluation.score
+            payload["feedback"] = feedback = evaluation.feedback
+            if cache is not None and score <= bad_threshold:
+                cache.record(fp, _KNOWN_BAD)
 
-            forced = decision is Decision.FORCED_ACCEPT
-            if candidate is None:
-                # Force-accepting an unparseable generation: keep the raw text as a
-                # degraded intermediate step so the slot can terminate.
-                text = raw.strip() or "(unparseable output)"
-                candidate = StepCandidate(kind=StepKind.INTERMEDIATE, text=text)
-                fp = fingerprint(text)
-            step = AcceptedStep(slot, candidate.kind, candidate.text, fp, evaluation.score, forced)
-            accepted.append(step)
-            if config.cache_enabled:
-                cache.record(fp, CacheDecision.DUPLICATE_ACCEPTED)
-            emit(
-                EventKind.FORCED_ACCEPT if forced else EventKind.ACCEPTED,
-                {"index": step.index, "kind": step.kind.value, "text": step.text,
-                 "fingerprint": step.fingerprint, "score": step.score},
-            )
-            hint = None
-            retries = 0
+        decision = step_decision(score, retries, config)
+        if decision is _RETRY:
+            retries += 1
+            emit(TraceEvent(_RETRIED, {"slot": slot, "hint": feedback, "retries_used": retries}))
+            hint = feedback or None
+            continue
 
-            if step.kind is StepKind.FINAL:
-                trace.final_answer = candidate.answer
-                emit(EventKind.FINISHED, {"final_answer": str(trace.final_answer)})
-                raise _Stop(Outcome.SOLVED)
-            if len(accepted) >= config.max_steps:
-                emit(EventKind.STEP_LIMIT_STOP, {"steps": len(accepted)})
-                raise _Stop(Outcome.STEP_LIMIT)
-            block = render_problem_block(problem.question, [step.text for step in accepted])
-    except _Stop as stop:
-        trace.outcome = stop.outcome
-        trace.error = stop.error
+        forced = decision is _FORCE
+        if candidate is None:
+            # Force-accepting an unparseable generation: keep the raw text as a
+            # degraded intermediate step so the slot can terminate.
+            kind, text = _INTERMEDIATE, raw.strip() or "(unparseable output)"
+            fp = fingerprint(text)
+        else:
+            kind, text = candidate.kind, candidate.text
+        accepted.append(AcceptedStep(slot, kind, text, fp, score, forced))
+        if cache is not None:
+            cache.record(fp, _DUPLICATE_ACCEPTED)
+        emit(TraceEvent(_FORCED_ACCEPT if forced else _ACCEPTED,
+                        {"index": slot, "kind": kind.value, "text": text,
+                         "fingerprint": fp, "score": score}))
+        hint, retries = None, 0
+
+        if kind is _FINAL:
+            trace.final_answer = candidate.answer
+            emit(TraceEvent(_FINISHED, {"final_answer": str(candidate.answer)}))
+            trace.outcome = _SOLVED
+            break
+        if slot >= max_steps:
+            emit(TraceEvent(_STEP_LIMIT_STOP, {"steps": slot}))
+            trace.outcome = _STEP_LIMIT
+            break
+        block = render_problem_block(problem.question, [step.text for step in accepted])
     return trace
