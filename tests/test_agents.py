@@ -49,6 +49,18 @@ class TestEstimateTokens:
         assert combined <= estimate_tokens(a) + estimate_tokens(b)
 
 
+class TestAgentReply:
+    """The record contract: immutable, built alike by position or keyword."""
+
+    def test_record_contract(self):
+        reply = AgentReply("a", 1, 2)
+        assert reply == AgentReply(raw_text="a", prompt_tokens=1, completion_tokens=2)
+        assert repr(reply) == "AgentReply(raw_text='a', prompt_tokens=1, completion_tokens=2)"
+        assert reply.total_tokens == 3
+        with pytest.raises(AttributeError):
+            reply.raw_text = "b"
+
+
 class TestDecodeParams:
     def test_defaults_are_greedy(self):
         params = DecodeParams()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import string
 
 from hypothesis import example, given, strategies as st
 
@@ -27,11 +28,14 @@ WORDS = [
 ]
 
 
-# Digits, whitespace, each gated pass's trigger characters, the other
-# characters the chain rewrites or deletes, and letters.
+# Every printable ASCII character (digits, the operators, punctuation the
+# deletion pass drops, whitespace and each gated pass's trigger), the
+# non-ASCII glyphs the chain rewrites, and letters of any script, so both
+# the ASCII and the non-ASCII deletion paths are reached.
 GATE_TEXT = st.text(
     alphabet=st.one_of(
-        st.sampled_from("0123456789 \t\nx×·.<>÷$,"), st.characters(categories=("Lu", "Ll"))
+        st.sampled_from(string.printable + FINGERPRINT_ALPHABET + "×·÷€"),
+        st.characters(categories=("Lu", "Ll")),
     ),
     max_size=60,
 )
@@ -81,6 +85,7 @@ class TestFingerprint:
     @example("3 x 4 = 12 but no dot")
     @example("no glyph, 1.5. then .5")
     @example("0.2 × 50 = 10.")
+    @example("(12 + 3) * 4 / 2 - 1 = 29; 50% of ~9 is [4.5]!")
     def test_gated_passes_match_the_ungated_chain(self, text):
         assert fingerprint(text) == _ungated_fingerprint(text)
 

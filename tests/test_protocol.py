@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dualtrack.protocol import (
+    AcceptedStep,
     CanonicalNumber,
     Evaluation,
     MalformedEvaluation,
@@ -202,6 +205,56 @@ class TestParseEvaluation:
     def test_evaluation_type_rejects_out_of_range(self):
         with pytest.raises(ScoreOutOfRange):
             Evaluation(score=4)
+
+    @pytest.mark.parametrize("score", [4, -1])
+    def test_evaluation_range_is_checked_by_position_and_keyword(self, score):
+        with pytest.raises(ScoreOutOfRange):
+            Evaluation(score, "f")
+        with pytest.raises(ScoreOutOfRange):
+            Evaluation(score=score, feedback="f")
+
+
+class TestRecordContract:
+    """The per-call records are immutable, built alike by position or
+    keyword, and print their fields by name."""
+
+    @pytest.mark.parametrize(
+        "positional,keyword,text",
+        [
+            (
+                StepCandidate(StepKind.FINAL, "5", CanonicalNumber("5")),
+                StepCandidate(kind=StepKind.FINAL, text="5", answer=CanonicalNumber("5")),
+                "StepCandidate(kind=<StepKind.FINAL: 'final'>, text='5',"
+                " answer=CanonicalNumber(text='5'))",
+            ),
+            (
+                StepCandidate(StepKind.INTERMEDIATE, "1 + 1 = 2"),
+                StepCandidate(kind=StepKind.INTERMEDIATE, text="1 + 1 = 2"),
+                "StepCandidate(kind=<StepKind.INTERMEDIATE: 'intermediate'>,"
+                " text='1 + 1 = 2', answer=None)",
+            ),
+            (Evaluation(2, "ok"), Evaluation(score=2, feedback="ok"),
+             "Evaluation(score=2, feedback='ok')"),
+            (Evaluation(0), Evaluation(score=0), "Evaluation(score=0, feedback='')"),
+            (
+                AcceptedStep(1, StepKind.INTERMEDIATE, "2 + 2 = 4", "2+2=4", 3),
+                AcceptedStep(index=1, kind=StepKind.INTERMEDIATE, text="2 + 2 = 4",
+                             fingerprint="2+2=4", score=3, forced=False),
+                "AcceptedStep(index=1, kind=<StepKind.INTERMEDIATE: 'intermediate'>,"
+                " text='2 + 2 = 4', fingerprint='2+2=4', score=3, forced=False)",
+            ),
+        ],
+    )
+    def test_record_contract(self, positional, keyword, text):
+        assert positional == keyword
+        assert repr(positional) == text
+        for name in re.findall(r"(\w+)=", text):
+            with pytest.raises(AttributeError):
+                setattr(positional, name, None)
+
+    def test_wire_line(self):
+        assert StepCandidate(StepKind.FINAL, "5").wire_line == "FINAL_ANSWER: 5"
+        assert StepCandidate(StepKind.INTERMEDIATE, "1 + 1").wire_line == "STEP: 1 + 1"
 
 
 class TestNormalizeAnswer:
