@@ -100,15 +100,14 @@ def serialize_instance(instance: TrainingInstance) -> str:
 
 
 def map_prm_rating(rating: int) -> int:
-    """Map a PRM rating in {-1, 0, 1} onto the 0-3 evaluator scale.
+    """Map a PRM rating, an int in {-1, 0, 1}, onto the 0-3 evaluator scale.
 
     Neutral ratings land at 1, below the accept threshold, so neutral
     steps count as weak rather than acceptable.
     """
-    try:
+    if type(rating) is int and rating in PRM_RATING_TO_SCORE:  # not True, False or 1.0
         return PRM_RATING_TO_SCORE[rating]
-    except (KeyError, TypeError):
-        raise UnknownRating(f"rating must be -1, 0, or 1, got {rating!r}") from None
+    raise UnknownRating(f"rating must be -1, 0, or 1, got {rating!r}")
 
 
 def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
@@ -150,6 +149,8 @@ def load_prm_records(path: str | Path) -> list[RatingRecord]:
             raise DataError(
                 f"{path}:{line_number}: record needs 'text' and 'rating' fields"
             ) from None
+        if not isinstance(text, str):
+            raise DataError(f"{path}:{line_number}: text must be a string")
         try:
             mapped = map_prm_rating(rating)
         except UnknownRating as exc:

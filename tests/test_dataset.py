@@ -181,7 +181,7 @@ class TestPrmMapping:
         scores = [map_prm_rating(rating) for rating in (-1, 0, 1)]
         assert scores == sorted(scores)
 
-    @pytest.mark.parametrize("rating", [2, -2, "1", None])
+    @pytest.mark.parametrize("rating", [2, -2, "1", None, True, False, 1.0])
     def test_unknown_rating_rejected(self, rating):
         with pytest.raises(UnknownRating):
             map_prm_rating(rating)
@@ -202,6 +202,21 @@ class TestPrmMapping:
         path = tmp_path / "prm.jsonl"
         path.write_text('{"text": "x", "rating": 9}\n', encoding="utf-8")
         with pytest.raises(DataError, match=":1:"):
+            load_prm_records(path)
+
+    def test_load_prm_boolean_rating_names_line(self, tmp_path):
+        path = tmp_path / "prm.jsonl"
+        path.write_text('{"text": "x", "rating": 1}\n{"text": "x", "rating": true}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=":2:"):
+            load_prm_records(path)
+
+    @pytest.mark.parametrize("text", ["5", "null", '["x"]'])
+    def test_load_prm_non_string_text_names_line(self, tmp_path, text):
+        path = tmp_path / "prm.jsonl"
+        path.write_text(f'{{"text": "x", "rating": 1}}\n{{"text": {text}, "rating": 1}}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=":2: text must be a string"):
             load_prm_records(path)
 
 
