@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT
 
@@ -76,8 +76,7 @@ class DecodeParams:
             raise ValueError("max_new_tokens must be positive")
 
 
-@dataclass(frozen=True)
-class AgentReply:
+class AgentReply(NamedTuple):
     """One agent reply plus its token usage."""
 
     raw_text: str

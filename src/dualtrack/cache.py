@@ -28,6 +28,8 @@ _MULT_GLYPH_RE = re.compile(r"(\d)\s*[x×·]\s*(?=\d)")
 # Dots are decimal points only between digits; sentence punctuation is noise.
 _BARE_DOT_RE = re.compile(r"(?<!\d)\.|\.(?!\d)")
 _NON_ALPHABET_RE = re.compile(f"[^{re.escape(FINGERPRINT_ALPHABET)}]")
+# The same deletion on ASCII text, as a str.translate table.
+_ASCII_DELETE = dict.fromkeys(i for i in range(128) if chr(i) not in FINGERPRINT_ALPHABET)
 
 
 class CacheDecision(str, Enum):
@@ -41,6 +43,7 @@ REJECTION_FEEDBACK = {
     CacheDecision.DUPLICATE_ACCEPTED: DUPLICATE_FEEDBACK,
     CacheDecision.KNOWN_BAD: KNOWN_BAD_FEEDBACK,
 }
+_MISS = CacheDecision.MISS  # bound once, as in solver
 
 
 def fingerprint(step_text: str) -> str:
@@ -48,8 +51,8 @@ def fingerprint(step_text: str) -> str:
 
     Inline ``<<...>>`` annotation delimiters are stripped (content kept),
     multiplication/division glyphs are normalized, and every character
-    outside the fingerprint alphabet is deleted, preserving order. Steps
-    with no math content yield the empty string.
+    outside the fingerprint alphabet is deleted, preserving order (on ASCII
+    text by a translate table). Steps with no math content yield "".
     """
     text = step_text.replace("<<", "").replace(">>", "")
     text = text.replace("÷", "/")
@@ -58,6 +61,8 @@ def fingerprint(step_text: str) -> str:
         text = _MULT_GLYPH_RE.sub(r"\1*", text)
     if "." in text:
         text = _BARE_DOT_RE.sub("", text)
+    if text.isascii():
+        return text.translate(_ASCII_DELETE)
     return _NON_ALPHABET_RE.sub("", text)
 
 
@@ -74,7 +79,7 @@ class RejectionCache:
 
     def check(self, fp: str) -> CacheDecision:
         """Classify a fingerprint against the cache."""
-        return self._decisions.get(fp, CacheDecision.MISS)
+        return self._decisions.get(fp, _MISS)
 
     def record(self, fp: str, decision: CacheDecision) -> None:
         """Store the decision for a fingerprint; no-op if empty or known."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 STEP_PREFIX = "STEP:"
 FINAL_ANSWER_PREFIX = "FINAL_ANSWER:"
@@ -97,6 +97,7 @@ class StepKind(str, Enum):
     FINAL = "final"
 
 
+_INTERMEDIATE, _FINAL = StepKind.INTERMEDIATE, StepKind.FINAL  # bound once, as in solver
 _LITERAL_RE = re.compile(r"^([+-]?)(\d*)(?:\.(\d*))?$")
 _CURRENCY_RE = re.compile(r"[$€£¥,%]")
 # A literal may not butt up against a preceding digit or dot, so the "15"
@@ -146,8 +147,8 @@ class Problem:
             raise ValueError("problem question must be non-empty")
 
 
-@dataclass(frozen=True)
-class StepCandidate:
+# Per-call records are NamedTuples: immutable, and built with no setattr per field.
+class StepCandidate(NamedTuple):
     """One parsed reasoning step as proposed by the Decomposer.
 
     ``answer`` is a FINAL step's normalized number, None if its text has none.
@@ -159,24 +160,22 @@ class StepCandidate:
 
     @property
     def wire_line(self) -> str:
-        prefix = FINAL_ANSWER_PREFIX if self.kind is StepKind.FINAL else STEP_PREFIX
+        prefix = FINAL_ANSWER_PREFIX if self.kind is _FINAL else STEP_PREFIX
         return f"{prefix} {self.text}"
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple("Evaluation", [("score", int), ("feedback", str)])):
     """Evaluator verdict: integer score in {0..3} plus a short hint."""
 
-    score: int
-    feedback: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not MIN_SCORE <= self.score <= MAX_SCORE:
-            raise ScoreOutOfRange(f"score {self.score} outside {MIN_SCORE}..{MAX_SCORE}")
+    def __new__(cls, score: int, feedback: str = "") -> "Evaluation":
+        if not MIN_SCORE <= score <= MAX_SCORE:
+            raise ScoreOutOfRange(f"score {score} outside {MIN_SCORE}..{MAX_SCORE}")
+        return tuple.__new__(cls, (score, feedback))
 
 
-@dataclass(frozen=True)
-class AcceptedStep:
+class AcceptedStep(NamedTuple):
     """A step the solver appended to the history."""
 
     index: int
@@ -236,16 +235,16 @@ def parse_agent_step(raw: str) -> StepCandidate:
     for line in raw.splitlines():
         stripped = line.lstrip()
         if stripped.startswith(STEP_PREFIX):
-            kind, body = StepKind.INTERMEDIATE, stripped[len(STEP_PREFIX):]
+            kind, body = _INTERMEDIATE, stripped[len(STEP_PREFIX):]
         elif stripped.startswith(FINAL_ANSWER_PREFIX):
-            kind, body = StepKind.FINAL, stripped[len(FINAL_ANSWER_PREFIX):]
+            kind, body = _FINAL, stripped[len(FINAL_ANSWER_PREFIX):]
         else:
             continue
         text = body.strip()
         if not text:
             continue
         answer = None
-        if kind is StepKind.FINAL:
+        if kind is _FINAL:
             try:
                 answer = normalize_answer(text)
             except NoNumberFound:

@@ -219,7 +219,7 @@ class SolveTrace:
             **vars(self),
             "events": [event.to_dict() for event in self.events],
             "accepted_steps": [
-                {**vars(step), "kind": step.kind.value} for step in self.accepted_steps
+                {**step._asdict(), "kind": step.kind.value} for step in self.accepted_steps
             ],
             "final_answer": str(self.final_answer) if self.final_answer else None,
             "outcome": self.outcome.value if self.outcome else None,
