@@ -252,10 +252,6 @@ class TestRecordContract:
             with pytest.raises(AttributeError):
                 setattr(positional, name, None)
 
-    def test_wire_line(self):
-        assert StepCandidate(StepKind.FINAL, "5").wire_line == "FINAL_ANSWER: 5"
-        assert StepCandidate(StepKind.INTERMEDIATE, "1 + 1").wire_line == "STEP: 1 + 1"
-
 
 class TestNormalizeAnswer:
     @pytest.mark.parametrize(
