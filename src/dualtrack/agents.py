@@ -17,11 +17,10 @@ estimate, so budget accounting works identically for both backends.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT
+from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, make_checked
 
 if TYPE_CHECKING:
     import requests
@@ -62,18 +61,24 @@ class ScriptExhausted(BackendError):
     """A scripted backend has no canned replies left for the role."""
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    """Sampling settings for one agent call; greedy by default."""
-
+class _DecodeParamsFields(NamedTuple):
     temperature: float = 0.0
     max_new_tokens: int = 128
 
-    def __post_init__(self) -> None:
+
+class DecodeParams(_DecodeParamsFields):
+    """Sampling settings for one agent call; greedy by default."""
+
+    __slots__ = ()
+    _make = classmethod(make_checked)
+
+    def __new__(cls, *args, **kwargs) -> "DecodeParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
+        return self
 
 
 class AgentReply(NamedTuple):

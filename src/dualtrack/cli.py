@@ -12,9 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import NamedTuple, Sequence, get_args, get_type_hints
 
 from .agents import (
     API_BASE_ENV,
@@ -56,12 +55,15 @@ class ConfigError(Exception):
     """Run configuration is invalid; the message names the offending field."""
 
 
-@dataclass
-class RunConfig:
+_SOLVER_DEFAULTS, _DECODE_DEFAULTS = SolverConfig._field_defaults, DecodeParams._field_defaults
+
+
+class RunConfig(NamedTuple):
     """Validated run configuration assembled from file, env, and flags.
 
     Solver and decoding settings default to ``SolverConfig``'s and
     ``DecodeParams``' own defaults; only the token budget is the CLI's.
+    The repr leaves out ``script_path``.
     """
 
     api_base: str | None = None
@@ -71,13 +73,13 @@ class RunConfig:
     decomposer_system_prompt: str | None = None
     evaluator_system_prompt: str | None = None
     token_budget: int = 2048
-    accept_threshold: int = SolverConfig.accept_threshold
-    max_retries_per_step: int = SolverConfig.max_retries_per_step
-    max_steps: int = SolverConfig.max_steps
-    cache_enabled: bool = SolverConfig.cache_enabled
-    cache_bad_threshold: int = SolverConfig.cache_bad_threshold
-    temperature: float = DecodeParams.temperature
-    max_new_tokens: int = DecodeParams.max_new_tokens
+    accept_threshold: int = _SOLVER_DEFAULTS["accept_threshold"]
+    max_retries_per_step: int = _SOLVER_DEFAULTS["max_retries_per_step"]
+    max_steps: int = _SOLVER_DEFAULTS["max_steps"]
+    cache_enabled: bool = _SOLVER_DEFAULTS["cache_enabled"]
+    cache_bad_threshold: int = _SOLVER_DEFAULTS["cache_bad_threshold"]
+    temperature: float = _DECODE_DEFAULTS["temperature"]
+    max_new_tokens: int = _DECODE_DEFAULTS["max_new_tokens"]
     decomposer_temperature: float | None = None
     decomposer_max_new_tokens: int | None = None
     evaluator_temperature: float | None = None
@@ -86,12 +88,17 @@ class RunConfig:
     workers: int = 1
     out_dir: str = "runs"
     method: str = "dual_cot"
-    script_path: str | None = field(default=None, repr=False)
+    script_path: str | None = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self)
+                          if name != "script_path")
+        return f"RunConfig({shown})"
 
     def solver_config(self) -> SolverConfig:
         """The SolverConfig fields this config shares, plus each role's params."""
-        settings = vars(self)
-        shared = {f.name: settings[f.name] for f in fields(SolverConfig) if f.name in settings}
+        settings = self._asdict()
+        shared = {name: settings[name] for name in SolverConfig._fields if name in settings}
         try:
             return SolverConfig(
                 **shared,
@@ -108,7 +115,7 @@ class RunConfig:
             value = getattr(self, f"{role.value}_{key}")
             return getattr(self, key) if value is None else value
 
-        return DecodeParams(**{f.name: pick(f.name) for f in fields(DecodeParams)})
+        return DecodeParams(**{name: pick(name) for name in DecodeParams._fields})
 
 
 # Every RunConfig field is a setting; its annotation (None stripped) is its
@@ -131,7 +138,7 @@ def _check_type(key: str, value) -> None:
 
 def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Assemble the effective RunConfig with precedence flags > env > file."""
-    config = RunConfig()
+    settings: dict = {}
     if path:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -146,17 +153,16 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         for key, value in raw.items():
             _check_type(key, value)
-            setattr(config, key, value)
+        settings.update(raw)
 
     if os.environ.get(API_BASE_ENV):
-        config.api_base = os.environ[API_BASE_ENV]
+        settings["api_base"] = os.environ[API_BASE_ENV]
     if os.environ.get(API_KEY_ENV):
-        config.api_key = os.environ[API_KEY_ENV]
+        settings["api_key"] = os.environ[API_KEY_ENV]
 
-    for key, value in vars(args).items():
-        if key in _SETTING_TYPES and value is not None:
-            setattr(config, key, value)
-
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _SETTING_TYPES and value is not None)
+    config = RunConfig(**settings)
     if config.workers < 1:
         raise ConfigError(f"workers: must be at least 1, got {config.workers}")
     if config.timeout <= 0:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .protocol import (
     FINAL_ANSWER_PREFIX,
@@ -36,8 +35,7 @@ class UnknownRating(ValueError):
     """PRM rating outside {-1, 0, 1}."""
 
 
-@dataclass(frozen=True)
-class RawExample:
+class RawExample(NamedTuple):
     """One GSM8K-format example: question plus worked solution."""
 
     question: str
@@ -45,8 +43,7 @@ class RawExample:
     id: str = ""
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
+class TrainingInstance(NamedTuple):
     """One next-step supervision record."""
 
     id: str
@@ -55,8 +52,7 @@ class TrainingInstance:
     step_index: int
 
 
-@dataclass(frozen=True)
-class RatingRecord:
+class RatingRecord(NamedTuple):
     """A PRM-style candidate step with its rating mapped to the 0-3 scale."""
 
     text: str
@@ -96,7 +92,7 @@ def make_instances(example: RawExample) -> list[TrainingInstance]:
 
 def serialize_instance(instance: TrainingInstance) -> str:
     """Serialize an instance to its one-line JSON record."""
-    return json.dumps(vars(instance), ensure_ascii=False, sort_keys=True)
+    return json.dumps(instance._asdict(), ensure_ascii=False, sort_keys=True)
 
 
 def map_prm_rating(rating: int) -> int:

@@ -17,10 +17,9 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
@@ -37,8 +36,7 @@ class InvalidCounts(ValueError):
     """Counts unusable for a binomial interval (n < 1 or correct outside 0..n)."""
 
 
-@dataclass(frozen=True)
-class WilsonInterval:
+class WilsonInterval(NamedTuple):
     """Wilson score interval for a binomial proportion."""
 
     low: float
@@ -68,8 +66,7 @@ def wilson_interval(correct: int, n: int) -> WilsonInterval:
     )
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of one benchmark problem."""
 
     problem_id: str
@@ -82,14 +79,13 @@ class RunResult:
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **self._asdict(),
             "predicted": str(self.predicted) if self.predicted else None,
             "outcome": self.outcome.value,
         }
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """Aggregate over one benchmark run (one sweep cell)."""
 
     method: str
@@ -106,7 +102,7 @@ class SummaryRow:
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **self._asdict(),
             "cache": "on" if self.cache else "off",
             "accuracy": round(self.accuracy, 3),
             "ci_low": round(self.ci_low, 3),
@@ -123,11 +119,10 @@ class SummaryRow:
 
 
 # The CSV report is every SummaryRow field but the outcome counts, in field order.
-CSV_COLUMNS = tuple(field.name for field in fields(SummaryRow) if field.name != "outcomes")
+CSV_COLUMNS = tuple(name for name in SummaryRow._fields if name != "outcomes")
 
 
-@dataclass
-class BenchmarkReport:
+class BenchmarkReport(NamedTuple):
     results: list[RunResult]
     summary: SummaryRow
     run_dir: Path | None = None
@@ -205,14 +200,8 @@ def _result(problem: Problem, trace: SolveTrace, totals: tuple[int, int]) -> Run
     its answer counts only if the solve finished."""
     predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
     spent, evaluator_calls = totals
-    return RunResult(
-        problem_id=problem.id,
-        predicted=predicted,
-        correct=predicted is not None and predicted == problem.gold_answer,
-        tokens_spent=spent,
-        outcome=trace.outcome,
-        evaluator_calls=evaluator_calls,
-    )
+    correct = predicted is not None and predicted == problem.gold_answer
+    return RunResult(problem.id, predicted, correct, spent, trace.outcome, evaluator_calls)
 
 
 def _scores(problem: Problem, trace: SolveTrace, cuts: BudgetCuts,
@@ -220,9 +209,7 @@ def _scores(problem: Problem, trace: SolveTrace, cuts: BudgetCuts,
     """The solve's ``RunResult``, scored once, and each budget's ``_score``:
     the result's, or its cut's budget stop."""
     result = _result(problem, trace, cuts.totals)
-    whole, stopped = _score(result), Outcome.BUDGET_EXHAUSTED
-    return result, [whole if stop is None else (stopped, False, stop.spent, stop.evaluator_calls)
-                    for stop in map(cuts.at, budgets)]
+    return result, cuts.scores(budgets, _score(result))
 
 
 def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
@@ -330,7 +317,7 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
         result, scores = _scores(problem, trace, cuts, budgets)
         if trace_path is not None:
             trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-            result = replace(result, trace_path=str(trace_path))
+            result = result._replace(trace_path=str(trace_path))
         return (result, scores), trace, cuts.fork
 
     def task(problem: Problem) -> tuple:

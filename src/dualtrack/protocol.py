@@ -15,7 +15,6 @@ contract strings, documented in PROTOCOL.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -105,8 +104,19 @@ _CURRENCY_RE = re.compile(r"[$€£¥,%]")
 _NUMBER_RE = re.compile(r"(?<![\d.])-?(?:\d+(?:\.\d+)?|\.\d+)")
 
 
-@dataclass(frozen=True)
-class CanonicalNumber:
+# Records are NamedTuples: immutable, and built with no setattr per field. One
+# that checks its fields subclasses a fields-only NamedTuple, checks them in
+# __new__ and takes make_checked as its _make.
+def make_checked(cls, iterable):
+    """``_make`` for a record whose ``__new__`` checks its fields: it builds
+    through ``__new__``, so ``_make`` and ``_replace`` (which calls it) check too."""
+    fields = tuple(iterable)
+    if len(fields) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
+    return cls(*fields)
+
+
+class CanonicalNumber(NamedTuple):
     """An exact decimal in canonical form, unique per numeric value.
 
     Canonical form: optional minus sign (never on zero), integer digits
@@ -134,20 +144,25 @@ class CanonicalNumber:
         return self.text
 
 
-@dataclass(frozen=True)
-class Problem:
-    """One benchmark item: id, question text, optional gold answer."""
-
+class _ProblemFields(NamedTuple):
     id: str
     question: str
     gold_answer: CanonicalNumber | None = None
 
-    def __post_init__(self) -> None:
+
+class Problem(_ProblemFields):
+    """One benchmark item: id, question text, optional gold answer."""
+
+    __slots__ = ()
+    _make = classmethod(make_checked)
+
+    def __new__(cls, *args, **kwargs) -> "Problem":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.question.strip():
             raise ValueError("problem question must be non-empty")
+        return self
 
 
-# Per-call records are NamedTuples: immutable, and built with no setattr per field.
 class StepCandidate(NamedTuple):
     """One parsed reasoning step as proposed by the Decomposer.
 
@@ -168,6 +183,7 @@ class Evaluation(NamedTuple("Evaluation", [("score", int), ("feedback", str)])):
     """Evaluator verdict: integer score in {0..3} plus a short hint."""
 
     __slots__ = ()
+    _make = classmethod(make_checked)
 
     def __new__(cls, score: int, feedback: str = "") -> "Evaluation":
         if not MIN_SCORE <= score <= MAX_SCORE:

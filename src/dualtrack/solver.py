@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .agents import BackendError, DecodeParams, Role
 from .cache import REJECTION_FEEDBACK, CacheDecision, RejectionCache, fingerprint
@@ -36,6 +35,7 @@ from .protocol import (
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
+    make_checked,
     parse_agent_step,
     parse_evaluation,
     render_problem_block,
@@ -90,16 +90,7 @@ _MISS, _DUPLICATE_ACCEPTED, _KNOWN_BAD = (
     CacheDecision.MISS, CacheDecision.DUPLICATE_ACCEPTED, CacheDecision.KNOWN_BAD)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the solve loop.
-
-    A step is accepted when its score strictly exceeds
-    ``accept_threshold``; steps scoring at or below
-    ``cache_bad_threshold`` are fingerprint-cached as known-bad. The
-    token budget is shared by both agents; 0 means no calls at all.
-    """
-
+class _SolverConfigFields(NamedTuple):
     token_budget: int
     accept_threshold: int = 1
     max_retries_per_step: int = 3
@@ -109,7 +100,21 @@ class SolverConfig:
     decomposer_params: DecodeParams = DecodeParams()
     evaluator_params: DecodeParams = DecodeParams()
 
-    def __post_init__(self) -> None:
+
+class SolverConfig(_SolverConfigFields):
+    """Knobs of the solve loop.
+
+    A step is accepted when its score strictly exceeds
+    ``accept_threshold``; steps scoring at or below
+    ``cache_bad_threshold`` are fingerprint-cached as known-bad. The
+    token budget is shared by both agents; 0 means no calls at all.
+    """
+
+    __slots__ = ()
+    _make = classmethod(make_checked)
+
+    def __new__(cls, *args, **kwargs) -> "SolverConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.token_budget < 0:
             raise ValueError("token_budget must be non-negative")
         if not 0 <= self.accept_threshold <= 3:
@@ -120,20 +125,20 @@ class SolverConfig:
             raise ValueError("max_retries_per_step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
+        return self
 
     def with_overrides(self, **changes) -> "SolverConfig":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
-            "decomposer_params": dict(vars(self.decomposer_params)),
-            "evaluator_params": dict(vars(self.evaluator_params)),
+            **self._asdict(),
+            "decomposer_params": self.decomposer_params._asdict(),
+            "evaluator_params": self.evaluator_params._asdict(),
         }
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: EventKind
     payload: dict
     tokens_charged: int = 0
@@ -147,25 +152,41 @@ class TraceEvent:
         )
 
     def to_dict(self) -> dict:
-        return {**vars(self), "kind": self.kind.value}
+        return {"kind": self.kind.value, "payload": self.payload,
+                "tokens_charged": self.tokens_charged}
 
 
-@dataclass
 class SolveTrace:
     """Ordered event log of one solve, serializable for audit and replay.
 
-    ``labels`` is always exported empty; error-category labels are
-    assigned by human annotators, never inferred here.
+    The solve loop fills it in, so unlike the other records it is mutable.
+    The list fields default to fresh lists. ``labels`` is always exported
+    empty; error-category labels are assigned by human annotators, never
+    inferred here.
     """
 
-    problem_id: str
-    config: dict
-    events: list[TraceEvent] = field(default_factory=list)
-    accepted_steps: list[AcceptedStep] = field(default_factory=list)
-    final_answer: CanonicalNumber | None = None
-    outcome: Outcome | None = None
-    error: str | None = None
-    labels: list[str] = field(default_factory=list)
+    _fields = ("problem_id", "config", "events", "accepted_steps", "final_answer", "outcome",
+               "error", "labels")
+    __slots__ = (*_fields, "__weakref__")  # a weak reference can watch a trace be freed
+
+    def __init__(self, problem_id: str, config: dict, events: list[TraceEvent] | None = None,
+                 accepted_steps: list[AcceptedStep] | None = None,
+                 final_answer: CanonicalNumber | None = None, outcome: Outcome | None = None,
+                 error: str | None = None, labels: list[str] | None = None):
+        self.problem_id, self.config = problem_id, config
+        self.events = [] if events is None else events
+        self.accepted_steps = [] if accepted_steps is None else accepted_steps
+        self.final_answer, self.outcome, self.error = final_answer, outcome, error
+        self.labels = [] if labels is None else labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def events_of(self, kind: EventKind) -> list[TraceEvent]:
         return [event for event in self.events if event.kind is kind]
@@ -200,7 +221,8 @@ class SolveTrace:
         cut = BudgetCuts(self).at(budget)
         config = {**self.config, "token_budget": budget}
         if cut is None:
-            return replace(self, config=config)
+            return SolveTrace(self.problem_id, config, self.events, self.accepted_steps,
+                              self.final_answer, self.outcome, self.error, self.labels)
         events = self.events[: cut.end]
         events.append(TraceEvent(EventKind.BUDGET_STOP, {"spent": cut.spent, "limit": budget}))
         accepted = sum(
@@ -216,13 +238,16 @@ class SolveTrace:
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            "problem_id": self.problem_id,
+            "config": self.config,
             "events": [event.to_dict() for event in self.events],
             "accepted_steps": [
                 {**step._asdict(), "kind": step.kind.value} for step in self.accepted_steps
             ],
             "final_answer": str(self.final_answer) if self.final_answer else None,
             "outcome": self.outcome.value if self.outcome else None,
+            "error": self.error,
+            "labels": self.labels,
         }
 
     def to_json(self) -> str:
@@ -292,6 +317,22 @@ class BudgetCuts:
         if (index := bisect_left(self._spends, budget)) < len(self._spends):
             return BudgetCut(self._ends[index], self._spends[index], self._calls[index])
         return None
+
+    def scores(self, budgets: Sequence[int], whole: tuple) -> list[tuple]:
+        """Each budget's score, in order: ``whole`` where the budget lets the
+        solve end as it did, else its budget stop's ``(budget_exhausted, False,
+        spent, evaluator_calls)``, the shape of ``whole``.
+
+        Raises:
+            ValueError: a budget exceeds the budget the trace was solved at.
+        """
+        if budgets and max(budgets) > self._limit:
+            raise ValueError(f"cannot cut a trace solved at {self._limit} at {max(budgets)}")
+        spends, calls = self._spends, self._calls
+        checks = len(spends)
+        return [whole if (index := bisect_left(spends, budget)) == checks
+                else (_BUDGET_EXHAUSTED, False, spends[index], calls[index])
+                for budget in budgets]
 
 
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:

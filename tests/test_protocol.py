@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import re
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dualtrack.agents import DecodeParams
+from dualtrack.cli import RunConfig
+from dualtrack.dataset import RatingRecord, RawExample, TrainingInstance
+from dualtrack.harness import BenchmarkReport, RunResult, SummaryRow, WilsonInterval
 from dualtrack.protocol import (
     AcceptedStep,
     CanonicalNumber,
@@ -25,6 +31,7 @@ from dualtrack.protocol import (
     parse_worked_solution,
     render_problem_block,
 )
+from dualtrack.solver import EventKind, Outcome, SolverConfig, SolveTrace, TraceEvent
 
 from conftest import (
     HENRY_BAD_STEP,
@@ -243,6 +250,124 @@ class TestRecordContract:
                 "AcceptedStep(index=1, kind=<StepKind.INTERMEDIATE: 'intermediate'>,"
                 " text='2 + 2 = 4', fingerprint='2+2=4', score=3, forced=False)",
             ),
+            (CanonicalNumber("-2.5"), CanonicalNumber(text="-2.5"),
+             "CanonicalNumber(text='-2.5')"),
+            (
+                Problem("p1", "How many?", CanonicalNumber("5")),
+                Problem(id="p1", question="How many?", gold_answer=CanonicalNumber("5")),
+                "Problem(id='p1', question='How many?', gold_answer=CanonicalNumber(text='5'))",
+            ),
+            (Problem("p2", "Why?"), Problem(id="p2", question="Why?"),
+             "Problem(id='p2', question='Why?', gold_answer=None)"),
+            (DecodeParams(), DecodeParams(temperature=0.0, max_new_tokens=128),
+             "DecodeParams(temperature=0.0, max_new_tokens=128)"),
+            (DecodeParams(0.5, 64), DecodeParams(temperature=0.5, max_new_tokens=64),
+             "DecodeParams(temperature=0.5, max_new_tokens=64)"),
+            (
+                SolverConfig(100),
+                SolverConfig(token_budget=100, accept_threshold=1, max_retries_per_step=3,
+                             max_steps=12, cache_enabled=True, cache_bad_threshold=1,
+                             decomposer_params=DecodeParams(), evaluator_params=DecodeParams()),
+                "SolverConfig(token_budget=100, accept_threshold=1, max_retries_per_step=3,"
+                " max_steps=12, cache_enabled=True, cache_bad_threshold=1,"
+                " decomposer_params=DecodeParams(temperature=0.0, max_new_tokens=128),"
+                " evaluator_params=DecodeParams(temperature=0.0, max_new_tokens=128))",
+            ),
+            (
+                SolverConfig(300, 2, 1, 4, False, 0, DecodeParams(0.5, 64),
+                             DecodeParams(max_new_tokens=32)),
+                SolverConfig(token_budget=300, accept_threshold=2, max_retries_per_step=1,
+                             max_steps=4, cache_enabled=False, cache_bad_threshold=0,
+                             decomposer_params=DecodeParams(0.5, 64),
+                             evaluator_params=DecodeParams(max_new_tokens=32)),
+                "SolverConfig(token_budget=300, accept_threshold=2, max_retries_per_step=1,"
+                " max_steps=4, cache_enabled=False, cache_bad_threshold=0,"
+                " decomposer_params=DecodeParams(temperature=0.5, max_new_tokens=64),"
+                " evaluator_params=DecodeParams(temperature=0.0, max_new_tokens=32))",
+            ),
+            (
+                TraceEvent(EventKind.GENERATED, {"raw": "STEP: x"}, 3),
+                TraceEvent(kind=EventKind.GENERATED, payload={"raw": "STEP: x"},
+                           tokens_charged=3),
+                "TraceEvent(kind=<EventKind.GENERATED: 'generated'>, payload={'raw': 'STEP: x'},"
+                " tokens_charged=3)",
+            ),
+            (
+                TraceEvent(EventKind.FINISHED, {"final_answer": "5"}),
+                TraceEvent(kind=EventKind.FINISHED, payload={"final_answer": "5"}),
+                "TraceEvent(kind=<EventKind.FINISHED: 'finished'>,"
+                " payload={'final_answer': '5'}, tokens_charged=0)",
+            ),
+            (WilsonInterval(0.25, 0.75), WilsonInterval(low=0.25, high=0.75),
+             "WilsonInterval(low=0.25, high=0.75)"),
+            (
+                RunResult("p1", CanonicalNumber("5"), True, 120, Outcome.SOLVED, 2),
+                RunResult(problem_id="p1", predicted=CanonicalNumber("5"), correct=True,
+                          tokens_spent=120, outcome=Outcome.SOLVED, evaluator_calls=2,
+                          trace_path=None),
+                "RunResult(problem_id='p1', predicted=CanonicalNumber(text='5'), correct=True,"
+                " tokens_spent=120, outcome=<Outcome.SOLVED: 'solved'>, evaluator_calls=2,"
+                " trace_path=None)",
+            ),
+            (
+                RunResult("p2", None, False, 300, Outcome.BUDGET_EXHAUSTED, 1, "t/p2.json"),
+                RunResult(problem_id="p2", predicted=None, correct=False, tokens_spent=300,
+                          outcome=Outcome.BUDGET_EXHAUSTED, evaluator_calls=1,
+                          trace_path="t/p2.json"),
+                "RunResult(problem_id='p2', predicted=None, correct=False, tokens_spent=300,"
+                " outcome=<Outcome.BUDGET_EXHAUSTED: 'budget_exhausted'>, evaluator_calls=1,"
+                " trace_path='t/p2.json')",
+            ),
+            (
+                SummaryRow("dual_cot", 300, True, 1, 2, 0.5, 0.1, 0.9, 210.0, 3,
+                           {"solved": 1, "budget_exhausted": 1}),
+                SummaryRow(method="dual_cot", budget=300, cache=True, correct=1, n=2,
+                           accuracy=0.5, ci_low=0.1, ci_high=0.9, mean_tokens=210.0,
+                           evaluator_calls=3, outcomes={"solved": 1, "budget_exhausted": 1}),
+                "SummaryRow(method='dual_cot', budget=300, cache=True, correct=1, n=2,"
+                " accuracy=0.5, ci_low=0.1, ci_high=0.9, mean_tokens=210.0, evaluator_calls=3,"
+                " outcomes={'solved': 1, 'budget_exhausted': 1})",
+            ),
+            (
+                BenchmarkReport([RunResult("p1", None, False, 9, Outcome.STEP_LIMIT, 0)],
+                                SummaryRow("m", 1, False, 0, 1, 0.0, 0.0, 0.5, 1.5, 0, {}),
+                                Path("runs/x")),
+                BenchmarkReport(
+                    results=[RunResult("p1", None, False, 9, Outcome.STEP_LIMIT, 0)],
+                    summary=SummaryRow("m", 1, False, 0, 1, 0.0, 0.0, 0.5, 1.5, 0, {}),
+                    run_dir=Path("runs/x")),
+                "BenchmarkReport(results=[RunResult(problem_id='p1', predicted=None,"
+                " correct=False, tokens_spent=9, outcome=<Outcome.STEP_LIMIT: 'step_limit'>,"
+                " evaluator_calls=0, trace_path=None)], summary=SummaryRow(method='m', budget=1,"
+                " cache=False, correct=0, n=1, accuracy=0.0, ci_low=0.0, ci_high=0.5,"
+                f" mean_tokens=1.5, evaluator_calls=0, outcomes={{}}), run_dir={Path('runs/x')!r})",
+            ),
+            (RawExample("Q?", "a\n#### 5"), RawExample(question="Q?", answer="a\n#### 5"),
+             "RawExample(question='Q?', answer='a\\n#### 5', id='')"),
+            (RawExample("Q?", "#### 5", "ex1"),
+             RawExample(question="Q?", answer="#### 5", id="ex1"),
+             "RawExample(question='Q?', answer='#### 5', id='ex1')"),
+            (
+                TrainingInstance("ex1-1", "Problem: Q?", "STEP: a", 1),
+                TrainingInstance(id="ex1-1", problem_block="Problem: Q?", target="STEP: a",
+                                 step_index=1),
+                "TrainingInstance(id='ex1-1', problem_block='Problem: Q?', target='STEP: a',"
+                " step_index=1)",
+            ),
+            (RatingRecord("a step", -1, 0), RatingRecord(text="a step", rating=-1, mapped_score=0),
+             "RatingRecord(text='a step', rating=-1, mapped_score=0)"),
+            (
+                RunConfig("http://x"),
+                RunConfig(api_base="http://x", token_budget=2048, script_path=None),
+                "RunConfig(api_base='http://x', api_key=None, decomposer_model=None,"
+                " evaluator_model=None, decomposer_system_prompt=None,"
+                " evaluator_system_prompt=None, token_budget=2048, accept_threshold=1,"
+                " max_retries_per_step=3, max_steps=12, cache_enabled=True,"
+                " cache_bad_threshold=1, temperature=0.0, max_new_tokens=128,"
+                " decomposer_temperature=None, decomposer_max_new_tokens=None,"
+                " evaluator_temperature=None, evaluator_max_new_tokens=None, timeout=60.0,"
+                " workers=1, out_dir='runs', method='dual_cot')",
+            ),
         ],
     )
     def test_record_contract(self, positional, keyword, text):
@@ -251,6 +376,113 @@ class TestRecordContract:
         for name in re.findall(r"(\w+)=", text):
             with pytest.raises(AttributeError):
                 setattr(positional, name, None)
+
+    def test_run_config_repr_leaves_out_the_script_path(self):
+        config = RunConfig(workers=2, script_path="fixture.json")
+        assert "fixture.json" not in repr(config)
+        assert repr(config) == repr(RunConfig(workers=2))
+        assert config != RunConfig(workers=2)
+        with pytest.raises(AttributeError):
+            config.script_path = None
+
+
+class TestCheckedRecords:
+    """A record that checks its fields checks them however it is built: by
+    position, by keyword, by ``_make`` or by ``_replace``."""
+
+    @pytest.mark.parametrize(
+        "record, changes, error",
+        [
+            (Evaluation(2), {"score": 9}, ScoreOutOfRange),
+            (Evaluation(2), {"score": -1}, ScoreOutOfRange),
+            (Problem("p", "Q?"), {"question": "  "}, ValueError),
+            (DecodeParams(), {"temperature": -0.1}, ValueError),
+            (DecodeParams(), {"max_new_tokens": 0}, ValueError),
+            (SolverConfig(5), {"token_budget": -1}, ValueError),
+            (SolverConfig(5), {"accept_threshold": 4}, ValueError),
+            (SolverConfig(5), {"cache_bad_threshold": 2}, ValueError),
+            (SolverConfig(5), {"max_retries_per_step": 0}, ValueError),
+            (SolverConfig(5), {"max_steps": 0}, ValueError),
+        ],
+    )
+    def test_checks_hold_for_every_constructor(self, record, changes, error):
+        cls = type(record)
+        values = [changes.get(name, value) for name, value in zip(cls._fields, record)]
+        with pytest.raises(error):
+            cls(*values)
+        with pytest.raises(error):
+            cls(**dict(zip(cls._fields, values)))
+        with pytest.raises(error):
+            cls._make(values)
+        with pytest.raises(error):
+            record._replace(**changes)
+
+    def test_with_overrides_is_checked(self):
+        with pytest.raises(ValueError, match="token_budget"):
+            SolverConfig(token_budget=5).with_overrides(token_budget=-1)
+        assert SolverConfig(5).with_overrides(max_steps=3) == SolverConfig(5, max_steps=3)
+
+    @pytest.mark.parametrize(
+        "record", [Evaluation(2, "ok"), Problem("p", "Q?"), DecodeParams(), SolverConfig(5)])
+    def test_make_and_replace_build_the_same_record(self, record):
+        cls = type(record)
+        assert type(cls._make(record)) is cls and cls._make(iter(record)) == record
+        assert type(record._replace()) is cls and record._replace() == record
+        with pytest.raises(TypeError):
+            cls._make(tuple(record)[:-1])
+        with pytest.raises(ValueError):
+            record._replace(no_such_field=1)
+
+
+class TestSolveTraceRecord:
+    """``SolveTrace`` is the one mutable record: the solve loop fills it in."""
+
+    FULL = SolveTrace(
+        "p1", {"token_budget": 5}, [TraceEvent(EventKind.FINISHED, {"final_answer": "5"})],
+        [AcceptedStep(1, StepKind.FINAL, "5", "5", 3)], CanonicalNumber("5"), Outcome.SOLVED,
+        None, [],
+    )
+
+    def test_positional_equals_keyword_and_repr_is_pinned(self):
+        keyword = SolveTrace(
+            problem_id="p1", config={"token_budget": 5},
+            events=[TraceEvent(EventKind.FINISHED, {"final_answer": "5"})],
+            accepted_steps=[AcceptedStep(1, StepKind.FINAL, "5", "5", 3)],
+            final_answer=CanonicalNumber("5"), outcome=Outcome.SOLVED,
+        )
+        assert self.FULL == keyword
+        assert self.FULL != SolveTrace("p1", {"token_budget": 5})
+        assert repr(self.FULL) == (
+            "SolveTrace(problem_id='p1', config={'token_budget': 5},"
+            " events=[TraceEvent(kind=<EventKind.FINISHED: 'finished'>,"
+            " payload={'final_answer': '5'}, tokens_charged=0)],"
+            " accepted_steps=[AcceptedStep(index=1, kind=<StepKind.FINAL: 'final'>, text='5',"
+            " fingerprint='5', score=3, forced=False)], final_answer=CanonicalNumber(text='5'),"
+            " outcome=<Outcome.SOLVED: 'solved'>, error=None, labels=[])"
+        )
+        assert repr(SolveTrace("p1", {})) == (
+            "SolveTrace(problem_id='p1', config={}, events=[], accepted_steps=[],"
+            " final_answer=None, outcome=None, error=None, labels=[])"
+        )
+
+    def test_traces_built_without_lists_do_not_share_them(self):
+        first, second = SolveTrace("a", {}), SolveTrace("b", {})
+        for name in ("events", "accepted_steps", "labels"):
+            assert getattr(first, name) == [] == getattr(second, name)
+            assert getattr(first, name) is not getattr(second, name)
+        first.events.append(TraceEvent(EventKind.FINISHED, {}))
+        assert second.events == []
+
+    def test_fields_are_assignable_and_nothing_else_is(self):
+        trace = SolveTrace("a", {})
+        trace.outcome, trace.error = Outcome.BACKEND_FAILURE, "boom"
+        assert (trace.outcome, trace.error) == (Outcome.BACKEND_FAILURE, "boom")
+        with pytest.raises(AttributeError):
+            trace.no_such_field = 1
+
+    def test_a_trace_can_be_weakly_referenced(self):
+        trace = SolveTrace("a", {})
+        assert weakref.ref(trace)() is trace
 
 
 class TestNormalizeAnswer:

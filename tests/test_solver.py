@@ -649,6 +649,15 @@ class TestBudgetCuts:
         assert (cuts.totals, cuts.fork) == (totals, fork)
         with pytest.raises(ValueError):
             cuts.at(limit + 1)
+        # The batch lookup gives every budget's score: the whole solve's, or its cut's stop.
+        whole = (outcome, True, *totals)
+        budgets = [limit, *range(1, limit + 1), 1]
+        assert cuts.scores(budgets, whole) == [
+            whole if cut is None else (Outcome.BUDGET_EXHAUSTED, False, cut[1], cut[2])
+            for cut in (expected[budget - 1] for budget in budgets)]
+        assert cuts.scores([], whole) == []
+        with pytest.raises(ValueError):
+            cuts.scores([1, limit + 1], whole)
 
 
 class TestAtBudget:
