@@ -144,23 +144,18 @@ class CanonicalNumber(NamedTuple):
         return self.text
 
 
-class _ProblemFields(NamedTuple):
-    id: str
-    question: str
-    gold_answer: CanonicalNumber | None = None
-
-
-class Problem(_ProblemFields):
+class Problem(NamedTuple("Problem", [("id", str), ("question", str),
+                                     ("gold_answer", CanonicalNumber | None)])):
     """One benchmark item: id, question text, optional gold answer."""
 
     __slots__ = ()
     _make = classmethod(make_checked)
 
-    def __new__(cls, *args, **kwargs) -> "Problem":
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.question.strip():
+    def __new__(cls, id: str, question: str,
+                gold_answer: CanonicalNumber | None = None) -> "Problem":
+        if not question.strip():
             raise ValueError("problem question must be non-empty")
-        return self
+        return tuple.__new__(cls, (id, question, gold_answer))
 
 
 class StepCandidate(NamedTuple):
