@@ -16,11 +16,12 @@ estimate, so budget accounting works identically for both backends.
 
 from __future__ import annotations
 
+import threading
 import time
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, make_checked
+from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, make_checked, new_record
 
 if TYPE_CHECKING:
     import requests
@@ -125,7 +126,7 @@ class ScriptedBackend:
             raise ScriptExhausted(f"{role.value} script exhausted after {served} replies")
         self._cursor[role] = served + 1
         text = replies[served]
-        return AgentReply(text, estimate_tokens(prompt), estimate_tokens(text))
+        return new_record(AgentReply, (text, estimate_tokens(prompt), estimate_tokens(text)))
 
     def calls(self, role: Role | str) -> int:
         """Number of replies served or skipped so far for the role."""
@@ -171,7 +172,7 @@ class ReplayBackend:
         if served < len(recorded):
             self._served[role] = served + 1
             raw, tokens = recorded[served]
-            return AgentReply(raw_text=raw, prompt_tokens=tokens, completion_tokens=0)
+            return new_record(AgentReply, (raw, tokens, 0))
         if self._live[role] is None:
             raise ScriptExhausted(f"{role.value} replay exhausted after {served} replies")
         return self._live[role].complete(role, prompt, params)
@@ -204,8 +205,10 @@ class HTTPBackend:
     One automatic retry is made for transient failures only (timeouts,
     connection errors, HTTP 429/500/502/503/504), after the delta-seconds
     ``Retry-After`` of a 429 or 503, capped at the timeout; transport
-    retries never consume the solver's step-retry budget. Calls share no
-    mutable state, so a single instance is safe under concurrent workers.
+    retries never consume the solver's step-retry budget. Each thread keeps
+    its own ``requests.Session``, and so its connection, from its first call;
+    threads share no mutable state, so one instance is safe under concurrent
+    workers.
     """
 
     def __init__(
@@ -221,6 +224,7 @@ class HTTPBackend:
         import requests
 
         self._http = requests
+        self._local = threading.local()  # this thread's Session, as .session
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
@@ -252,9 +256,12 @@ class HTTPBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = self._http.Session()
         for attempt in range(2):
             try:
-                response = self._http.post(url, json=body, headers=headers, timeout=self.timeout)
+                response = session.post(url, json=body, headers=headers, timeout=self.timeout)
             except self._http.Timeout:
                 error = BackendTimeout(f"no response within {self.timeout}s")
                 continue

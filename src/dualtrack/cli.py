@@ -63,7 +63,7 @@ class RunConfig(NamedTuple):
 
     Solver and decoding settings default to ``SolverConfig``'s and
     ``DecodeParams``' own defaults; only the token budget is the CLI's.
-    The repr leaves out ``script_path``.
+    The repr leaves out the ``api_key`` secret and ``script_path``.
     """
 
     api_base: str | None = None
@@ -92,7 +92,7 @@ class RunConfig(NamedTuple):
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self)
-                          if name != "script_path")
+                          if name not in ("api_key", "script_path"))
         return f"RunConfig({shown})"
 
     def solver_config(self) -> SolverConfig:
@@ -381,19 +381,22 @@ def _parse_budgets(spec: str) -> list[int]:
     return budgets
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Each dest but ``config`` is the RunConfig key the flag sets (None if not given)."""
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--script", dest="script_path",
-                        help="scripted-backend fixture file (JSON)")
-    parser.add_argument("--budget", type=int, dest="token_budget",
-                        help="token budget per problem")
-    parser.add_argument("--cache", action=argparse.BooleanOptionalAction, dest="cache_enabled",
-                        help="enable/disable the rejection cache")
-    parser.add_argument("--max-retries", type=int, dest="max_retries_per_step")
-    parser.add_argument("--threshold", type=int, dest="accept_threshold",
-                        help="accept when score > threshold")
-    parser.add_argument("--out", dest="out_dir", help="output directory for reports")
+def _run_flags() -> argparse.ArgumentParser:
+    """The parent of solve, bench and sweep: the flags they share. Each dest but
+    ``config`` is the RunConfig key the flag sets (None if not given)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="JSON config file")
+    flags.add_argument("--script", dest="script_path",
+                       help="scripted-backend fixture file (JSON)")
+    flags.add_argument("--budget", type=int, dest="token_budget",
+                       help="token budget per problem")
+    flags.add_argument("--cache", action=argparse.BooleanOptionalAction, dest="cache_enabled",
+                       help="enable/disable the rejection cache")
+    flags.add_argument("--max-retries", type=int, dest="max_retries_per_step")
+    flags.add_argument("--threshold", type=int, dest="accept_threshold",
+                       help="accept when score > threshold")
+    flags.add_argument("--out", dest="out_dir", help="output directory for reports")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,18 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--seed", type=int, default=0)
     prep.set_defaults(handler=cmd_prep)
 
-    solve_cmd = sub.add_parser("solve", help="solve one problem and print the trace")
+    run_flags = [_run_flags()]
+    solve_cmd = sub.add_parser("solve", parents=run_flags,
+                               help="solve one problem and print the trace")
     solve_cmd.add_argument("question", help="problem text")
-    _add_run_flags(solve_cmd)
     solve_cmd.set_defaults(handler=cmd_solve)
 
     for name, handler, help_text in (
         ("bench", cmd_bench, "run the benchmark over a problem file"),
         ("sweep", cmd_sweep, "benchmark across budgets with cache on/off"),
     ):
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, parents=run_flags, help=help_text)
         command.add_argument("problems", help="JSONL problems file with gold answers")
-        _add_run_flags(command)
         command.add_argument("--workers", type=int)
         command.add_argument("--method", help="method label for reports")
         command.set_defaults(handler=handler)

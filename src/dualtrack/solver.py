@@ -35,7 +35,9 @@ from .protocol import (
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
+    extend_problem_block,
     make_checked,
+    new_record,
     parse_agent_step,
     parse_evaluation,
     render_problem_block,
@@ -368,7 +370,7 @@ def solve(
         config.token_budget, config.cache_bad_threshold, config.max_steps)
     generate, decomposer_params = decomposer_backend.complete, config.decomposer_params
     evaluate, evaluator_params = evaluator_backend.complete, config.evaluator_params
-    # The problem and its accepted steps, rendered again only when a step is accepted.
+    # The problem and its accepted steps, one line longer after each accepted step.
     block = render_problem_block(problem.question, ())
     hint: str | None = None
     spent = retries = 0
@@ -450,7 +452,7 @@ def solve(
             fp = fingerprint(text)
         else:
             kind, text = candidate.kind, candidate.text
-        accepted.append(AcceptedStep(slot, kind, text, fp, score, forced))
+        accepted.append(new_record(AcceptedStep, (slot, kind, text, fp, score, forced)))
         if cache is not None:
             cache.record(fp, _DUPLICATE_ACCEPTED)
         emit(new_event(TraceEvent, _FORCED_ACCEPT if forced else _ACCEPTED,
@@ -467,5 +469,5 @@ def solve(
             emit(new_event(TraceEvent, _STEP_LIMIT_STOP, {"steps": slot}))
             trace.outcome = _STEP_LIMIT
             break
-        block = render_problem_block(problem.question, [step.text for step in accepted])
+        block = extend_problem_block(block, slot, text)
     return trace

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 
 import pytest
@@ -225,6 +226,19 @@ class _FakeResponse:
         return self._payload
 
 
+def _no_network(*args, **kwargs):
+    raise AssertionError("a request bypassed requests.Session.post")
+
+
+def patch_post(monkeypatch, fake):
+    """Answer every ``requests.Session.post`` with ``fake``, called as
+    ``requests.post`` is: the URL, then keywords. A request sent any other
+    way fails here instead of reaching the network."""
+    monkeypatch.setattr(requests.Session, "post",
+                        lambda session, *args, **kwargs: fake(*args, **kwargs))
+    monkeypatch.setattr(requests.Session, "request", _no_network)
+
+
 @pytest.fixture
 def http_backend():
     return HTTPBackend(
@@ -246,7 +260,7 @@ class TestHTTPBackend:
                 )
             )
 
-        monkeypatch.setattr(requests, "post", fake_post)
+        patch_post(monkeypatch, fake_post)
         reply = http_backend.complete(Role.DECOMPOSER, "the prompt", DecodeParams())
         assert reply.raw_text == "STEP: ok"
         assert reply.prompt_tokens == 11
@@ -263,18 +277,15 @@ class TestHTTPBackend:
         assert request["headers"]["Authorization"] == "Bearer secret-key"
 
     def test_missing_usage_falls_back_to_estimates(self, http_backend, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(payload=chat_payload("Score: 3"))
-        )
+        patch_post(monkeypatch, lambda *a, **k: _FakeResponse(payload=chat_payload("Score: 3")))
         reply = http_backend.complete(Role.EVALUATOR, "abcdefgh")
         assert reply.prompt_tokens == estimate_tokens("abcdefgh")
         assert reply.completion_tokens == estimate_tokens("Score: 3")
 
     def test_persistent_500_raises_with_status_and_body(self, http_backend, monkeypatch):
         attempts = []
-        monkeypatch.setattr(
-            requests,
-            "post",
+        patch_post(
+            monkeypatch,
             lambda *a, **k: attempts.append(1)
             or _FakeResponse(status_code=500, text="upstream exploded"),
         )
@@ -289,14 +300,13 @@ class TestHTTPBackend:
             _FakeResponse(status_code=503, text="busy"),
             _FakeResponse(payload=chat_payload("STEP: fine")),
         ]
-        monkeypatch.setattr(requests, "post", lambda *a, **k: responses.pop(0))
+        patch_post(monkeypatch, lambda *a, **k: responses.pop(0))
         assert http_backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: fine"
 
     def test_client_error_is_not_retried(self, http_backend, monkeypatch):
         attempts = []
-        monkeypatch.setattr(
-            requests,
-            "post",
+        patch_post(
+            monkeypatch,
             lambda *a, **k: attempts.append(1)
             or _FakeResponse(status_code=404, text="no such model"),
         )
@@ -309,23 +319,38 @@ class TestHTTPBackend:
         def fake_post(*args, **kwargs):
             raise requests.Timeout("too slow")
 
-        monkeypatch.setattr(requests, "post", fake_post)
+        patch_post(monkeypatch, fake_post)
         with pytest.raises(BackendTimeout):
             http_backend.complete(Role.DECOMPOSER, "p")
 
     def test_malformed_json_body(self, http_backend, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(text="<html>gateway</html>")
-        )
+        patch_post(monkeypatch, lambda *a, **k: _FakeResponse(text="<html>gateway</html>"))
         with pytest.raises(BackendError):
             http_backend.complete(Role.DECOMPOSER, "p")
 
     def test_missing_choices_shape(self, http_backend, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(payload={"choices": []})
-        )
+        patch_post(monkeypatch, lambda *a, **k: _FakeResponse(payload={"choices": []}))
         with pytest.raises(BackendError):
             http_backend.complete(Role.DECOMPOSER, "p")
+
+    def test_each_thread_reuses_its_own_session(self, http_backend, monkeypatch):
+        sessions = []
+
+        def fake_post(session, url, **kwargs):
+            sessions.append(session)
+            return _FakeResponse(payload=chat_payload("STEP: ok"))
+
+        monkeypatch.setattr(requests.Session, "post", fake_post)
+        monkeypatch.setattr(requests.Session, "request", _no_network)  # requests.post sends here
+        http_backend.complete(Role.DECOMPOSER, "p")
+        http_backend.complete(Role.EVALUATOR, "p")
+        worker = threading.Thread(target=http_backend.complete, args=(Role.DECOMPOSER, "p"))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(sessions) == 3
+        assert all(isinstance(session, requests.Session) for session in sessions)
+        assert sessions[1] is sessions[0] and sessions[2] is not sessions[0]
 
     def test_unconfigured_role_rejected(self, monkeypatch):
         backend = HTTPBackend(base_url="http://models.internal")

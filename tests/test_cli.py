@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -648,6 +649,43 @@ class TestRunConfig:
         })
         assert main(["solve", "How many?", "--config", config_file]) == EXIT_CONFIG
         assert "timeout" in capsys.readouterr().err
+
+
+class TestCommandLineSurface:
+    """solve, bench and sweep keep every option string, dest, default and type."""
+
+    RUN_FLAGS = {
+        "help": (("-h", "--help"), argparse.SUPPRESS, None),
+        "config": (("--config",), None, None),
+        "script_path": (("--script",), None, None),
+        "token_budget": (("--budget",), None, int),
+        "cache_enabled": (("--cache", "--no-cache"), None, None),
+        "max_retries_per_step": (("--max-retries",), None, int),
+        "accept_threshold": (("--threshold",), None, int),
+        "out_dir": (("--out",), None, None),
+    }
+    BATCH_FLAGS = {
+        **RUN_FLAGS,
+        "problems": ((), None, None),
+        "workers": (("--workers",), None, int),
+        "method": (("--method",), None, None),
+    }
+
+    @pytest.mark.parametrize("command, expected", [
+        ("solve", {**RUN_FLAGS, "question": ((), None, None)}),
+        ("bench", BATCH_FLAGS),
+        ("sweep", {**BATCH_FLAGS,
+                   "budgets": (("--budgets",), "100,200,300,400,500,600", None)}),
+    ])
+    def test_each_run_command_keeps_its_flags(self, command, expected):
+        parser = build_parser()
+        (commands,) = (action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        actions = commands.choices[command]._actions
+        surface = {action.dest: (tuple(action.option_strings), action.default, action.type)
+                   for action in actions}
+        assert len(actions) == len(surface)  # no dest is declared twice
+        assert surface == expected
 
 
 class TestRunIdentity:

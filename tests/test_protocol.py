@@ -25,6 +25,7 @@ from dualtrack.protocol import (
     StepKind,
     build_decomposer_prompt,
     build_evaluator_prompt,
+    extend_problem_block,
     normalize_answer,
     parse_agent_step,
     parse_evaluation,
@@ -359,7 +360,7 @@ class TestRecordContract:
             (
                 RunConfig("http://x"),
                 RunConfig(api_base="http://x", token_budget=2048, script_path=None),
-                "RunConfig(api_base='http://x', api_key=None, decomposer_model=None,"
+                "RunConfig(api_base='http://x', decomposer_model=None,"
                 " evaluator_model=None, decomposer_system_prompt=None,"
                 " evaluator_system_prompt=None, token_budget=2048, accept_threshold=1,"
                 " max_retries_per_step=3, max_steps=12, cache_enabled=True,"
@@ -384,6 +385,14 @@ class TestRecordContract:
         assert config != RunConfig(workers=2)
         with pytest.raises(AttributeError):
             config.script_path = None
+
+    def test_run_config_repr_leaves_out_the_api_key(self):
+        config = RunConfig(api_base="http://x", api_key="sk-secret")
+        for shown in (repr(config), str(config), repr([config]), f"{config}"):
+            assert "sk-secret" not in shown and "api_key" not in shown
+        assert repr(config) == repr(RunConfig(api_base="http://x"))
+        assert config.api_key == "sk-secret"
+        assert config != RunConfig(api_base="http://x")
 
 
 class TestCheckedRecords:
@@ -551,3 +560,10 @@ class TestProblemType:
         steps = ["He picked 2 + 2 = 4 pears."]
         block = render_problem_block(problem.question, steps)
         assert build_decomposer_prompt(block) == block
+
+    @given(st.lists(step_texts, max_size=4), step_texts)
+    def test_extending_the_block_by_a_step_equals_rendering_it_afresh(self, steps, step):
+        block = render_problem_block(WENG_QUESTION, steps)
+        extended = extend_problem_block(block, len(steps) + 1, step)
+        assert extended == render_problem_block(WENG_QUESTION, [*steps, step])
+        assert extended == f"{block}\nSTEP {len(steps) + 1}: {step}"
