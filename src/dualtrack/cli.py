@@ -257,9 +257,20 @@ def _start_run(args: argparse.Namespace, problems: Sequence[Problem] | None = No
     return config, solver_config, problems, backends
 
 
+def _check_output_dir(path: str, key: str) -> None:
+    """Fail before the command does any work if ``path`` cannot be or become
+    its output directory: its nearest existing ancestor must be a writable
+    directory."""
+    nearest = next(parent for parent in (Path(path), *Path(path).parents) if parent.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError(f"{key}: {path!r} cannot hold a directory "
+                          f"({str(nearest)!r} is not a writable directory)")
+
+
 def cmd_prep(args: argparse.Namespace) -> int:
     if not 0 <= args.split_ratio <= 1:
         raise ConfigError(f"split_ratio: must be within [0, 1], got {args.split_ratio}")
+    _check_output_dir(args.output, "output")
     examples = load_gsm8k_examples(args.input)
     train, val = split_examples(examples, val_fraction=args.split_ratio, seed=args.seed)
     out_dir = Path(args.output)
@@ -327,6 +338,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config, solver_config, problems, backends = _start_run(args)
+    _check_output_dir(config.out_dir, "out_dir")
     report = run_benchmark(
         problems,
         solver_config,
@@ -347,6 +359,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets)
     config, solver_config, problems, backends = _start_run(args)
+    _check_output_dir(config.out_dir, "out_dir")
     rows = budget_sweep(
         problems,
         budgets,

@@ -159,7 +159,7 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():

@@ -407,6 +407,7 @@ def budget_sweep(
     if any(budget <= 0 for budget in budgets):
         raise ValueError("budgets must be positive")
     _check_problems(problems)
+    run_dir = None if out_dir is None else _new_run_dir(out_dir, config, method, "sweep-")
     solved = _solve_all(problems, config, backends, budgets, (False, True),
                         workers=workers, continue_on_error=continue_on_error)
     rows: list[SummaryRow] = []
@@ -419,8 +420,7 @@ def budget_sweep(
                 continue
             rows.append(_summary([scores[index] for _, scores in cell], method=method,
                                  budget=budget, cache=cache_enabled))
-    if out_dir is not None:
-        run_dir = _new_run_dir(out_dir, config, method, "sweep-")
+    if run_dir is not None:
         (run_dir / "sweep.csv").write_text(rows_to_csv(rows), encoding="utf-8")
         if errors:
             (run_dir / "errors.txt").write_text("\n".join(errors) + "\n", encoding="utf-8")

@@ -157,37 +157,21 @@ class TraceEvent(NamedTuple):
                 "tokens_charged": self.tokens_charged}
 
 
-class SolveTrace:
+class SolveTrace(NamedTuple):
     """Ordered event log of one solve, serializable for audit and replay.
 
-    The solve loop fills it in, so unlike the other records it is mutable.
-    The list fields default to fresh lists. ``labels`` is always exported
-    empty; error-category labels are assigned by human annotators, never
-    inferred here.
+    ``solve`` builds it once, when the solve ends. The trace file's
+    ``labels`` is always written empty; error-category labels are assigned
+    by human annotators, never inferred here.
     """
 
-    _fields = ("problem_id", "config", "events", "accepted_steps", "final_answer", "outcome",
-               "error", "labels")
-    __slots__ = (*_fields, "__weakref__")  # a weak reference can watch a trace be freed
-
-    def __init__(self, problem_id: str, config: dict, events: list[TraceEvent] | None = None,
-                 accepted_steps: list[AcceptedStep] | None = None,
-                 final_answer: CanonicalNumber | None = None, outcome: Outcome | None = None,
-                 error: str | None = None, labels: list[str] | None = None):
-        self.problem_id, self.config = problem_id, config
-        self.events = [] if events is None else events
-        self.accepted_steps = [] if accepted_steps is None else accepted_steps
-        self.final_answer, self.outcome, self.error = final_answer, outcome, error
-        self.labels = [] if labels is None else labels
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+    problem_id: str
+    config: dict
+    events: Sequence[TraceEvent] = ()
+    accepted_steps: Sequence[AcceptedStep] = ()
+    final_answer: CanonicalNumber | None = None
+    outcome: Outcome | None = None
+    error: str | None = None
 
     def events_of(self, kind: EventKind) -> list[TraceEvent]:
         return [event for event in self.events if event.kind is kind]
@@ -222,10 +206,9 @@ class SolveTrace:
         cut = BudgetCuts(self).at(budget)
         config = {**self.config, "token_budget": budget}
         if cut is None:
-            return SolveTrace(self.problem_id, config, self.events, self.accepted_steps,
-                              self.final_answer, self.outcome, self.error, self.labels)
-        events = self.events[: cut.end]
-        events.append(TraceEvent(EventKind.BUDGET_STOP, {"spent": cut.spent, "limit": budget}))
+            return self._replace(config=config)
+        events = [*self.events[: cut.end],
+                  TraceEvent(EventKind.BUDGET_STOP, {"spent": cut.spent, "limit": budget})]
         accepted = sum(
             event.kind in (EventKind.ACCEPTED, EventKind.FORCED_ACCEPT) for event in events
         )
@@ -238,18 +221,15 @@ class SolveTrace:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "config": self.config,
-            "events": [event.to_dict() for event in self.events],
-            "accepted_steps": [
-                {**step._asdict(), "kind": step.kind.value} for step in self.accepted_steps
-            ],
-            "final_answer": str(self.final_answer) if self.final_answer else None,
-            "outcome": self.outcome.value if self.outcome else None,
-            "error": self.error,
-            "labels": self.labels,
-        }
+        trace = self._asdict()
+        trace["events"] = [event.to_dict() for event in self.events]
+        trace["accepted_steps"] = [
+            {**step._asdict(), "kind": step.kind.value} for step in self.accepted_steps
+        ]
+        trace["final_answer"] = str(self.final_answer) if self.final_answer else None
+        trace["outcome"] = self.outcome.value if self.outcome else None
+        trace["labels"] = []
+        return trace
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
@@ -360,11 +340,9 @@ def solve(
     evaluation makes no call and is not checked. Backend failures end the
     solve with outcome ``backend_failure`` and the partial trace preserved.
     """
-    trace = SolveTrace(problem_id=problem.id, config=config.to_dict())
-    emit, accepted = trace.events.append, trace.accepted_steps
-    # Called directly, TraceEvent.__new__ skips type.__call__'s dispatch to it
-    # (about 130 ns of 370 per event on Python 3.11).
-    new_event = TraceEvent.__new__
+    events: list[TraceEvent] = []
+    accepted: list[AcceptedStep] = []
+    emit, final_answer, error = events.append, None, None
     cache = RejectionCache() if config.cache_enabled else None
     budget, bad_threshold, max_steps = (
         config.token_budget, config.cache_bad_threshold, config.max_steps)
@@ -377,17 +355,17 @@ def solve(
     while True:
         slot = len(accepted) + 1
         if spent >= budget:
-            emit(new_event(TraceEvent, _BUDGET_STOP, {"spent": spent, "limit": budget}))
-            trace.outcome = _BUDGET_EXHAUSTED
+            emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0)))
+            outcome = _BUDGET_EXHAUSTED
             break
         try:
             reply = generate(_DECOMPOSER, build_decomposer_prompt(block, hint), decomposer_params)
         except BackendError as exc:
-            trace.outcome, trace.error = _BACKEND_FAILURE, f"decomposer: {exc}"
+            outcome, error = _BACKEND_FAILURE, f"decomposer: {exc}"
             break
         raw, tokens = reply.raw_text, reply.total_tokens
-        emit(new_event(TraceEvent, _GENERATED, {"slot": slot, "attempt": retries, "raw": raw},
-                       tokens))
+        emit(new_record(TraceEvent, (_GENERATED, {"slot": slot, "attempt": retries, "raw": raw},
+                                     tokens)))
         spent += tokens
 
         # Judge the generation: a synthetic zero if it does not parse, else the
@@ -402,34 +380,33 @@ def solve(
             synthetic, feedback = "malformed_step", MALFORMED_STEP_FEEDBACK
         if synthetic is not None:
             candidate, fp, score = None, "", 0
-            emit(new_event(TraceEvent, _EVALUATED, {"score": 0, "feedback": feedback,
-                                                    "fingerprint": "", "synthetic": synthetic}))
+            payload = {"score": 0, "feedback": feedback, "fingerprint": "", "synthetic": synthetic}
+            emit(new_record(TraceEvent, (_EVALUATED, payload, 0)))
         elif cache is not None and (hit := cache.check(fp)) is not _MISS:
             score, feedback = 0, REJECTION_FEEDBACK[hit]
-            emit(new_event(TraceEvent, _CACHE_REJECTED, {"decision": hit.value, "fingerprint": fp,
-                                                         "score": 0, "feedback": feedback}))
+            payload = {"decision": hit.value, "fingerprint": fp, "score": 0, "feedback": feedback}
+            emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0)))
         else:
             if spent >= budget:
-                emit(new_event(TraceEvent, _BUDGET_STOP, {"spent": spent, "limit": budget}))
-                trace.outcome = _BUDGET_EXHAUSTED
+                emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0)))
+                outcome = _BUDGET_EXHAUSTED
                 break
             try:
                 reply = evaluate(_EVALUATOR, build_evaluator_prompt(block, candidate),
                                  evaluator_params)
             except BackendError as exc:
-                trace.outcome, trace.error = _BACKEND_FAILURE, f"evaluator: {exc}"
+                outcome, error = _BACKEND_FAILURE, f"evaluator: {exc}"
                 break
             verdict, tokens = reply.raw_text, reply.total_tokens
             # score and feedback stay null in the trace if the reply fails to parse
             payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None,
                        "raw": verdict}
-            emit(new_event(TraceEvent, _EVALUATED, payload, tokens))
+            emit(new_record(TraceEvent, (_EVALUATED, payload, tokens)))
             spent += tokens
             try:
                 evaluation = parse_evaluation(verdict)
             except ProtocolError as exc:
-                trace.outcome = _BACKEND_FAILURE
-                trace.error = f"evaluator protocol violation: {exc}"
+                outcome, error = _BACKEND_FAILURE, f"evaluator protocol violation: {exc}"
                 break
             payload["score"] = score = evaluation.score
             payload["feedback"] = feedback = evaluation.feedback
@@ -439,8 +416,8 @@ def solve(
         decision = step_decision(score, retries, config)
         if decision is _RETRY:
             retries += 1
-            emit(new_event(TraceEvent, _RETRIED,
-                           {"slot": slot, "hint": feedback, "retries_used": retries}))
+            emit(new_record(TraceEvent, (_RETRIED, {"slot": slot, "hint": feedback,
+                                                    "retries_used": retries}, 0)))
             hint = feedback or None
             continue
 
@@ -455,19 +432,20 @@ def solve(
         accepted.append(new_record(AcceptedStep, (slot, kind, text, fp, score, forced)))
         if cache is not None:
             cache.record(fp, _DUPLICATE_ACCEPTED)
-        emit(new_event(TraceEvent, _FORCED_ACCEPT if forced else _ACCEPTED,
-                       {"index": slot, "kind": kind.value, "text": text,
-                        "fingerprint": fp, "score": score}))
+        emit(new_record(TraceEvent, (_FORCED_ACCEPT if forced else _ACCEPTED,
+                                     {"index": slot, "kind": kind.value, "text": text,
+                                      "fingerprint": fp, "score": score}, 0)))
         hint, retries = None, 0
 
         if kind is _FINAL:
-            trace.final_answer = candidate.answer
-            emit(new_event(TraceEvent, _FINISHED, {"final_answer": str(candidate.answer)}))
-            trace.outcome = _SOLVED
+            final_answer = candidate.answer
+            emit(new_record(TraceEvent, (_FINISHED, {"final_answer": str(final_answer)}, 0)))
+            outcome = _SOLVED
             break
         if slot >= max_steps:
-            emit(new_event(TraceEvent, _STEP_LIMIT_STOP, {"steps": slot}))
-            trace.outcome = _STEP_LIMIT
+            emit(new_record(TraceEvent, (_STEP_LIMIT_STOP, {"steps": slot}, 0)))
+            outcome = _STEP_LIMIT
             break
         block = extend_problem_block(block, slot, text)
-    return trace
+    return new_record(SolveTrace, (problem.id, config.to_dict(), events, accepted, final_answer,
+                                   outcome, error))

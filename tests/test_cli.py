@@ -534,6 +534,61 @@ def test_blank_problem_question_is_data_error(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+class TestUnusableFiles:
+    """An input file that is not UTF-8 is a data error, and an output location
+    that cannot hold a directory is a config error found before any agent call;
+    neither ends in a traceback."""
+
+    @pytest.mark.parametrize("command", ["bench", "prep"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "input.jsonl"
+        data.write_bytes(b'{"id": "p", "question": "Caf\xe9?", "gold_answer": "1"}\n')
+        if command == "bench":
+            fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+            argv = ["bench", str(data), "--script", fixture_file, "--out", str(tmp_path / "runs")]
+        else:
+            argv = ["prep", str(data), str(tmp_path / "prepped")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: cannot read {data}: 'utf-8' codec can't decode byte 0xe9" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    @pytest.mark.parametrize("under_file", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_hold_a_directory_is_config_error_before_any_call(
+        self, tmp_path, capsys, monkeypatch, endpoint, command, under_file
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = blocker / "runs" if under_file else blocker
+        problem = Problem(id="apples", question="How many apples?",
+                          gold_answer=CanonicalNumber("7"))
+        problems_file = write_problems(tmp_path / "problems.jsonl", [problem])
+        config = write_json(tmp_path / "config.json", {
+            "api_base": endpoint.url, "decomposer_model": "d", "evaluator_model": "e"})
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        endpoint.actions = [chat_ok("FINAL_ANSWER: 7"), chat_ok("Score: 3\nFeedback: Right.")]
+        argv = [command, problems_file, "--config", config, "--out", str(out_dir)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: out_dir: {str(out_dir)!r} cannot hold a directory" in err
+        assert "Traceback" not in err
+        assert endpoint.requests == []
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_prep_output_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "gsm8k.jsonl"
+        data.write_text(json.dumps({"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER})
+                        + "\n", encoding="utf-8")
+        output = tmp_path / "prepped"
+        output.write_text("", encoding="utf-8")
+        assert main(["prep", str(data), str(output)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: output: {str(output)!r} cannot hold a directory" in err
+        assert "Traceback" not in err
+        assert output.read_text(encoding="utf-8") == ""
+
+
 class TestRunConfig:
     """The config layer: file keys, their types, env and flag precedence."""
 

@@ -934,12 +934,16 @@ class TestSweepResultsPerProblem:
                     report.summary.to_dict())
 
         healthy = run(scripted_provider(fixture), tmp_path / "healthy")
-        traces = []  # (thread, problem id, weak reference to a trace that solve returned)
+        traces = []  # (thread, problem id, weak reference to the events of a trace solve returned)
         alive = []  # (asking problem, earlier problem) whose trace was still held
+
+        class Events(list):
+            """A list that can be weakly referenced, unlike a list or a tuple."""
 
         def recording_solve(problem, *args):
             trace = solve(problem, *args)
-            traces.append((threading.get_ident(), problem.id, weakref.ref(trace)))
+            trace = trace._replace(events=Events(trace.events))
+            traces.append((threading.get_ident(), problem.id, weakref.ref(trace.events)))
             return trace
 
         # A problem's task runs on one thread, so the problems a thread took
@@ -997,6 +1001,25 @@ class TestRunDirectories:
         assert len(sweep_dirs) == 2
         for run_dir, rows in zip(sweep_dirs, (first, second)):
             assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_run_directory_is_made_before_any_solve(self, tmp_path, command):
+        problems, fixture = build_sweep_case(count=2)
+        out_dir = tmp_path / "a-file"
+        out_dir.write_text("", encoding="utf-8")
+        asked = []
+
+        def provider(problem):
+            asked.append(problem.id)
+            return scripted_provider(fixture)(problem)
+
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        with pytest.raises(NotADirectoryError):
+            if command == "sweep":
+                budget_sweep(problems, (150,), config, provider, out_dir=out_dir)
+            else:
+                run_benchmark(problems, config, provider, out_dir=out_dir)
+        assert asked == []
 
 
 class TestCsvRendering:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import re
-import weakref
 from pathlib import Path
 
 import pytest
@@ -223,8 +222,8 @@ class TestParseEvaluation:
 
 
 class TestRecordContract:
-    """The per-call records are immutable, built alike by position or
-    keyword, and print their fields by name."""
+    """The records are immutable, built alike by position or keyword, and
+    print their fields by name."""
 
     @pytest.mark.parametrize(
         "positional,keyword,text",
@@ -369,6 +368,29 @@ class TestRecordContract:
                 " evaluator_temperature=None, evaluator_max_new_tokens=None, timeout=60.0,"
                 " workers=1, out_dir='runs', method='dual_cot')",
             ),
+            (
+                SolveTrace("p1", {"token_budget": 5},
+                           [TraceEvent(EventKind.FINISHED, {"final_answer": "5"})],
+                           [AcceptedStep(1, StepKind.FINAL, "5", "5", 3)], CanonicalNumber("5"),
+                           Outcome.SOLVED, None),
+                SolveTrace(problem_id="p1", config={"token_budget": 5},
+                           events=[TraceEvent(EventKind.FINISHED, {"final_answer": "5"})],
+                           accepted_steps=[AcceptedStep(1, StepKind.FINAL, "5", "5", 3)],
+                           final_answer=CanonicalNumber("5"), outcome=Outcome.SOLVED),
+                "SolveTrace(problem_id='p1', config={'token_budget': 5},"
+                " events=[TraceEvent(kind=<EventKind.FINISHED: 'finished'>,"
+                " payload={'final_answer': '5'}, tokens_charged=0)],"
+                " accepted_steps=[AcceptedStep(index=1, kind=<StepKind.FINAL: 'final'>, text='5',"
+                " fingerprint='5', score=3, forced=False)], final_answer=CanonicalNumber(text='5'),"
+                " outcome=<Outcome.SOLVED: 'solved'>, error=None)",
+            ),
+            (
+                SolveTrace("p1", {}),
+                SolveTrace(problem_id="p1", config={}, events=(), accepted_steps=(),
+                           final_answer=None, outcome=None, error=None),
+                "SolveTrace(problem_id='p1', config={}, events=(), accepted_steps=(),"
+                " final_answer=None, outcome=None, error=None)",
+            ),
         ],
     )
     def test_record_contract(self, positional, keyword, text):
@@ -441,57 +463,6 @@ class TestCheckedRecords:
             cls._make(tuple(record)[:-1])
         with pytest.raises(ValueError):
             record._replace(no_such_field=1)
-
-
-class TestSolveTraceRecord:
-    """``SolveTrace`` is the one mutable record: the solve loop fills it in."""
-
-    FULL = SolveTrace(
-        "p1", {"token_budget": 5}, [TraceEvent(EventKind.FINISHED, {"final_answer": "5"})],
-        [AcceptedStep(1, StepKind.FINAL, "5", "5", 3)], CanonicalNumber("5"), Outcome.SOLVED,
-        None, [],
-    )
-
-    def test_positional_equals_keyword_and_repr_is_pinned(self):
-        keyword = SolveTrace(
-            problem_id="p1", config={"token_budget": 5},
-            events=[TraceEvent(EventKind.FINISHED, {"final_answer": "5"})],
-            accepted_steps=[AcceptedStep(1, StepKind.FINAL, "5", "5", 3)],
-            final_answer=CanonicalNumber("5"), outcome=Outcome.SOLVED,
-        )
-        assert self.FULL == keyword
-        assert self.FULL != SolveTrace("p1", {"token_budget": 5})
-        assert repr(self.FULL) == (
-            "SolveTrace(problem_id='p1', config={'token_budget': 5},"
-            " events=[TraceEvent(kind=<EventKind.FINISHED: 'finished'>,"
-            " payload={'final_answer': '5'}, tokens_charged=0)],"
-            " accepted_steps=[AcceptedStep(index=1, kind=<StepKind.FINAL: 'final'>, text='5',"
-            " fingerprint='5', score=3, forced=False)], final_answer=CanonicalNumber(text='5'),"
-            " outcome=<Outcome.SOLVED: 'solved'>, error=None, labels=[])"
-        )
-        assert repr(SolveTrace("p1", {})) == (
-            "SolveTrace(problem_id='p1', config={}, events=[], accepted_steps=[],"
-            " final_answer=None, outcome=None, error=None, labels=[])"
-        )
-
-    def test_traces_built_without_lists_do_not_share_them(self):
-        first, second = SolveTrace("a", {}), SolveTrace("b", {})
-        for name in ("events", "accepted_steps", "labels"):
-            assert getattr(first, name) == [] == getattr(second, name)
-            assert getattr(first, name) is not getattr(second, name)
-        first.events.append(TraceEvent(EventKind.FINISHED, {}))
-        assert second.events == []
-
-    def test_fields_are_assignable_and_nothing_else_is(self):
-        trace = SolveTrace("a", {})
-        trace.outcome, trace.error = Outcome.BACKEND_FAILURE, "boom"
-        assert (trace.outcome, trace.error) == (Outcome.BACKEND_FAILURE, "boom")
-        with pytest.raises(AttributeError):
-            trace.no_such_field = 1
-
-    def test_a_trace_can_be_weakly_referenced(self):
-        trace = SolveTrace("a", {})
-        assert weakref.ref(trace)() is trace
 
 
 class TestNormalizeAnswer:
