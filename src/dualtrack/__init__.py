@@ -23,12 +23,10 @@ from .agents import (
 from .cache import CacheDecision, RejectionCache, fingerprint
 from .dataset import (
     DataError,
-    RatingRecord,
     RawExample,
     TrainingInstance,
     UnknownRating,
     load_gsm8k_examples,
-    load_prm_records,
     make_instances,
     map_prm_rating,
     serialize_instance,
@@ -43,7 +41,6 @@ from .harness import (
     budget_sweep,
     load_problems,
     run_benchmark,
-    summarize,
     wilson_interval,
 )
 from .protocol import (

@@ -27,12 +27,12 @@ from .dataset import (
     DataError,
     load_gsm8k_examples,
     make_instances,
+    read_text,
     split_examples,
     write_instances,
 )
 from .harness import (
     BackendProvider,
-    InvalidCounts,
     SWEEP_BUDGETS,
     budget_sweep,
     config_hash,
@@ -141,9 +141,9 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
     if path:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+            raw = json.loads(read_text(path, "config file"))
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -177,10 +177,9 @@ def _scripted_provider(path: str | Path, problems: Sequence[Problem]) -> Backend
     "evaluator": [...]}``), applied to every problem, or a mapping from
     problem id to role-keyed scripts, which needs an entry per problem.
     """
+    text = read_text(path, "script fixture")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read script fixture: {exc}") from None
+        raw = json.loads(text)
     except ValueError as exc:
         raise DataError(f"script fixture is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not raw:
@@ -408,7 +407,6 @@ def _run_flags() -> argparse.ArgumentParser:
     flags.add_argument("--max-retries", type=int, dest="max_retries_per_step")
     flags.add_argument("--threshold", type=int, dest="accept_threshold",
                        help="accept when score > threshold")
-    flags.add_argument("--out", dest="out_dir", help="output directory for reports")
     return flags
 
 
@@ -440,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, parents=run_flags, help=help_text)
         command.add_argument("problems", help="JSONL problems file with gold answers")
         command.add_argument("--workers", type=int)
+        command.add_argument("--out", dest="out_dir", help="output directory for reports")
         command.add_argument("--method", help="method label for reports")
         command.set_defaults(handler=handler)
     sub.choices["sweep"].add_argument(
@@ -458,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, InvalidCounts) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

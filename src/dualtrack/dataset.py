@@ -52,14 +52,6 @@ class TrainingInstance(NamedTuple):
     step_index: int
 
 
-class RatingRecord(NamedTuple):
-    """A PRM-style candidate step with its rating mapped to the 0-3 scale."""
-
-    text: str
-    rating: int
-    mapped_score: int
-
-
 def example_id(example: RawExample) -> str:
     """The example's id, or a stable question-derived one when absent."""
     if example.id:
@@ -135,33 +127,18 @@ def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
     return examples
 
 
-def load_prm_records(path: str | Path) -> list[RatingRecord]:
-    """Read PRM-style text/rating records, mapping ratings to the 0-3 scale."""
-    records = []
-    for line_number, record in _read_jsonl(path):
-        try:
-            text, rating = record["text"], record["rating"]
-        except (KeyError, TypeError):
-            raise DataError(
-                f"{path}:{line_number}: record needs 'text' and 'rating' fields"
-            ) from None
-        if not isinstance(text, str):
-            raise DataError(f"{path}:{line_number}: text must be a string")
-        try:
-            mapped = map_prm_rating(rating)
-        except UnknownRating as exc:
-            raise DataError(f"{path}:{line_number}: {exc}") from None
-        records.append(RatingRecord(text=text, rating=rating, mapped_score=mapped))
-    return records
+def read_text(path: str | Path, name: str = "") -> str:
+    """The UTF-8 text of ``path``. A file that cannot be read or is not UTF-8
+    is a ``DataError`` naming it, as ``name`` (say "config file") if given."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {name or path}: {exc}") from None
 
 
 def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    for line_number, line in enumerate(lines, start=1):
+    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -131,19 +131,9 @@ class BenchmarkReport(NamedTuple):
 _score = attrgetter("outcome", "correct", "tokens_spent", "evaluator_calls")
 
 
-def summarize(results: Sequence[RunResult], *, method: str, budget: int,
-              cache: bool) -> SummaryRow:
-    """Aggregate per-problem results; pure, so reports can be recomputed.
-
-    Raises:
-        InvalidCounts: ``results`` is empty.
-    """
-    return _summary(list(map(_score, results)), method=method, budget=budget, cache=cache)
-
-
 def _summary(scores: Sequence[tuple], *, method: str, budget: int, cache: bool) -> SummaryRow:
-    """The row that sums per-problem ``_score``s: every summary row is built here."""
-    outcomes, correct, tokens, evaluator_calls = zip(*scores) if scores else ((),) * 4
+    """The row that sums one or more ``_score``s: every summary row is built here."""
+    outcomes, correct, tokens, evaluator_calls = zip(*scores)
     n, correct = len(scores), sum(correct)
     interval = wilson_interval(correct, n)
     return SummaryRow(
@@ -261,7 +251,7 @@ def _check_problems(problems: Sequence[Problem]) -> None:
     gold answer, an id that cannot name a trace file (strict UTF-8, at most
     250 bytes), or a repeated id."""
     if not problems:
-        raise InvalidCounts("empty problem list")
+        raise DataError("empty problem list")
     seen: set[str] = set()
     for problem in problems:
         if problem.gold_answer is None:

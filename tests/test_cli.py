@@ -244,6 +244,19 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "api_base" in capsys.readouterr().err
 
+    def test_out_is_a_usage_error_that_creates_nothing(self, tmp_path, henry_fixture_file,
+                                                       capsys):
+        # solve writes no files, so it takes no --out.
+        out_dir = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", HENRY_QUESTION, "--script", henry_fixture_file,
+                  "--out", str(out_dir)])
+        assert exit_info.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --out" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
 
 class TestBench:
     def test_engineered_table_row(self, tmp_path, capsys):
@@ -535,9 +548,9 @@ def test_blank_problem_question_is_data_error(tmp_path, capsys, command):
 
 
 class TestUnusableFiles:
-    """An input file that is not UTF-8 is a data error, and an output location
-    that cannot hold a directory is a config error found before any agent call;
-    neither ends in a traceback."""
+    """An input file that is not UTF-8 is a data error, or a config error for a
+    config file, and an output location that cannot hold a directory is a
+    config error found before any agent call; none ends in a traceback."""
 
     @pytest.mark.parametrize("command", ["bench", "prep"])
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys, command):
@@ -551,6 +564,21 @@ class TestUnusableFiles:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: cannot read {data}: 'utf-8' codec can't decode byte 0xe9" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, code, error", [
+        ("--script", EXIT_DATA, "data error: cannot read script fixture"),
+        ("--config", EXIT_CONFIG, "config error: cannot read config file"),
+    ], ids=["fixture", "config"])
+    def test_non_utf8_fixture_or_config_names_the_file_it_reads(
+        self, tmp_path, capsys, henry_fixture_file, flag, code, error
+    ):
+        unreadable = tmp_path / "unreadable.json"
+        unreadable.write_bytes(b"\xe9")
+        argv = ["solve", HENRY_QUESTION, "--script", henry_fixture_file, flag, str(unreadable)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"{error}: 'utf-8' codec can't decode byte 0xe9" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["bench", "sweep"])
@@ -717,12 +745,12 @@ class TestCommandLineSurface:
         "cache_enabled": (("--cache", "--no-cache"), None, None),
         "max_retries_per_step": (("--max-retries",), None, int),
         "accept_threshold": (("--threshold",), None, int),
-        "out_dir": (("--out",), None, None),
     }
     BATCH_FLAGS = {
         **RUN_FLAGS,
         "problems": ((), None, None),
         "workers": (("--workers",), None, int),
+        "out_dir": (("--out",), None, None),
         "method": (("--method",), None, None),
     }
 

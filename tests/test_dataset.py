@@ -10,7 +10,6 @@ from dualtrack.dataset import (
     TrainingInstance,
     UnknownRating,
     load_gsm8k_examples,
-    load_prm_records,
     make_instances,
     map_prm_rating,
     serialize_instance,
@@ -185,39 +184,6 @@ class TestPrmMapping:
     def test_unknown_rating_rejected(self, rating):
         with pytest.raises(UnknownRating):
             map_prm_rating(rating)
-
-    def test_load_prm_records(self, tmp_path):
-        path = tmp_path / "prm.jsonl"
-        path.write_text(
-            json.dumps({"text": "7.8 minutes is 7 minutes and 0.8 minutes.", "rating": 1})
-            + "\n"
-            + json.dumps({"text": "Right. Same thing again.", "rating": 0})
-            + "\n",
-            encoding="utf-8",
-        )
-        records = load_prm_records(path)
-        assert [record.mapped_score for record in records] == [3, 1]
-
-    def test_load_prm_bad_rating_names_line(self, tmp_path):
-        path = tmp_path / "prm.jsonl"
-        path.write_text('{"text": "x", "rating": 9}\n', encoding="utf-8")
-        with pytest.raises(DataError, match=":1:"):
-            load_prm_records(path)
-
-    def test_load_prm_boolean_rating_names_line(self, tmp_path):
-        path = tmp_path / "prm.jsonl"
-        path.write_text('{"text": "x", "rating": 1}\n{"text": "x", "rating": true}\n',
-                        encoding="utf-8")
-        with pytest.raises(DataError, match=":2:"):
-            load_prm_records(path)
-
-    @pytest.mark.parametrize("text", ["5", "null", '["x"]'])
-    def test_load_prm_non_string_text_names_line(self, tmp_path, text):
-        path = tmp_path / "prm.jsonl"
-        path.write_text(f'{{"text": "x", "rating": 1}}\n{{"text": {text}, "rating": 1}}\n',
-                        encoding="utf-8")
-        with pytest.raises(DataError, match=":2: text must be a string"):
-            load_prm_records(path)
 
 
 class TestLoaders:

@@ -23,7 +23,6 @@ from dualtrack.harness import (
     load_results,
     rows_to_csv,
     run_benchmark,
-    summarize,
     wilson_interval,
 )
 from dualtrack.protocol import CanonicalNumber, Problem
@@ -131,12 +130,22 @@ class TestRunBenchmark:
         traces = sorted((run_dir / "traces").glob("*.json"))
         assert len(traces) == 8
 
-        persisted = load_results(run_dir / "results.jsonl")
-        recomputed = summarize(
-            persisted, method="scripted", budget=config.token_budget, cache=True
-        )
-        assert recomputed.to_dict() == report.summary.to_dict()
-        assert json.loads((run_dir / "summary.json").read_text()) == report.summary.to_dict()
+        # Every summary figure, recomputed from the per-problem records alone.
+        lines = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        correct, n = sum(record["correct"] for record in records), len(records)
+        assert (correct, n) == (5, 8)
+        interval = wilson_interval(correct, n)
+        summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary == {
+            "method": "scripted", "budget": config.token_budget, "cache": "on",
+            "correct": correct, "n": n, "accuracy": round(correct / n, 3),
+            "ci_low": round(interval.low, 3), "ci_high": round(interval.high, 3),
+            "mean_tokens": round(sum(record["tokens_spent"] for record in records) / n, 2),
+            "evaluator_calls": sum(record["evaluator_calls"] for record in records),
+            "outcomes": dict(sorted(Counter(record["outcome"] for record in records).items())),
+        }
+        assert summary == report.summary.to_dict()
 
     def test_accuracy_equals_mean_of_correct_flags(self):
         problems, fixture = build_bench_case(n=10, n_correct=4)
@@ -147,10 +156,8 @@ class TestRunBenchmark:
         assert report.summary.accuracy == sum(flags) / len(flags)
 
     def test_empty_problem_list_rejected(self):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(DataError, match="empty problem list"):
             run_benchmark([], SolverConfig(token_budget=10), ((), ()))
-        with pytest.raises(InvalidCounts):
-            summarize([], method="dual_cot", budget=10, cache=True)
 
     def test_problem_without_gold_rejected(self):
         problem = Problem(id="p", question="q?")
@@ -289,7 +296,7 @@ class TestBudgetSweep:
     @pytest.mark.parametrize(
         "ids, error",
         [
-            ([], InvalidCounts),
+            ([], DataError),
             (["p000", None], DataError),
             (["../x"], DataError),
             (["p\0x"], DataError),
@@ -772,8 +779,8 @@ class TestDerivedSweep:
         # Every problem solved from scratch with the cache off: the target.
         scratch = Counter()
         for draws in flips:
-            row = summarize([_result_of(problem, solved(False, draws))],
-                            method="dual_cot", budget=BIG_BUDGET, cache=False)
+            row = harness._summary([harness._score(_result_of(problem, solved(False, draws)))],
+                                   method="dual_cot", budget=BIG_BUDGET, cache=False)
             scratch[json.dumps(row.to_dict())] += Fraction(1, len(flips))
         assert sorted(scratch.values()) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
         # The sweep over every outcome: the cache-on solve draws first, and a
@@ -899,8 +906,9 @@ class TestSweepResultsPerProblem:
                     assert scored[cache][index // 2] == (
                         result.outcome, result.correct, result.tokens_spent,
                         result.evaluator_calls), (problem.id, cache, budget)
-                    assert row == summarize([result], method="dual_cot", budget=budget,
-                                            cache=cache), (problem.id, cache, budget)
+                    assert row == harness._summary(
+                        [harness._score(result)], method="dual_cot", budget=budget,
+                        cache=cache), (problem.id, cache, budget)
                     last = whole.events[-1] if whole.events else None
                     stopped = real.outcome is Outcome.BUDGET_EXHAUSTED
                     if stopped and real.events[-1].payload["spent"] == budget:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from dualtrack.agents import DecodeParams
 from dualtrack.cli import RunConfig
-from dualtrack.dataset import RatingRecord, RawExample, TrainingInstance
+from dualtrack.dataset import RawExample, TrainingInstance
 from dualtrack.harness import BenchmarkReport, RunResult, SummaryRow, WilsonInterval
 from dualtrack.protocol import (
     AcceptedStep,
@@ -354,8 +354,6 @@ class TestRecordContract:
                 "TrainingInstance(id='ex1-1', problem_block='Problem: Q?', target='STEP: a',"
                 " step_index=1)",
             ),
-            (RatingRecord("a step", -1, 0), RatingRecord(text="a step", rating=-1, mapped_score=0),
-             "RatingRecord(text='a step', rating=-1, mapped_score=0)"),
             (
                 RunConfig("http://x"),
                 RunConfig(api_base="http://x", token_budget=2048, script_path=None),
