@@ -12,6 +12,7 @@ from dualtrack.dataset import (
     load_gsm8k_examples,
     make_instances,
     map_prm_rating,
+    read_text,
     serialize_instance,
     split_examples,
     write_instances,
@@ -228,9 +229,62 @@ class TestLoaders:
         with pytest.raises(DataError, match=":2:"):
             load_gsm8k_examples(path)
 
+    @pytest.mark.parametrize("value", ["5", "null", '["x"]'])
+    @pytest.mark.parametrize("field", ["question", "answer"])
+    def test_non_string_field_names_line(self, tmp_path, field, value):
+        good = {"question": "q", "answer": "#### 1"}
+        bad = json.dumps({**good, field: "@"}).replace('"@"', value)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: question and answer must be strings"):
+            load_gsm8k_examples(path)
+
+    def test_blank_lines_are_skipped_and_numbering_kept(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text(
+            "\n" + json.dumps({"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER})
+            + "\n   \n{broken\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=":4: invalid JSON"):
+            load_gsm8k_examples(path)
+        path.write_text(path.read_text(encoding="utf-8").replace("{broken", ""),
+                        encoding="utf-8")
+        assert load_gsm8k_examples(path) == [
+            RawExample(question=NATALIA_QUESTION, answer=NATALIA_ANSWER)
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_gsm8k_examples(tmp_path / "absent.jsonl")
+
+
+class TestReadText:
+    def test_reads_utf8(self, tmp_path):
+        path = tmp_path / "note.txt"
+        path.write_bytes("café costs €3\n".encode("utf-8"))
+        assert read_text(path) == "café costs €3\n"
+        assert read_text(str(path), "note") == "café costs €3\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_is_data_error_naming_the_path(self, tmp_path, kind):
+        path = tmp_path / "input.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"ok\n\xe9\n")
+        with pytest.raises(DataError) as error:
+            read_text(path)
+        assert str(error.value).startswith(f"cannot read {path}: ")
+
+    def test_name_replaces_the_path_in_the_message(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xe9")
+        with pytest.raises(DataError) as error:
+            read_text(path, "config file")
+        assert str(error.value).startswith(
+            "cannot read config file: 'utf-8' codec can't decode byte 0xe9")
+        assert str(path) not in str(error.value)
 
 
 class TestSplitExamples:
