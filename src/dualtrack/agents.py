@@ -21,7 +21,8 @@ import time
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .protocol import DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, make_checked, new_record
+from .protocol import (DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, is_unicode,
+                       make_checked, new_record)
 
 if TYPE_CHECKING:
     import requests
@@ -288,6 +289,8 @@ class HTTPBackend:
             raise _http_error("unexpected response shape", response) from None
         if not isinstance(content, str):
             raise BackendError("message content is not text", status=response.status_code)
+        if not is_unicode(content):
+            raise BackendError("message content is not valid Unicode", status=response.status_code)
         # A usage that is not an object counts as absent: both counts are estimated.
         usage = data.get("usage")
         usage = usage if isinstance(usage, dict) else {}

@@ -39,7 +39,7 @@ from .harness import (
     load_problems,
     run_benchmark,
 )
-from .protocol import Problem
+from .protocol import Problem, is_unicode
 from .solver import EventKind, Outcome, SolverConfig, solve
 
 EXIT_OK = 0
@@ -195,6 +195,8 @@ def _scripted_provider(path: str | Path, problems: Sequence[Problem]) -> Backend
                 isinstance(reply, str) for reply in replies
             ):
                 raise DataError(f"{where}: {role} script must be a list of strings")
+            if not is_unicode("".join(replies)):
+                raise DataError(f"{where}: {role} script holds text that is not valid Unicode")
 
     if set(raw) <= _ROLE_KEYS:
         check_role_scripts(raw, "fixture")

@@ -20,6 +20,7 @@ from .protocol import (
     FINAL_ANSWER_PREFIX,
     STEP_PREFIX,
     ProtocolError,
+    is_unicode,
     parse_worked_solution,
     render_problem_block,
 )
@@ -115,15 +116,15 @@ def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
             ) from None
         if not isinstance(question, str) or not isinstance(answer, str):
             raise DataError(f"{path}:{line_number}: question and answer must be strings")
+        raw_id = record.get("id")
+        example = RawExample(question, answer, "" if raw_id is None else str(raw_id))
+        if not all(map(is_unicode, example)):
+            raise DataError(f"{path}:{line_number}: question, answer and id must be valid Unicode")
         try:
             parse_worked_solution(answer)
         except ProtocolError as exc:
             raise DataError(f"{path}:{line_number}: {exc}") from None
-        raw_id = record.get("id")
-        examples.append(
-            RawExample(question=question, answer=answer,
-                       id="" if raw_id is None else str(raw_id))
-        )
+        examples.append(example)
     return examples
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dataset import DataError, _read_jsonl
-from .protocol import CanonicalNumber, Problem, normalize_answer, parse_worked_solution
+from .protocol import CanonicalNumber, Problem, is_unicode, normalize_answer, parse_worked_solution
 from .agents import ReplayBackend
 from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, solve
 
@@ -259,11 +259,9 @@ def _check_problems(problems: Sequence[Problem]) -> None:
         # The id names the trace file: one path component, no NUL, at most 255 bytes with .json
         if "/" in problem.id or "\\" in problem.id or "\0" in problem.id:
             raise DataError(f"problem id {problem.id!r} must not contain '/', '\\' or NUL")
-        try:
-            size = len(problem.id.encode("utf-8"))
-        except UnicodeEncodeError:  # a lone surrogate: valid in JSON, not in UTF-8
-            raise DataError(f"problem id {problem.id!r} is not valid UTF-8") from None
-        if size > 250:
+        if not is_unicode(problem.id):
+            raise DataError(f"problem id {problem.id!r} is not valid UTF-8")
+        if len(problem.id.encode("utf-8")) > 250:
             raise DataError(f"problem id {problem.id[:20]!r}... is over 250 bytes in UTF-8")
         if problem.id in seen:
             raise DataError(f"duplicate problem id {problem.id!r}")
@@ -282,7 +280,7 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
     One task per problem solves the trunk at ``max(budgets)`` under the last
     setting and writes its trace to ``trace_dir`` if given. A cache-off setting
     before it forks from that trace on a pair the provider gives first
-    (PROTOCOL.md, Budget sweep); after a trunk error it replays nothing. An
+    (PROTOCOL.md, Budget sweep); after a trunk error it solves on that pair. An
     error propagates unless ``continue_on_error`` is set. Traces never leave
     the task, so each is freed once its problem is scored.
     """
@@ -318,8 +316,8 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
             return (trunk,)
         if trace is not None and fork is None:  # the trunk is the cache-off solve
             return trunk, trunk
-        # After a trunk error there is no trace, and the fork replays nothing.
-        return run(problem, False, {} if trace is None else trace.replies(fork))[0], trunk
+        # After a trunk error there is no trace, and the fork solves on the provider's pair.
+        return run(problem, False, None if trace is None else trace.replies(fork))[0], trunk
 
     columns = zip(*_map(task, problems, workers))
     return {cache: next((item for item in column if isinstance(item, Exception)), column)

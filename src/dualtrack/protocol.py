@@ -121,6 +121,15 @@ def make_checked(cls, iterable):
     return cls(*fields)
 
 
+def is_unicode(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: a lone surrogate (JSON ``\\ud800``) does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class CanonicalNumber(NamedTuple):
     """An exact decimal in canonical form, unique per numeric value.
 
@@ -160,6 +169,8 @@ class Problem(NamedTuple("Problem", [("id", str), ("question", str),
                 gold_answer: CanonicalNumber | None = None) -> "Problem":
         if not question.strip():
             raise ValueError("problem question must be non-empty")
+        if not is_unicode(question):
+            raise ValueError("problem question must be valid Unicode")
         return tuple.__new__(cls, (id, question, gold_answer))
 
 

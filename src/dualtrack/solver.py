@@ -13,8 +13,8 @@ it charged, and spend is the sum of those events. The loop makes agent
 calls in two places, the Decomposer's generation and the Evaluator's
 scoring, and checks the budget right before each and never mid-call, so
 total spend can overshoot the limit by at most the cost of the final call,
-and a solve at a smaller budget is a prefix of the same solve at a larger
-one (PROTOCOL.md, Budget sweep).
+and a solve at a smaller budget is the one at a larger budget stopped at its
+first check at or above the smaller one (PROTOCOL.md, Budget sweep).
 """
 
 from __future__ import annotations
@@ -195,31 +195,6 @@ class SolveTrace(NamedTuple):
                 replies[role].append((event.payload["raw"], event.tokens_charged))
         return replies
 
-    def at_budget(self, budget: int) -> "SolveTrace":
-        """The trace the same solve leaves at a budget no larger than this
-        one's: the events before the check where ``BudgetCuts`` stops it and a
-        budget stop, or the whole trace; its config records ``budget``.
-
-        Raises:
-            ValueError: ``budget`` exceeds the budget this trace was solved at.
-        """
-        cut = BudgetCuts(self).at(budget)
-        config = {**self.config, "token_budget": budget}
-        if cut is None:
-            return self._replace(config=config)
-        events = [*self.events[: cut.end],
-                  TraceEvent(EventKind.BUDGET_STOP, {"spent": cut.spent, "limit": budget})]
-        accepted = sum(
-            event.kind in (EventKind.ACCEPTED, EventKind.FORCED_ACCEPT) for event in events
-        )
-        return SolveTrace(
-            problem_id=self.problem_id,
-            config=config,
-            events=events,
-            accepted_steps=self.accepted_steps[:accepted],
-            outcome=Outcome.BUDGET_EXHAUSTED,
-        )
-
     def to_dict(self) -> dict:
         trace = self._asdict()
         trace["events"] = [event.to_dict() for event in self.events]
@@ -235,19 +210,10 @@ class SolveTrace(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
 
 
-class BudgetCut(NamedTuple):
-    """Where a budget stops a solve: before event ``end``, with ``spent``
-    tokens charged and ``evaluator_calls`` real Evaluator calls made."""
-
-    end: int
-    spent: int
-    evaluator_calls: int
-
-
 class BudgetCuts:
-    """Where every budget up to a trace's own stops the same solve, by the
+    """The score each budget up to a trace's own gives the same solve, by the
     cut rule of PROTOCOL.md "Budget sweep": one walk notes the spend before
-    each budget check, and a budget takes the first at or above it.
+    each budget check, and a budget stops the solve at the first at or above it.
 
     The walk also keeps the trace's ``totals``, its ``(tokens_spent,
     evaluator_calls)``, and ``fork``, the event index where the cache-off
@@ -258,8 +224,8 @@ class BudgetCuts:
 
     def __init__(self, trace: SolveTrace):
         self._limit: int = trace.config["token_budget"]
-        # Per budget check: the spend before it, its event index, the Evaluator calls before it.
-        self._spends, self._ends, self._calls = spends, ends, calls = [], [], []
+        # Per budget check: the spend before it and the Evaluator calls before it.
+        self._spends, self._calls = spends, calls = [], []
         spent = evaluator_calls = 0
         fork = None
         for index, event in enumerate(trace.events):
@@ -267,37 +233,19 @@ class BudgetCuts:
             if kind is _GENERATED or (
                     kind is _EVALUATED and event.payload.get("synthetic") is None):
                 spends.append(spent)
-                ends.append(index)
                 calls.append(evaluator_calls)
                 evaluator_calls += kind is _EVALUATED
             elif fork is None and kind is _CACHE_REJECTED:
                 fork = index
             spent += event.tokens_charged  # 0 unless the event is an agent call
-        end = None
-        if trace.outcome is _BUDGET_EXHAUSTED:
-            end = len(trace.events) - 1
-        elif trace.outcome is _BACKEND_FAILURE:
+        if trace.outcome is _BACKEND_FAILURE:
+            # A last call that raised left no event: the end is one more check.
             last = trace.events[-1] if trace.events else None
             if not (last and last.kind is _EVALUATED and last.payload["score"] is None):
-                end = len(trace.events)
-                fork = end if fork is None else fork
-        if end is not None:
-            spends.append(spent)
-            ends.append(end)
-            calls.append(evaluator_calls)
+                spends.append(spent)
+                calls.append(evaluator_calls)
+                fork = len(trace.events) if fork is None else fork
         self.totals, self.fork = (spent, evaluator_calls), fork
-
-    def at(self, budget: int) -> BudgetCut | None:
-        """Where ``budget`` stops the solve, or None if it ends as it did.
-
-        Raises:
-            ValueError: ``budget`` exceeds the budget the trace was solved at.
-        """
-        if budget > self._limit:
-            raise ValueError(f"cannot cut a trace solved at {self._limit} at {budget}")
-        if (index := bisect_left(self._spends, budget)) < len(self._spends):
-            return BudgetCut(self._ends[index], self._spends[index], self._calls[index])
-        return None
 
     def scores(self, budgets: Sequence[int], whole: tuple) -> list[tuple]:
         """Each budget's score, in order: ``whole`` where the budget lets the

@@ -374,11 +374,13 @@ class TestHTTPBackendAgainstLocalServer:
             ([(200, b'{"choices": [{"mess')], 5.0, BackendError, 200,
              'malformed JSON body: {"choices": [{"mess', 1),
             ([chat_ok(5)], 5.0, BackendError, 200, "message content is not text", 1),
+            ([chat_ok("STEP: \ud800")], 5.0, BackendError, 200,
+             "message content is not valid Unicode", 1),
             (["close"], 5.0, BackendError, None, "transport error: ", 2),
             (["stall"], 0.2, BackendTimeout, None, "no response within 0.2s", 2),
         ],
         ids=["persistent-429", "404", "truncated-json", "content-not-text",
-             "closed-without-response", "timeout"],
+             "content-not-unicode", "closed-without-response", "timeout"],
     )
     def test_fault(self, endpoint, actions, timeout, error, status, message, received):
         backend = endpoint.backend(*actions, timeout=timeout)

@@ -411,6 +411,31 @@ class TestBench:
         assert repr("p\ud800") in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "solve"])
+    def test_question_with_lone_surrogate_is_refused_before_any_file(
+            self, tmp_path, capsys, command):
+        # A JSON "\ud800" escape, or an argument byte that is not UTF-8, which
+        # Python decodes to "\udcff", leaves a lone surrogate in the question.
+        out_dir = tmp_path / "runs"
+        if command == "bench":
+            problems_file = tmp_path / "problems.jsonl"
+            problems_file.write_text("".join(
+                json.dumps({"id": problem_id, "question": question, "gold_answer": "1"}) + "\n"
+                for problem_id, question in (("p1", "q?"), ("p2", "q\ud800?"))),
+                encoding="utf-8")
+            fixture_file = write_json(tmp_path / "scripts.json", HENRY_SCRIPTS)
+            argv = ["bench", str(problems_file), "--script", fixture_file, "--out", str(out_dir)]
+            code, error = EXIT_DATA, f"data error: {problems_file}:2: "
+        else:
+            argv = ["solve", "How many\udcff?", "--script", write_json(
+                tmp_path / "scripts.json", HENRY_SCRIPTS)]
+            code, error = EXIT_CONFIG, "config error: question: "
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert error + "problem question must be valid Unicode" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
 
 class TestLiveEndpoint:
     def test_bench_sends_role_models_system_prompts_and_key(
@@ -444,6 +469,28 @@ class TestLiveEndpoint:
             ("Bearer sk-local", "decomposer-8b", DECOMPOSER_SYSTEM_PROMPT),
             ("Bearer sk-local", "evaluator-8b", "Grade the step strictly."),
         ] * 2
+
+    def test_reply_that_is_not_valid_unicode_is_a_backend_failure(
+        self, tmp_path, capsys, monkeypatch, endpoint
+    ):
+        # The body's "\ud800" escape is valid JSON but decodes to a lone
+        # surrogate, which the trace file could not hold as UTF-8.
+        problem = Problem(id="apples", question="How many apples?",
+                          gold_answer=CanonicalNumber("7"))
+        problems_file = write_problems(tmp_path / "problems.jsonl", [problem])
+        config = write_json(tmp_path / "config.json", {
+            "api_base": endpoint.url, "decomposer_model": "d", "evaluator_model": "e"})
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        endpoint.actions = [chat_ok("STEP: \ud800", {"prompt_tokens": 5, "completion_tokens": 3})]
+        out_dir = tmp_path / "runs"
+        argv = ["bench", problems_file, "--config", config, "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        assert "accuracy: 0.0%" in capsys.readouterr().out
+        (trace_file,) = out_dir.glob("*/traces/apples.json")
+        trace = json.loads(trace_file.read_text(encoding="utf-8"))
+        assert (trace["outcome"], trace["error"], trace["events"]) == (
+            "backend_failure", "decomposer: message content is not valid Unicode", [])
+        assert endpoint.received == 1
 
 
 class TestSweep:
@@ -580,6 +627,44 @@ class TestUnusableFiles:
         err = capsys.readouterr().err
         assert f"{error}: 'utf-8' codec can't decode byte 0xe9" in err
         assert "Traceback" not in err
+
+    # "\ud800" is valid JSON but decodes to a lone surrogate, which has no
+    # UTF-8 encoding: no trace, output file or hash can take it.
+    @pytest.mark.parametrize("command", ["bench", "solve"])
+    def test_fixture_text_that_is_not_valid_unicode_is_data_error(
+        self, tmp_path, capsys, command
+    ):
+        fixture_file = write_json(tmp_path / "scripts.json", {
+            **HENRY_SCRIPTS, "decomposer": [f"STEP: {HENRY_GOOD_STEP}\ud800"]})
+        out_dir = tmp_path / "runs"
+        if command == "bench":
+            problem = Problem(id="henry", question=HENRY_QUESTION,
+                              gold_answer=CanonicalNumber("25"))
+            problems_file = write_problems(tmp_path / "problems.jsonl", [problem])
+            argv = ["bench", problems_file, "--script", fixture_file, "--out", str(out_dir)]
+        else:
+            argv = ["solve", HENRY_QUESTION, "--script", fixture_file]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: fixture: decomposer script holds text that is not valid Unicode" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field", ["question", "answer", "id"])
+    def test_gsm8k_text_that_is_not_valid_unicode_is_data_error(
+        self, tmp_path, capsys, field
+    ):
+        records = [{"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER, "id": "a"}] * 2
+        records[1] = {**records[1], field: records[1][field] + "\ud800"}
+        data = tmp_path / "gsm8k.jsonl"
+        data.write_text("".join(json.dumps(record) + "\n" for record in records),
+                        encoding="utf-8")
+        output = tmp_path / "prepped"
+        assert main(["prep", str(data), str(output)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {data}:2: question, answer and id must be valid Unicode" in err
+        assert "Traceback" not in err
+        assert not output.exists()
 
     @pytest.mark.parametrize("command", ["bench", "sweep"])
     @pytest.mark.parametrize("under_file", [False, True], ids=["a-file", "under-a-file"])

@@ -16,7 +16,6 @@ from dualtrack.protocol import (
     parse_agent_step,
 )
 from dualtrack.solver import (
-    BudgetCut,
     BudgetCuts,
     Decision,
     EventKind,
@@ -586,9 +585,9 @@ def _event(kind, **payload):
 
 
 # Hand-built traces that end four ways, each with the budget it was solved at
-# and, for every budget from 1 up, the cut ``at`` gives: a list of (the last
-# budget it applies to, (end, spent, evaluator_calls) or None). The spend
-# before each agent call is worked out in the comments.
+# and, for every budget from 1 up, the budget stop it scores as: a list of (the
+# last budget it applies to, (spent, evaluator_calls) or None for the whole
+# solve's score). The spend before each agent call is worked out in the comments.
 HAND_TRACES = {
     "solved": (16, Outcome.SOLVED, [
         _generated(3),  # 0: spend before 0
@@ -605,8 +604,10 @@ HAND_TRACES = {
         _evaluated(1),  # 10: 14
         _event(EventKind.ACCEPTED),
         _event(EventKind.FINISHED, final_answer="1"),
-    ], [(3, (1, 3, 0)), (5, (3, 5, 1)), (9, (6, 9, 1)), (12, (9, 12, 1)), (14, (10, 14, 1)),
-        (16, None)], (15, 2), 4),
+    ], [(3, (3, 0)), (5, (5, 1)), (9, (9, 1)), (12, (12, 1)), (14, (14, 1)), (16, None)],
+        (15, 2), 4),
+    # The solve's own stop, at spend 11, is the whole score of every budget
+    # that no check before it stops: budget_exhausted, spent 11.
     "budget_stop": (10, Outcome.BUDGET_EXHAUSTED, [
         _generated(4),  # 0: 0
         _evaluated(3, score=0),  # 1: 4
@@ -614,8 +615,8 @@ HAND_TRACES = {
         _generated(4),  # 3: 7
         _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # the fork
         _event(EventKind.RETRIED),
-        _event(EventKind.BUDGET_STOP, spent=11, limit=10),  # 6: 11, a check at the end
-    ], [(4, (1, 4, 0)), (7, (3, 7, 1)), (10, (6, 11, 1))], (11, 1), 4),
+        _event(EventKind.BUDGET_STOP, spent=11, limit=10),
+    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 4),
     # The Evaluator call after event 3 raised and left no event, so the end,
     # at spend 13, is a check, and the fork.
     "raised call": (20, Outcome.BACKEND_FAILURE, [
@@ -623,13 +624,20 @@ HAND_TRACES = {
         _evaluated(2),  # 1: 5
         _event(EventKind.ACCEPTED),
         _generated(6),  # 3: 7
-    ], [(5, (1, 5, 0)), (7, (3, 7, 1)), (13, (4, 13, 1)), (20, None)], (13, 1), 4),
+    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 4),
     # The Evaluator's reply left its event, so the end is no check.
     "unparsed reply": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2, score=None),  # 1: 5, a reply that did not parse
-    ], [(5, (1, 5, 0)), (20, None)], (7, 1), None),
+    ], [(5, (5, 0)), (20, None)], (7, 1), None),
 }
+
+
+def _score(problem, trace):
+    """A solve's score as a sweep cell sums it: its outcome, whether it solved
+    the problem correctly, its spend and its Evaluator calls."""
+    correct = trace.outcome is Outcome.SOLVED and trace.final_answer == problem.gold_answer
+    return trace.outcome, correct, trace.tokens_spent, trace.evaluator_calls
 
 
 class TestBudgetCuts:
@@ -638,43 +646,29 @@ class TestBudgetCuts:
         limit, outcome, events, spans, totals, fork = HAND_TRACES[name]
         cuts = BudgetCuts(SolveTrace(problem_id="p", config={"token_budget": limit},
                                      events=events, outcome=outcome))
+        whole = (outcome, outcome is Outcome.SOLVED, *totals)
         expected, budget = [], 1
-        for last, cut in spans:
-            expected += [cut] * (last - budget + 1)
+        for last, stop in spans:
+            score = whole if stop is None else (Outcome.BUDGET_EXHAUSTED, False, *stop)
+            expected += [score] * (last - budget + 1)
             budget = last + 1
         assert len(expected) == limit
-        got = [cuts.at(budget) for budget in range(1, limit + 1)]
-        assert got == expected
-        assert all(cut is None or type(cut) is BudgetCut for cut in got)
+        assert cuts.scores(range(1, limit + 1), whole) == expected
         assert (cuts.totals, cuts.fork) == (totals, fork)
-        with pytest.raises(ValueError):
-            cuts.at(limit + 1)
-        # The batch lookup gives every budget's score: the whole solve's, or its cut's stop.
-        whole = (outcome, True, *totals)
+        # Repeated and unsorted budgets are scored in the order given.
         budgets = [limit, *range(1, limit + 1), 1]
-        assert cuts.scores(budgets, whole) == [
-            whole if cut is None else (Outcome.BUDGET_EXHAUSTED, False, cut[1], cut[2])
-            for cut in (expected[budget - 1] for budget in budgets)]
+        assert cuts.scores(budgets, whole) == [expected[budget - 1] for budget in budgets]
         assert cuts.scores([], whole) == []
         with pytest.raises(ValueError):
             cuts.scores([1, limit + 1], whole)
 
-
-class TestAtBudget:
-    def test_henry_cut_bytes(self, henry_problem, henry_backend):
-        trace = solve(henry_problem, config(), henry_backend, henry_backend)
-        assert trace.at_budget(400).to_json() == HENRY_BUDGET_400_TRACE_JSON
-        assert trace.at_budget(BIG_BUDGET).to_json() == HENRY_TRACE_JSON
-
-    def test_budget_above_the_solved_one_rejected(self, henry_problem, henry_backend):
-        trace = solve(henry_problem, config(token_budget=400), henry_backend, henry_backend)
-        with pytest.raises(ValueError):
-            trace.at_budget(401)
-
     def test_cut_equals_a_real_solve_at_that_budget(self):
         """Random scripts with malformed replies and short scripts, solved at
-        a top budget and cut at each smaller one, byte for byte against a real
-        solve at that budget. Both end-of-trace rules must be reached."""
+        a top budget and scored at each smaller one, against a real solve at
+        that budget: the same score, and the real solve's events before its
+        budget stop begin the top solve's. Both end cases must be reached: a
+        top solve that ended in its own budget stop, and a real solve stopped
+        at the end of a top one whose last call raised."""
         problems, fixture = build_random_case(random.Random(808), 60)
         ends = {"budget_stop": 0, "failed_call": 0}
         for problem in problems:
@@ -692,9 +686,12 @@ class TestAtBudget:
                     budgets = {1, 2, 100, 200, 300, 400, 500, run(BIG_BUDGET).tokens_spent}
                     for top in (600, BIG_BUDGET):
                         solved = run(top)
-                        for budget in sorted(b for b in budgets if 0 < b <= top):
-                            real = run(budget)
-                            assert solved.at_budget(budget).to_json() == real.to_json()
+                        below = sorted(b for b in budgets if 0 < b <= top)
+                        reals = [run(budget) for budget in below]
+                        assert BudgetCuts(solved).scores(below, _score(problem, solved)) == [
+                            _score(problem, real) for real in reals]
+                        for real in reals:
+                            assert_budget_prefix(real, solved)
                             if solved.outcome is Outcome.BUDGET_EXHAUSTED:
                                 ends["budget_stop"] += 1
                             elif (real.outcome is Outcome.BUDGET_EXHAUSTED
