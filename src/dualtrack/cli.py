@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_args, get_type_hints
+from urllib.parse import urlsplit
 
 from .agents import (
     API_BASE_ENV,
@@ -134,6 +135,8 @@ def _check_type(key: str, value) -> None:
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}")
+    if kind is str and not is_unicode(value):
+        raise ConfigError(f"{key}: {value!r} is not valid Unicode")
 
 
 def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -163,6 +166,8 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     settings.update((key, value) for key, value in vars(args).items()
                     if key in _SETTING_TYPES and value is not None)
     config = RunConfig(**settings)
+    if not is_unicode(config.method):  # the first column of every CSV report
+        raise ConfigError(f"method: {config.method!r} is not valid Unicode")
     if config.workers < 1:
         raise ConfigError(f"workers: must be at least 1, got {config.workers}")
     if config.timeout <= 0:
@@ -222,6 +227,12 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
             f"api_base: set it in the config file or via {API_BASE_ENV} "
             "(or pass --script for a scripted run)"
         )
+    try:
+        url = urlsplit(config.api_base)
+    except ValueError:  # an unclosed IPv6 bracket
+        url = None
+    if not (url and url.scheme in ("http", "https") and url.hostname):
+        raise ConfigError(f"api_base: {config.api_base!r} is not an http(s):// URL with a host")
     models = {role: getattr(config, f"{role.value}_model") for role in Role}
     if not all(models.values()):
         raise ConfigError("decomposer_model/evaluator_model: required for live endpoints")

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, is_unicode, normalize_answer, parse_worked_solution
 from .agents import ReplayBackend
-from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, solve
+from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, replies, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -185,21 +185,15 @@ def load_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
-def _result(problem: Problem, trace: SolveTrace, totals: tuple[int, int]) -> RunResult:
+def _result(problem: Problem, trace: SolveTrace, totals: tuple[int, int],
+            trace_path: Path | None) -> RunResult:
     """Score one solve whose ``(tokens_spent, evaluator_calls)`` are ``totals``:
     its answer counts only if the solve finished."""
     predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
     spent, evaluator_calls = totals
     correct = predicted is not None and predicted == problem.gold_answer
-    return RunResult(problem.id, predicted, correct, spent, trace.outcome, evaluator_calls)
-
-
-def _scores(problem: Problem, trace: SolveTrace, cuts: BudgetCuts,
-            budgets: Sequence[int]) -> tuple[RunResult, list]:
-    """The solve's ``RunResult``, scored once, and each budget's ``_score``:
-    the result's, or its cut's budget stop."""
-    result = _result(problem, trace, cuts.totals)
-    return result, cuts.scores(budgets, _score(result))
+    return RunResult(problem.id, predicted, correct, spent, trace.outcome, evaluator_calls,
+                     None if trace_path is None else str(trace_path))
 
 
 def _map(fn: Callable[[object], object], items: Sequence, workers: int) -> list:
@@ -279,45 +273,44 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
 
     One task per problem solves the trunk at ``max(budgets)`` under the last
     setting and writes its trace to ``trace_dir`` if given. A cache-off setting
-    before it forks from that trace on a pair the provider gives first
-    (PROTOCOL.md, Budget sweep); after a trunk error it solves on that pair. An
-    error propagates unless ``continue_on_error`` is set. Traces never leave
-    the task, so each is freed once its problem is scored.
+    before it forks from that trace, replaying its replies on a pair the provider
+    gives (PROTOCOL.md, Budget sweep); after a trunk error it solves on that pair.
+    An error propagates unless ``continue_on_error`` is set. A trace never leaves
+    its ``run``, so the trunk's is freed before the fork asks for its pair.
     """
     provider = backends if callable(backends) else lambda problem: backends
     configs = {cache: config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
                for cache in settings}
 
-    def run(problem: Problem, cache: bool, replies: Mapping | None = None,
+    def run(problem: Problem, cache: bool, recorded: Mapping | None = None,
             trace_path: Path | None = None) -> tuple:
-        """One scored solve, its trace and its fork point, or its caught error
-        and no trace. With ``replies``, the cache-off fork that replays them."""
+        """A scored solve and, in a sweep, the replies its cache-off fork replays or
+        None; or its caught error and None. With ``recorded``, it is that fork."""
         try:
             backends = provider(problem)
-            if replies is not None:
-                backends = (ReplayBackend(replies, *backends),) * 2
+            if recorded is not None:
+                backends = (ReplayBackend(recorded, *backends),) * 2
             trace = solve(problem, configs[cache], *backends)
         except Exception as exc:
             if not continue_on_error:
                 raise
-            return exc, None, None
+            return exc, None
         cuts = BudgetCuts(trace)
-        result, scores = _scores(problem, trace, cuts, budgets)
+        result = _result(problem, trace, cuts.totals, trace_path)
         if trace_path is not None:
             trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-            result = result._replace(trace_path=str(trace_path))
-        return (result, scores), trace, cuts.fork
+        fork = None if len(settings) == 1 else cuts.fork
+        return ((result, cuts.scores(budgets, _score(result))),
+                None if fork is None else replies(cuts.calls[:fork]))
 
     def task(problem: Problem) -> tuple:
         """The problem's scored solves, one per setting."""
         path = None if trace_dir is None else trace_dir / f"{problem.id}.json"
-        trunk, trace, fork = run(problem, settings[-1], trace_path=path)
-        if len(settings) == 1:
-            return (trunk,)
-        if trace is not None and fork is None:  # the trunk is the cache-off solve
-            return trunk, trunk
-        # After a trunk error there is no trace, and the fork solves on the provider's pair.
-        return run(problem, False, None if trace is None else trace.replies(fork))[0], trunk
+        trunk, recorded = run(problem, settings[-1], trace_path=path)
+        if len(settings) == 1 or (recorded is None and not isinstance(trunk, Exception)):
+            return (trunk,) * len(settings)  # no fork: the trunk is each setting's solve
+        # After a trunk error the fork solves on the provider's pair alone.
+        return run(problem, False, recorded)[0], trunk
 
     columns = zip(*_map(task, problems, workers))
     return {cache: next((item for item in column if isinstance(item, Exception)), column)

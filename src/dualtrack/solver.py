@@ -144,14 +144,6 @@ class TraceEvent(NamedTuple):
     payload: dict
     tokens_charged: int = 0
 
-    @property
-    def is_agent_call(self) -> bool:
-        """Whether this event records an agent call: the Decomposer's
-        generation or a real (not synthetic) evaluation."""
-        return self.kind is _GENERATED or (
-            self.kind is _EVALUATED and self.payload.get("synthetic") is None
-        )
-
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "payload": self.payload,
                 "tokens_charged": self.tokens_charged}
@@ -185,16 +177,6 @@ class SolveTrace(NamedTuple):
     def tokens_spent(self) -> int:
         return BudgetCuts(self).totals[0]
 
-    def replies(self, end: int | None = None) -> dict[Role, list[tuple[str, int]]]:
-        """Each role's recorded ``(raw, tokens_charged)`` replies, in order,
-        from the agent-call events before ``end`` (all of them by default)."""
-        replies: dict[Role, list[tuple[str, int]]] = {role: [] for role in Role}
-        for event in self.events[:end]:
-            if event.is_agent_call:
-                role = _DECOMPOSER if event.kind is _GENERATED else _EVALUATOR
-                replies[role].append((event.payload["raw"], event.tokens_charged))
-        return replies
-
     def to_dict(self) -> dict:
         trace = self._asdict()
         trace["events"] = [event.to_dict() for event in self.events]
@@ -215,36 +197,39 @@ class BudgetCuts:
     cut rule of PROTOCOL.md "Budget sweep": one walk notes the spend before
     each budget check, and a budget stops the solve at the first at or above it.
 
-    The walk also keeps the trace's ``totals``, its ``(tokens_spent,
-    evaluator_calls)``, and ``fork``, the event index where the cache-off
-    solve leaves this trace: the first ``cache_rejected`` event, else the end
-    of a trace whose last call raised and left no event, else None (the trace
-    is the cache-off solve).
+    The walk alone tells agent calls (``generated`` and non-synthetic
+    ``evaluated`` events) from the rest and keeps them as ``calls``. It also
+    keeps ``totals``, the trace's ``(tokens_spent, evaluator_calls)``, and
+    ``fork``, how many ``calls`` the cache-off solve replays from this trace:
+    those before the first ``cache_rejected`` event, else all of a trace whose
+    last call raised and left no event, else None (the trace is that solve).
     """
 
     def __init__(self, trace: SolveTrace):
         self._limit: int = trace.config["token_budget"]
         # Per budget check: the spend before it and the Evaluator calls before it.
-        self._spends, self._calls = spends, calls = [], []
+        self._spends, self._evaluations = spends, evaluations = [], []
+        self.calls = calls = []
         spent = evaluator_calls = 0
         fork = None
-        for index, event in enumerate(trace.events):
-            kind = event.kind  # an agent call: TraceEvent.is_agent_call's test, inline
+        for event in trace.events:
+            kind = event.kind
             if kind is _GENERATED or (
                     kind is _EVALUATED and event.payload.get("synthetic") is None):
                 spends.append(spent)
-                calls.append(evaluator_calls)
+                evaluations.append(evaluator_calls)
+                calls.append(event)
                 evaluator_calls += kind is _EVALUATED
             elif fork is None and kind is _CACHE_REJECTED:
-                fork = index
+                fork = len(calls)
             spent += event.tokens_charged  # 0 unless the event is an agent call
         if trace.outcome is _BACKEND_FAILURE:
             # A last call that raised left no event: the end is one more check.
             last = trace.events[-1] if trace.events else None
             if not (last and last.kind is _EVALUATED and last.payload["score"] is None):
                 spends.append(spent)
-                calls.append(evaluator_calls)
-                fork = len(trace.events) if fork is None else fork
+                evaluations.append(evaluator_calls)
+                fork = len(calls) if fork is None else fork
         self.totals, self.fork = (spent, evaluator_calls), fork
 
     def scores(self, budgets: Sequence[int], whole: tuple) -> list[tuple]:
@@ -257,11 +242,21 @@ class BudgetCuts:
         """
         if budgets and max(budgets) > self._limit:
             raise ValueError(f"cannot cut a trace solved at {self._limit} at {max(budgets)}")
-        spends, calls = self._spends, self._calls
+        spends, evaluations = self._spends, self._evaluations
         checks = len(spends)
         return [whole if (index := bisect_left(spends, budget)) == checks
-                else (_BUDGET_EXHAUSTED, False, spends[index], calls[index])
+                else (_BUDGET_EXHAUSTED, False, spends[index], evaluations[index])
                 for budget in budgets]
+
+
+def replies(calls: Sequence[TraceEvent]) -> dict[Role, list[tuple[str, int]]]:
+    """Each role's recorded ``(raw, tokens_charged)`` replies, in order, from
+    agent-call events such as ``BudgetCuts.calls``."""
+    by_role: dict[Role, list[tuple[str, int]]] = {role: [] for role in Role}
+    for event in calls:
+        by_role[_DECOMPOSER if event.kind is _GENERATED else _EVALUATOR].append(
+            (event.payload["raw"], event.tokens_charged))
+    return by_role
 
 
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -700,6 +701,77 @@ class TestUnusableFiles:
         assert f"config error: output: {str(output)!r} cannot hold a directory" in err
         assert "Traceback" not in err
         assert output.read_text(encoding="utf-8") == ""
+
+
+class TestConfigText:
+    """Run settings that no report, path or request can take are config errors
+    (exit 2) found before any solve or file."""
+
+    @pytest.fixture
+    def bench_files(self, tmp_path):
+        problem = Problem(id="henry", question=HENRY_QUESTION, gold_answer=CanonicalNumber("25"))
+        return (write_problems(tmp_path / "problems.jsonl", [problem]),
+                write_json(tmp_path / "scripts.json", HENRY_SCRIPTS))
+
+    # An argument byte that is not UTF-8 decodes to "\udcff"; a JSON "\ud800"
+    # escape to a lone surrogate. The method is the first column of each CSV.
+    @pytest.mark.parametrize("command, source", [
+        ("bench", "argv"), ("sweep", "argv"), ("bench", "file")])
+    def test_method_that_is_not_valid_unicode_is_refused_before_any_file(
+            self, tmp_path, capsys, bench_files, command, source):
+        problems_file, fixture_file = bench_files
+        out_dir = tmp_path / "runs"
+        argv = [command, problems_file, "--script", fixture_file, "--out", str(out_dir)]
+        if source == "argv":
+            argv += ["--method", "dual\udcff"]
+        else:
+            argv += ["--config", write_json(tmp_path / "config.json", {"method": "dual\ud800"})]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: method: " in err and "is not valid Unicode" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["out_dir", "decomposer_model"])
+    def test_config_file_text_that_is_not_valid_unicode_names_its_key(
+            self, tmp_path, capsys, monkeypatch, bench_files, key):
+        problems_file, fixture_file = bench_files
+        monkeypatch.chdir(tmp_path)  # where the default out_dir, "runs", would go
+        config = write_json(tmp_path / "config.json", {key: "runs\ud800"})
+        argv = ["bench", problems_file, "--script", fixture_file, "--config", config]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and "is not valid Unicode" in err
+        assert "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "config.json", "problems.jsonl", "scripts.json"]
+
+    def test_out_flag_that_is_not_utf8_still_names_the_report(
+            self, tmp_path, monkeypatch, bench_files):
+        # A path from argv is passed to the file system as the bytes it came
+        # as; the printed report line carries the same escape.
+        problems_file, fixture_file = bench_files
+        out_dir = tmp_path / "o\udcff"
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        argv = ["bench", problems_file, "--script", fixture_file, "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        (run_dir,) = out_dir.iterdir()
+        assert (run_dir / "summary.csv").read_text(encoding="utf-8").startswith("method,")
+
+    @pytest.mark.parametrize("api_base", ["localhost:8000", "http://", "http://[::1"])
+    def test_api_base_that_is_not_an_http_url_is_refused_before_any_call(
+            self, tmp_path, capsys, monkeypatch, bench_files, api_base):
+        problems_file, _ = bench_files
+        out_dir = tmp_path / "runs"
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        config = write_json(tmp_path / "config.json", {
+            "api_base": api_base, "decomposer_model": "d", "evaluator_model": "e"})
+        argv = ["bench", problems_file, "--config", config, "--out", str(out_dir)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: api_base: {api_base!r} is not an http(s):// URL" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
 
 class TestRunConfig:

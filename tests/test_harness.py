@@ -41,7 +41,7 @@ from conftest import (
 
 def _result_of(problem, trace):
     """The RunResult of a whole solve, from the trace's own totals."""
-    return harness._result(problem, trace, (trace.tokens_spent, trace.evaluator_calls))
+    return harness._result(problem, trace, (trace.tokens_spent, trace.evaluator_calls), None)
 
 
 def _wilson_center(correct, n, z=1.96):
@@ -856,14 +856,19 @@ class TestSweepResultsPerProblem:
         config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40,
                               max_retries_per_step=retries)
         scored = {}  # cache setting -> the scores its solve gave, one per budget
-        scores_of = harness._scores
 
-        def recording(problem, trace, cuts, budgets):
-            result, scores = scores_of(problem, trace, cuts, budgets)
-            scored[trace.config["cache_enabled"]] = scores
-            return result, scores
+        class Recording(BudgetCuts):
+            """Cuts that record the scores they give under their trace's cache setting."""
 
-        monkeypatch.setattr(harness, "_scores", recording)
+            def __init__(self, trace):
+                super().__init__(trace)
+                self.cache = trace.config["cache_enabled"]
+
+            def scores(self, budgets, whole):
+                scored[self.cache] = scores = super().scores(budgets, whole)
+                return scores
+
+        monkeypatch.setattr(harness, "BudgetCuts", Recording)
         rng = random.Random(seed)
         reached = Counter()
         for problem in problems:
@@ -884,7 +889,9 @@ class TestSweepResultsPerProblem:
             for cache in (False, True):
                 spent = 0
                 for event in run(BIG_BUDGET, cache).events:
-                    if event.is_agent_call:
+                    if event.kind is EventKind.GENERATED or (
+                            event.kind is EventKind.EVALUATED
+                            and event.payload["synthetic"] is None):
                         edges.update((spent - 1, spent, spent + 1))
                     spent += event.tokens_charged
                 edges.add(spent)
@@ -923,6 +930,35 @@ class TestSweepResultsPerProblem:
                             and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
                         reached["unparseable Evaluator reply"] += 1
         assert len(reached) == 4, reached
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trunk_trace_is_freed_before_the_fork_asks_for_its_pair(self, monkeypatch, workers):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=600, max_steps=40)
+        healthy = budget_sweep(problems, (150, 600), config, scripted_provider(fixture))
+        trunks = {}  # problem id -> weak reference to the events of its trunk trace
+        forks, alive = [], []
+
+        class Events(list):
+            """A list that can be weakly referenced, unlike a list or a tuple."""
+
+        def recording_solve(problem, config, *backends):
+            trace = solve(problem, config, *backends)
+            trace = trace._replace(events=Events(trace.events))
+            if config.cache_enabled:
+                trunks[problem.id] = weakref.ref(trace.events)
+            return trace
+
+        def provider(problem):
+            if problem.id in trunks:  # the trunk is solved: this pair is its fork's
+                forks.append(problem.id)
+                if trunks[problem.id]() is not None:
+                    alive.append(problem.id)
+            return scripted_provider(fixture)(problem)
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        assert budget_sweep(problems, (150, 600), config, provider, workers=workers) == healthy
+        assert len(trunks) == len(problems) and forks and alive == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("command", ["bench", "sweep"])

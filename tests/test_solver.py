@@ -25,6 +25,7 @@ from dualtrack.solver import (
     SolveTrace,
     TraceEvent,
     UNPARSEABLE_FINAL_FEEDBACK,
+    replies,
     solve,
     step_decision,
 )
@@ -142,7 +143,7 @@ def _expected_prompts(question: str, trace) -> list[tuple[Role, str]]:
         if event.kind is EventKind.GENERATED:
             prompts.append((Role.DECOMPOSER, f"{block}\nHINT: {hint}" if hint else block))
             candidate = event.payload["raw"]
-        elif event.is_agent_call:  # a real evaluation of the last generation
+        elif event.kind is EventKind.EVALUATED and event.payload["synthetic"] is None:
             prompts.append((Role.EVALUATOR, "\n".join([
                 block, "Candidate step:", parse_agent_step(candidate).wire_line,
                 "Rate the candidate step on this scale:", *SCORE_RUBRIC,
@@ -588,13 +589,14 @@ def _event(kind, **payload):
 # and, for every budget from 1 up, the budget stop it scores as: a list of (the
 # last budget it applies to, (spent, evaluator_calls) or None for the whole
 # solve's score). The spend before each agent call is worked out in the comments.
+# Then the totals, the agent calls the cache-off fork replays, and their replies.
 HAND_TRACES = {
     "solved": (16, Outcome.SOLVED, [
         _generated(3),  # 0: spend before 0
         _evaluated(2),  # 1: 3
         _event(EventKind.ACCEPTED),
         _generated(4),  # 3: 5, after 1 Evaluator call
-        _event(EventKind.CACHE_REJECTED, decision="duplicate"),  # the fork
+        _event(EventKind.CACHE_REJECTED, decision="duplicate"),  # the fork, after 3 calls
         _event(EventKind.RETRIED),
         _generated(3),  # 6: 9
         _event(EventKind.EVALUATED, score=0, feedback="", fingerprint="",
@@ -605,7 +607,8 @@ HAND_TRACES = {
         _event(EventKind.ACCEPTED),
         _event(EventKind.FINISHED, final_answer="1"),
     ], [(3, (3, 0)), (5, (5, 1)), (9, (9, 1)), (12, (12, 1)), (14, (14, 1)), (16, None)],
-        (15, 2), 4),
+        (15, 2), 3, {Role.DECOMPOSER: [("STEP: x", 3), ("STEP: x", 4)],
+                     Role.EVALUATOR: [("Score: 3", 2)]}),
     # The solve's own stop, at spend 11, is the whole score of every budget
     # that no check before it stops: budget_exhausted, spent 11.
     "budget_stop": (10, Outcome.BUDGET_EXHAUSTED, [
@@ -613,23 +616,25 @@ HAND_TRACES = {
         _evaluated(3, score=0),  # 1: 4
         _event(EventKind.RETRIED),
         _generated(4),  # 3: 7
-        _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # the fork
+        _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # the fork, after 3 calls
         _event(EventKind.RETRIED),
         _event(EventKind.BUDGET_STOP, spent=11, limit=10),
-    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 4),
+    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 3,
+        {Role.DECOMPOSER: [("STEP: x", 4), ("STEP: x", 4)], Role.EVALUATOR: [("Score: 3", 3)]}),
     # The Evaluator call after event 3 raised and left no event, so the end,
-    # at spend 13, is a check, and the fork.
+    # at spend 13, is a check, and the fork replays every call before it.
     "raised call": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2),  # 1: 5
         _event(EventKind.ACCEPTED),
         _generated(6),  # 3: 7
-    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 4),
+    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 3,
+        {Role.DECOMPOSER: [("STEP: x", 5), ("STEP: x", 6)], Role.EVALUATOR: [("Score: 3", 2)]}),
     # The Evaluator's reply left its event, so the end is no check.
     "unparsed reply": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2, score=None),  # 1: 5, a reply that did not parse
-    ], [(5, (5, 0)), (20, None)], (7, 1), None),
+    ], [(5, (5, 0)), (20, None)], (7, 1), None, None),
 }
 
 
@@ -643,7 +648,7 @@ def _score(problem, trace):
 class TestBudgetCuts:
     @pytest.mark.parametrize("name", list(HAND_TRACES))
     def test_every_budget_cuts_where_worked_out_by_hand(self, name):
-        limit, outcome, events, spans, totals, fork = HAND_TRACES[name]
+        limit, outcome, events, spans, totals, fork, fork_replies = HAND_TRACES[name]
         cuts = BudgetCuts(SolveTrace(problem_id="p", config={"token_budget": limit},
                                      events=events, outcome=outcome))
         whole = (outcome, outcome is Outcome.SOLVED, *totals)
@@ -655,12 +660,49 @@ class TestBudgetCuts:
         assert len(expected) == limit
         assert cuts.scores(range(1, limit + 1), whole) == expected
         assert (cuts.totals, cuts.fork) == (totals, fork)
+        if fork is not None:
+            assert replies(cuts.calls[:cuts.fork]) == fork_replies
         # Repeated and unsorted budgets are scored in the order given.
         budgets = [limit, *range(1, limit + 1), 1]
         assert cuts.scores(budgets, whole) == [expected[budget - 1] for budget in budgets]
         assert cuts.scores([], whole) == []
         with pytest.raises(ValueError):
             cuts.scores([1, limit + 1], whole)
+
+    @pytest.mark.parametrize("retries", [1, 3])
+    @pytest.mark.parametrize("seed", [606, 707, 808])
+    def test_fork_replies_equal_those_before_the_fork_event(self, seed, retries):
+        """The cache-off fork's replies, taken as a count of ``calls``, against
+        the agent-call replies before the event where the fork leaves the trace:
+        its first cache_rejected event, else the end of a trace whose last call
+        raised and left no event. Both kinds of fork must be reached."""
+        problems, fixture = build_random_case(random.Random(seed), 40)
+        base = config(max_steps=40, max_retries_per_step=retries, cache_enabled=True)
+        forks = Counter()
+        for problem in problems:
+            backend = ScriptedBackend(fixture[problem.id])
+            trace = solve(problem, base, backend, backend)
+            kinds = [event.kind for event in trace.events]
+            last = trace.events[-1] if trace.events else None
+            if EventKind.CACHE_REJECTED in kinds:
+                end, forks["cache hit"] = kinds.index(EventKind.CACHE_REJECTED), True
+            elif trace.outcome is Outcome.BACKEND_FAILURE and not (
+                    last and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
+                end, forks["raised call"] = len(kinds), True
+            else:
+                end = None
+            cuts = BudgetCuts(trace)
+            if end is None:
+                assert cuts.fork is None, problem.id
+                continue
+            expected = {role: [] for role in Role}
+            for event in trace.events[:end]:
+                if event.kind is EventKind.GENERATED:
+                    expected[Role.DECOMPOSER].append((event.payload["raw"], event.tokens_charged))
+                elif event.kind is EventKind.EVALUATED and event.payload["synthetic"] is None:
+                    expected[Role.EVALUATOR].append((event.payload["raw"], event.tokens_charged))
+            assert replies(cuts.calls[:cuts.fork]) == expected, problem.id
+        assert len(forks) == 2, forks
 
     def test_cut_equals_a_real_solve_at_that_budget(self):
         """Random scripts with malformed replies and short scripts, solved at
