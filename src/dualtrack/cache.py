@@ -26,10 +26,11 @@ KNOWN_BAD_FEEDBACK = (
 # just a letter and falls to the deletion pass.
 _MULT_GLYPH_RE = re.compile(r"(\d)\s*[x×·]\s*(?=\d)")
 # Dots are decimal points only between digits; sentence punctuation is noise.
-_BARE_DOT_RE = re.compile(r"(?<!\d)\.|\.(?!\d)")
+# Starting with the literal dot lets re jump from dot to dot, where a pattern
+# that starts with a lookbehind is tried at every position of the text.
+_BARE_DOT_RE = re.compile(r"\.(?!(?<=\d\.)\d)")
 _NON_ALPHABET_RE = re.compile(f"[^{re.escape(FINGERPRINT_ALPHABET)}]")
-# The same deletion on ASCII text, as a str.translate table.
-_ASCII_DELETE = dict.fromkeys(i for i in range(128) if chr(i) not in FINGERPRINT_ALPHABET)
+_ASCII_DELETE = bytes(i for i in range(128) if chr(i) not in FINGERPRINT_ALPHABET)
 
 
 class CacheDecision(str, Enum):
@@ -52,7 +53,7 @@ def fingerprint(step_text: str) -> str:
     Inline ``<<...>>`` annotation delimiters are stripped (content kept),
     multiplication/division glyphs are normalized, and every character
     outside the fingerprint alphabet is deleted, preserving order (on ASCII
-    text by a translate table). Steps with no math content yield "".
+    text by a byte table). Steps with no math content yield "".
     """
     text = step_text.replace("<<", "").replace(">>", "")
     text = text.replace("÷", "/")
@@ -62,7 +63,7 @@ def fingerprint(step_text: str) -> str:
     if "." in text:
         text = _BARE_DOT_RE.sub("", text)
     if text.isascii():
-        return text.translate(_ASCII_DELETE)
+        return text.encode().translate(None, _ASCII_DELETE).decode()
     return _NON_ALPHABET_RE.sub("", text)
 
 

@@ -279,6 +279,12 @@ def _check_output_dir(path: str, key: str) -> None:
                           f"({str(nearest)!r} is not a writable directory)")
 
 
+def _shown(path: Path) -> str:
+    """A path as text a UTF-8 stdout can encode: its bytes that are not
+    UTF-8 (an argv path is passed through unchecked) become ``\\xff`` escapes."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def cmd_prep(args: argparse.Namespace) -> int:
     if not 0 <= args.split_ratio <= 1:
         raise ConfigError(f"split_ratio: must be within [0, 1], got {args.split_ratio}")
@@ -310,7 +316,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
     print(f"examples: {len(examples)}")
     print(f"instances: {instances} (train {train_count}, val {val_count})")
     print(f"mean steps per example: {mean_steps:.2f}")
-    print(f"wrote {out_dir / 'train.jsonl'} and {out_dir / 'val.jsonl'}")
+    print(f"wrote {_shown(out_dir / 'train.jsonl')} and {_shown(out_dir / 'val.jsonl')}")
     return EXIT_OK
 
 
@@ -364,7 +370,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"mean tokens: {summary.mean_tokens:.2f}")
     print(f"evaluator calls: {summary.evaluator_calls}")
     if report.run_dir is not None:
-        print(f"report: {report.run_dir}")
+        print(f"report: {_shown(report.run_dir)}")
     return EXIT_OK
 
 

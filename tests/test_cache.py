@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import string
@@ -30,12 +31,13 @@ WORDS = [
 
 # Every printable ASCII character (digits, the operators, punctuation the
 # deletion pass drops, whitespace and each gated pass's trigger), the
-# non-ASCII glyphs the chain rewrites, and letters of any script, so both
+# non-ASCII glyphs the chain rewrites, letters of any script, and decimal
+# digits and spaces of any script (``\d`` and ``\s`` match them), so both
 # the ASCII and the non-ASCII deletion paths are reached.
 GATE_TEXT = st.text(
     alphabet=st.one_of(
         st.sampled_from(string.printable + FINGERPRINT_ALPHABET + "×·÷€"),
-        st.characters(categories=("Lu", "Ll")),
+        st.characters(categories=("Lu", "Ll", "Nd", "Zs")),
     ),
     max_size=60,
 )
@@ -86,8 +88,23 @@ class TestFingerprint:
     @example("no glyph, 1.5. then .5")
     @example("0.2 × 50 = 10.")
     @example("(12 + 3) * 4 / 2 - 1 = 29; 50% of ~9 is [4.5]!")
+    @example("1.5")
+    @example(".5")
+    @example("5.")
+    @example("1..2")
+    @example("3 . 4")
+    @example("١.٢")
+    @example("a.b")
     def test_gated_passes_match_the_ungated_chain(self, text):
         assert fingerprint(text) == _ungated_fingerprint(text)
+
+    def test_every_short_text_matches_the_ungated_chain(self):
+        # Each neighbourhood of a dot up to length 4: ASCII and Arabic-Indic
+        # digits, a space, a letter and an annotation delimiter.
+        for size in range(5):
+            for chars in itertools.product("1٣. a<", repeat=size):
+                text = "".join(chars)
+                assert fingerprint(text) == _ungated_fingerprint(text), text
 
     @given(text=st.text(max_size=200))
     def test_output_stays_in_alphabet(self, text):

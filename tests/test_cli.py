@@ -746,17 +746,36 @@ class TestConfigText:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "config.json", "problems.jsonl", "scripts.json"]
 
-    def test_out_flag_that_is_not_utf8_still_names_the_report(
-            self, tmp_path, monkeypatch, bench_files):
+    @pytest.mark.parametrize("command", ["bench", "prep"])
+    def test_output_path_that_is_not_utf8_is_printed_escaped(
+            self, tmp_path, monkeypatch, bench_files, command):
         # A path from argv is passed to the file system as the bytes it came
-        # as; the printed report line carries the same escape.
+        # as (an argument byte that is not UTF-8 decodes to "\udcff"); a
+        # strict UTF-8 stdout gets that byte as a backslash escape.
         problems_file, fixture_file = bench_files
         out_dir = tmp_path / "o\udcff"
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
-        argv = ["bench", problems_file, "--script", fixture_file, "--out", str(out_dir)]
+        shown = f"{tmp_path}{os.sep}o\\xff"
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        if command == "bench":
+            argv = ["bench", problems_file, "--script", fixture_file, "--out", str(out_dir)]
+        else:
+            data = tmp_path / "gsm8k.jsonl"
+            data.write_text(
+                json.dumps({"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER}) + "\n",
+                encoding="utf-8")
+            argv = ["prep", str(data), str(out_dir)]
         assert main(argv) == EXIT_OK
-        (run_dir,) = out_dir.iterdir()
-        assert (run_dir / "summary.csv").read_text(encoding="utf-8").startswith("method,")
+        stdout.flush()
+        printed = stdout.buffer.getvalue().decode("utf-8")
+        if command == "bench":
+            (run_dir,) = out_dir.iterdir()
+            assert (run_dir / "summary.csv").read_text(encoding="utf-8").startswith("method,")
+            assert printed.endswith(f"report: {shown}{os.sep}{run_dir.name}\n")
+        else:
+            assert json.loads((out_dir / "stats.json").read_text(encoding="utf-8"))["examples"] == 1
+            assert printed.endswith(
+                f"wrote {shown}{os.sep}train.jsonl and {shown}{os.sep}val.jsonl\n")
 
     @pytest.mark.parametrize("api_base", ["localhost:8000", "http://", "http://[::1"])
     def test_api_base_that_is_not_an_http_url_is_refused_before_any_call(
