@@ -190,7 +190,7 @@ def _scripted_provider(path: str | Path, problems: Sequence[Problem]) -> Backend
     if not isinstance(raw, dict) or not raw:
         raise DataError("script fixture must be a non-empty JSON object")
 
-    def check_role_scripts(entry, where: str) -> None:
+    def role_scripts(entry, where: str) -> dict[Role, list[str]]:
         if not isinstance(entry, dict) or not set(entry) <= _ROLE_KEYS:
             raise DataError(
                 f"{where}: expected an object with 'decomposer'/'evaluator' lists"
@@ -202,17 +202,16 @@ def _scripted_provider(path: str | Path, problems: Sequence[Problem]) -> Backend
                 raise DataError(f"{where}: {role} script must be a list of strings")
             if not is_unicode("".join(replies)):
                 raise DataError(f"{where}: {role} script holds text that is not valid Unicode")
+        return {Role(role): replies for role, replies in entry.items()}
 
     if set(raw) <= _ROLE_KEYS:
-        check_role_scripts(raw, "fixture")
-        scripts_for = {problem.id: raw for problem in problems}
+        scripts_for = dict.fromkeys((p.id for p in problems), role_scripts(raw, "fixture"))
     else:
-        for problem_id, entry in raw.items():
-            check_role_scripts(entry, f"fixture[{problem_id!r}]")
+        scripts_for = {problem_id: role_scripts(entry, f"fixture[{problem_id!r}]")
+                       for problem_id, entry in raw.items()}
         missing = [problem.id for problem in problems if problem.id not in raw]
         if missing:
             raise DataError(f"script fixture missing problem id(s): {', '.join(missing)}")
-        scripts_for = {problem.id: raw[problem.id] for problem in problems}
 
     def provider(problem: Problem):
         backend = ScriptedBackend(scripts_for[problem.id])
@@ -412,59 +411,79 @@ def _parse_budgets(spec: str) -> list[int]:
     return budgets
 
 
-def _run_flags() -> argparse.ArgumentParser:
-    """The parent of solve, bench and sweep: the flags they share. Each dest but
-    ``config`` is the RunConfig key the flag sets (None if not given)."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", help="JSON config file")
-    flags.add_argument("--script", dest="script_path",
-                       help="scripted-backend fixture file (JSON)")
-    flags.add_argument("--budget", type=int, dest="token_budget",
-                       help="token budget per problem")
-    flags.add_argument("--cache", action=argparse.BooleanOptionalAction, dest="cache_enabled",
-                       help="enable/disable the rejection cache")
-    flags.add_argument("--max-retries", type=int, dest="max_retries_per_step")
-    flags.add_argument("--threshold", type=int, dest="accept_threshold",
-                       help="accept when score > threshold")
-    return flags
+# Each command's handler and help, in the order usage lists them.
+_COMMANDS = {"prep": (cmd_prep, "convert GSM8K-format data to next-step instances"),
+             "solve": (cmd_solve, "solve one problem and print the trace"),
+             "bench": (cmd_bench, "run the benchmark over a problem file"),
+             "sweep": (cmd_sweep, "benchmark across budgets with cache on/off")}
+
+
+def _add_command(commands, name: str) -> None:
+    if name in commands.choices:
+        return
+    command = commands.add_parser(name, help=_COMMANDS[name][1])
+    command.set_defaults(handler=_COMMANDS[name][0])
+    if name == "prep":
+        command.add_argument("input", help="JSONL file with question/answer records")
+        command.add_argument("output", help="output directory for train/val instance files")
+        command.add_argument("--split-ratio", type=float, default=0.05, dest="split_ratio",
+                             help="validation fraction (0 puts everything in train)")
+        command.add_argument("--seed", type=int, default=0)
+        return
+    # Flags of solve, bench and sweep: each dest but ``config`` is the RunConfig key it sets.
+    command.add_argument("--config", help="JSON config file")
+    command.add_argument("--script", dest="script_path",
+                         help="scripted-backend fixture file (JSON)")
+    command.add_argument("--budget", type=int, dest="token_budget",
+                         help="token budget per problem")
+    command.add_argument("--cache", action=argparse.BooleanOptionalAction,
+                         dest="cache_enabled", help="enable/disable the rejection cache")
+    command.add_argument("--max-retries", type=int, dest="max_retries_per_step")
+    command.add_argument("--threshold", type=int, dest="accept_threshold",
+                         help="accept when score > threshold")
+    if name == "solve":
+        command.add_argument("question", help="problem text")
+        return
+    command.add_argument("problems", help="JSONL problems file with gold answers")
+    command.add_argument("--workers", type=int)
+    command.add_argument("--out", dest="out_dir", help="output directory for reports")
+    command.add_argument("--method", help="method label for reports")
+    if name == "sweep":
+        command.add_argument("--budgets", default=",".join(map(str, SWEEP_BUDGETS)),
+                             help="comma-separated token budgets")
+
+
+class _CommandLine(argparse.ArgumentParser):
+    """``build_parser``'s parser: its usage and help list every command, in order."""
+
+    def _complete(self) -> argparse.ArgumentParser:
+        """This parser with every command, or a new one if this holds some out of order."""
+        parser = self if list(self.commands.choices) in ([], list(_COMMANDS)) else build_parser()
+        for name in _COMMANDS:
+            _add_command(parser.commands, name)
+        return parser
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if not (args and args[0] in _COMMANDS):  # only -h/--help may come before a command
+            return super(_CommandLine, self._complete()).parse_known_args(args, namespace)
+        _add_command(self.commands, args[0])
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        return super(_CommandLine, self._complete()).format_usage()
+
+    def format_help(self) -> str:
+        return super(_CommandLine, self._complete()).format_help()
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dualtrack",
-        description="Two-agent stepwise math solver with rejection cache and token budgets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    prep = sub.add_parser("prep", help="convert GSM8K-format data to next-step instances")
-    prep.add_argument("input", help="JSONL file with question/answer records")
-    prep.add_argument("output", help="output directory for train/val instance files")
-    prep.add_argument("--split-ratio", type=float, default=0.05, dest="split_ratio",
-                      help="validation fraction (0 puts everything in train)")
-    prep.add_argument("--seed", type=int, default=0)
-    prep.set_defaults(handler=cmd_prep)
-
-    run_flags = [_run_flags()]
-    solve_cmd = sub.add_parser("solve", parents=run_flags,
-                               help="solve one problem and print the trace")
-    solve_cmd.add_argument("question", help="problem text")
-    solve_cmd.set_defaults(handler=cmd_solve)
-
-    for name, handler, help_text in (
-        ("bench", cmd_bench, "run the benchmark over a problem file"),
-        ("sweep", cmd_sweep, "benchmark across budgets with cache on/off"),
-    ):
-        command = sub.add_parser(name, parents=run_flags, help=help_text)
-        command.add_argument("problems", help="JSONL problems file with gold answers")
-        command.add_argument("--workers", type=int)
-        command.add_argument("--out", dest="out_dir", help="output directory for reports")
-        command.add_argument("--method", help="method label for reports")
-        command.set_defaults(handler=handler)
-    sub.choices["sweep"].add_argument(
-        "--budgets",
-        default=",".join(str(budget) for budget in SWEEP_BUDGETS),
-        help="comma-separated token budgets",
-    )
+    """The ``dualtrack`` parser. Command parsers are added when a command line is
+    parsed: the named command's alone, or all four if the line names none."""
+    parser = _CommandLine(prog="dualtrack", description="Two-agent stepwise math solver with "
+                          "rejection cache and token budgets.")
+    parser.commands = parser.add_subparsers(dest="command", required=True,
+                                            parser_class=argparse.ArgumentParser)
     return parser
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .agents import BackendError, DecodeParams, Role
@@ -112,7 +113,6 @@ class SolverConfig(_SolverConfigFields):
     token budget is shared by both agents; 0 means no calls at all.
     """
 
-    __slots__ = ()
     _make = classmethod(make_checked)
 
     def __new__(cls, *args, **kwargs) -> "SolverConfig":
@@ -129,14 +129,24 @@ class SolverConfig(_SolverConfigFields):
             raise ValueError("max_steps must be positive")
         return self
 
+    # Read-only as with ``__slots__ = ()``, which would leave ``_rendered`` no instance dict.
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: SolverConfig is read-only")
+
     def with_overrides(self, **changes) -> "SolverConfig":
         return self._replace(**changes)
 
     def to_dict(self) -> dict:
-        config = self._asdict()
-        config["decomposer_params"] = self.decomposer_params._asdict()
-        config["evaluator_params"] = self.evaluator_params._asdict()
+        """The fields as a dict of its own, each role's params too: ``_rendered`` copied."""
+        config = self._rendered.copy()
+        config["decomposer_params"] = config["decomposer_params"].copy()
+        config["evaluator_params"] = config["evaluator_params"].copy()
         return config
+
+    @cached_property
+    def _rendered(self) -> dict:
+        return {**self._asdict(), "decomposer_params": self.decomposer_params._asdict(),
+                "evaluator_params": self.evaluator_params._asdict()}
 
 
 class TraceEvent(NamedTuple):

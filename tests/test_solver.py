@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -97,6 +98,48 @@ class TestSolverConfig:
     def test_snapshot_contains_decode_params(self):
         snapshot = config(decomposer_params=DecodeParams(0.2, 64)).to_dict()
         assert snapshot["decomposer_params"] == {"temperature": 0.2, "max_new_tokens": 64}
+
+    @staticmethod
+    def rendered(solver_config: SolverConfig) -> dict:
+        """The snapshot rendered from the fields on every call, as before it was kept."""
+        return {**solver_config._asdict(),
+                "decomposer_params": solver_config.decomposer_params._asdict(),
+                "evaluator_params": solver_config.evaluator_params._asdict()}
+
+    def test_traces_of_one_run_share_no_config_dict(self, henry_problem):
+        solver_config = config(evaluator_params=DecodeParams(0.5, 32))
+        traces = [solve(henry_problem, solver_config, *[ScriptedBackend(HENRY_SCRIPTS)] * 2)
+                  for _ in range(2)]
+        for trace in traces:
+            assert trace.config == solver_config.to_dict() == self.rendered(solver_config)
+        first, second = (trace.config for trace in traces)
+        assert first is not second
+        assert first["decomposer_params"] is not second["decomposer_params"]
+        first["token_budget"] = -1
+        first["decomposer_params"]["temperature"] = 9.0
+        first["evaluator_params"].clear()
+        assert second == self.rendered(solver_config)
+        later = solve(henry_problem, solver_config, *[ScriptedBackend(HENRY_SCRIPTS)] * 2)
+        assert later.config == self.rendered(solver_config)
+        assert later.to_json() == traces[1].to_json()
+
+    def test_equal_configs_keep_their_own_snapshot(self):
+        # 0 == 0.0 and True == 1, so these configs are equal, but their JSON is not.
+        as_int = SolverConfig(token_budget=5, cache_enabled=1,
+                              decomposer_params=DecodeParams(temperature=0))
+        as_float = SolverConfig(token_budget=5)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        for solver_config in (as_float, as_int, as_float, as_int):
+            assert json.dumps(solver_config.to_dict()) == json.dumps(self.rendered(solver_config))
+        assert json.dumps(as_int.to_dict()) != json.dumps(as_float.to_dict())
+
+    @pytest.mark.parametrize("name", ["token_budget", "_rendered", "extra"])
+    def test_config_stays_read_only(self, name):
+        solver_config = config()
+        solver_config.to_dict()
+        with pytest.raises(AttributeError):
+            setattr(solver_config, name, {})
+        assert solver_config.to_dict() == self.rendered(solver_config)
 
 
 class TestGoldenRetryTrajectory:
