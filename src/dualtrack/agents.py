@@ -106,12 +106,13 @@ class ScriptedBackend:
     """Deterministic backend replaying an ordered script of replies per role.
 
     Single-owner: one instance per in-flight solve. Replaying the same
-    script yields identical reply sequences.
+    script yields identical reply sequences. The backend holds each role's
+    sequence as given and never writes to it, so backends can share a script.
     """
 
     def __init__(self, scripts: Mapping[Role | str, Sequence[str]]):
-        self._scripts: dict[Role, list[str]] = {
-            role if isinstance(role, Role) else Role(role): list(replies)
+        self._scripts: dict[Role, Sequence[str]] = {
+            role if isinstance(role, Role) else Role(role): replies
             for role, replies in scripts.items()
         }
         self._cursor: dict[Role, int] = dict.fromkeys(self._scripts, 0)

@@ -9,6 +9,7 @@ flags > env > file. Exit codes: 0 success, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -419,8 +420,6 @@ _COMMANDS = {"prep": (cmd_prep, "convert GSM8K-format data to next-step instance
 
 
 def _add_command(commands, name: str) -> None:
-    if name in commands.choices:
-        return
     command = commands.add_parser(name, help=_COMMANDS[name][1])
     command.set_defaults(handler=_COMMANDS[name][0])
     if name == "prep":
@@ -453,43 +452,20 @@ def _add_command(commands, name: str) -> None:
                              help="comma-separated token budgets")
 
 
-class _CommandLine(argparse.ArgumentParser):
-    """``build_parser``'s parser: its usage and help list every command, in order."""
-
-    def _complete(self) -> argparse.ArgumentParser:
-        """This parser with every command, or a new one if this holds some out of order."""
-        parser = self if list(self.commands.choices) in ([], list(_COMMANDS)) else build_parser()
-        for name in _COMMANDS:
-            _add_command(parser.commands, name)
-        return parser
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        if not (args and args[0] in _COMMANDS):  # only -h/--help may come before a command
-            return super(_CommandLine, self._complete()).parse_known_args(args, namespace)
-        _add_command(self.commands, args[0])
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        return super(_CommandLine, self._complete()).format_usage()
-
-    def format_help(self) -> str:
-        return super(_CommandLine, self._complete()).format_help()
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``dualtrack`` parser. Command parsers are added when a command line is
-    parsed: the named command's alone, or all four if the line names none."""
-    parser = _CommandLine(prog="dualtrack", description="Two-agent stepwise math solver with "
-                          "rejection cache and token budgets.")
-    parser.commands = parser.add_subparsers(dest="command", required=True,
-                                            parser_class=argparse.ArgumentParser)
+    """The ``dualtrack`` parser, with every command's parser. Built once per
+    process and shared: callers must not change it."""
+    parser = argparse.ArgumentParser(prog="dualtrack", description="Two-agent stepwise "
+                                     "math solver with rejection cache and token budgets.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        _add_command(commands, name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

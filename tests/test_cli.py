@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from dualtrack import cli
 from dualtrack.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -938,24 +937,13 @@ class TestCommandLineSurface:
                    "budgets": (("--budgets",), "100,200,300,400,500,600", None)}),
     ])
     def test_each_run_command_keeps_its_flags(self, command, expected):
-        parser = build_parser()
-        parser.parse_args([command, "x"])  # a command's parser is added when a line names it
-        (commands,) = (action for action in parser._actions
+        (commands,) = (action for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
         actions = commands.choices[command]._actions
         surface = {action.dest: (tuple(action.option_strings), action.default, action.type)
                    for action in actions}
         assert len(actions) == len(surface)  # no dest is declared twice
         assert surface == expected
-
-
-def full_parser() -> argparse.ArgumentParser:
-    """A parser that holds every command before it parses, as one built eagerly
-    would: the reference for what a lazily built parser prints and returns."""
-    parser = build_parser()
-    for name in ("prep", "solve", "bench", "sweep"):
-        cli._add_command(parser.commands, name)
-    return parser
 
 
 def parse_outcome(parse, argv, capsys) -> tuple:
@@ -969,9 +957,10 @@ def parse_outcome(parse, argv, capsys) -> tuple:
 
 
 class TestCommandParsers:
-    """build_parser adds only the named command's parser, yet every line parses,
-    prints and exits as with all four commands built. Compared with a full
-    parser in the same interpreter: argparse's wording differs across versions."""
+    """build_parser's parser is built once and shared, so parsing must leave it
+    unchanged: every line parses, prints and exits on it as on a parser built
+    fresh. Compared in the same interpreter: argparse's wording differs across
+    versions."""
 
     LINES = [
         ["prep", "in.jsonl", "out"],
@@ -993,40 +982,33 @@ class TestCommandParsers:
     SEPARATED = [["--", "bench", "p.jsonl"]]
     HELP = [["--help"], ["-h"], ["--he"], ["-h", "bench"], ["prep", "-h"], ["solve", "--help"],
             ["bench", "--help"], ["sweep", "-h"], ["sweep", "p.jsonl", "--help"]]
+    TABLE = LINES + USAGE_ERRORS + HELP + SEPARATED
 
-    @pytest.mark.parametrize("argv", LINES + USAGE_ERRORS + HELP + SEPARATED, ids=" ".join)
+    @pytest.mark.parametrize("argv", TABLE, ids=" ".join)
     def test_line_parses_and_prints_as_with_every_command_built(self, argv, capsys):
-        reference = parse_outcome(
-            lambda line: argparse.ArgumentParser.parse_args(full_parser(), line), argv, capsys)
+        reference = parse_outcome(build_parser.__wrapped__().parse_args, argv, capsys)
         assert parse_outcome(build_parser().parse_args, argv, capsys) == reference
         namespace, code, out, err = reference
         if argv not in self.SEPARATED:
             assert code == (None if argv in self.LINES else 0 if argv in self.HELP else 2)
         assert (namespace is None) == (code is not None)
 
+    def test_shared_parser_keeps_no_state_across_lines(self, capsys):
+        assert build_parser() is build_parser()
+        for argv in self.TABLE + self.TABLE[::-1]:
+            reference = parse_outcome(build_parser.__wrapped__().parse_args, argv, capsys)
+            assert parse_outcome(build_parser().parse_args, argv, capsys) == reference, argv
+
     def test_usage_line_lists_every_command_after_a_one_command_build(self, capsys):
-        parser = build_parser()
         with pytest.raises(SystemExit) as exit_info:
-            parser.parse_args(["bench", "p.jsonl", "--bogus"])
+            build_parser().parse_args(["bench", "p.jsonl", "--bogus"])
         assert exit_info.value.code == 2
-        assert list(parser.commands.choices) == ["bench"]  # the other three were never built
         usage = capsys.readouterr().err.splitlines()[0]
         assert usage.startswith("usage: dualtrack ") and "{prep,solve,bench,sweep}" in usage
 
-    def test_a_parser_reused_across_lines_keeps_the_command_order(self, capsys):
-        parser, reference = build_parser(), full_parser()
-        for argv in (["sweep", "p.jsonl"], ["prep", "in.jsonl", "out"]):
-            assert parser.parse_args(argv) == reference.parse_args(argv)
-        for argv in (["--help"], ["bogus"]):
-            assert (parse_outcome(parser.parse_args, argv, capsys)
-                    == parse_outcome(reference.parse_args, argv, capsys))
-        assert parser.format_usage() == reference.format_usage()
-        assert parser.format_help() == reference.format_help()
-        assert build_parser().format_help() == reference.format_help()  # before any line
-
     def test_line_from_sys_argv(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["dualtrack", "bench", "p.jsonl", "--workers", "2"])
-        assert build_parser().parse_args() == full_parser().parse_args()
+        assert build_parser().parse_args() == build_parser.__wrapped__().parse_args()
 
 
 class TestRunIdentity:
