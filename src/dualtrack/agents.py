@@ -221,6 +221,9 @@ class HTTPBackend:
         system_prompts: Mapping[Role | str, str] | None = None,
         timeout: float = 60.0,
     ):
+        # http.client sends a header value as Latin-1 and refuses CR and LF in it.
+        if api_key and (max(api_key) > "\xff" or "\r" in api_key or "\n" in api_key):
+            raise ValueError("api_key: an HTTP header takes only Latin-1 text without CR or LF")
         # Loaded here rather than at import, so runs without an endpoint never
         # load the HTTP stack and a live run pays for it before its first call.
         import requests

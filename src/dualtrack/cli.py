@@ -241,13 +241,11 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
         for role in Role
         if (prompt := getattr(config, f"{role.value}_system_prompt"))
     }
-    return HTTPBackend(
-        base_url=config.api_base,
-        api_key=config.api_key,
-        models=models,
-        system_prompts=system_prompts,
-        timeout=config.timeout,
-    )
+    try:
+        return HTTPBackend(base_url=config.api_base, api_key=config.api_key, models=models,
+                           system_prompts=system_prompts, timeout=config.timeout)
+    except ValueError as exc:  # an api_key that no HTTP header can carry
+        raise ConfigError(str(exc)) from None
 
 
 def _build_backends(config: RunConfig, problems: Sequence[Problem]) -> BackendProvider:
@@ -369,8 +367,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"accuracy: {summary.accuracy_line()} ({summary.correct}/{summary.n})")
     print(f"mean tokens: {summary.mean_tokens:.2f}")
     print(f"evaluator calls: {summary.evaluator_calls}")
-    if report.run_dir is not None:
-        print(f"report: {_shown(report.run_dir)}")
+    print(f"report: {_shown(report.run_dir)}")
     return EXIT_OK
 
 
@@ -420,7 +417,7 @@ _COMMANDS = {"prep": (cmd_prep, "convert GSM8K-format data to next-step instance
 
 
 def _add_command(commands, name: str) -> None:
-    command = commands.add_parser(name, help=_COMMANDS[name][1])
+    command = commands.add_parser(name, help=_COMMANDS[name][1], allow_abbrev=False)
     command.set_defaults(handler=_COMMANDS[name][0])
     if name == "prep":
         command.add_argument("input", help="JSONL file with question/answer records")
@@ -433,10 +430,11 @@ def _add_command(commands, name: str) -> None:
     command.add_argument("--config", help="JSON config file")
     command.add_argument("--script", dest="script_path",
                          help="scripted-backend fixture file (JSON)")
-    command.add_argument("--budget", type=int, dest="token_budget",
-                         help="token budget per problem")
-    command.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                         dest="cache_enabled", help="enable/disable the rejection cache")
+    if name != "sweep":  # a sweep runs every budget of --budgets, cache off and on
+        command.add_argument("--budget", type=int, dest="token_budget",
+                             help="token budget per problem")
+        command.add_argument("--cache", action=argparse.BooleanOptionalAction,
+                             dest="cache_enabled", help="enable/disable the rejection cache")
     command.add_argument("--max-retries", type=int, dest="max_retries_per_step")
     command.add_argument("--threshold", type=int, dest="accept_threshold",
                          help="accept when score > threshold")
@@ -456,8 +454,8 @@ def _add_command(commands, name: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The ``dualtrack`` parser, with every command's parser. Built once per
     process and shared: callers must not change it."""
-    parser = argparse.ArgumentParser(prog="dualtrack", description="Two-agent stepwise "
-                                     "math solver with rejection cache and token budgets.")
+    parser = argparse.ArgumentParser(prog="dualtrack", allow_abbrev=False, description=(
+        "Two-agent stepwise math solver with rejection cache and token budgets."))
     commands = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         _add_command(commands, name)

@@ -423,28 +423,3 @@ def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
         record["mean_tokens"] = f"{record['mean_tokens']:.2f}"
         writer.writerow(record)
     return buffer.getvalue()
-
-
-def load_results(path: str | Path) -> list[RunResult]:
-    """Read persisted results.jsonl back into RunResults (for recomputation)."""
-    results = []
-    for line_number, record in _read_jsonl(path):
-        try:
-            results.append(
-                RunResult(
-                    problem_id=record["problem_id"],
-                    predicted=(
-                        CanonicalNumber(record["predicted"])
-                        if record["predicted"]
-                        else None
-                    ),
-                    correct=record["correct"],
-                    tokens_spent=record["tokens_spent"],
-                    outcome=Outcome(record["outcome"]),
-                    evaluator_calls=record["evaluator_calls"],
-                    trace_path=record.get("trace_path"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line_number}: bad result record ({exc})") from None
-    return results

@@ -357,6 +357,14 @@ class TestHTTPBackend:
         with pytest.raises(BackendError):
             backend.complete(Role.DECOMPOSER, "p")
 
+    # http.client sends header values as Latin-1 and refuses CR and LF in them.
+    @pytest.mark.parametrize("key", ["sk-\u20acuro", "sk-\udcff", "sk-1\nX-Injected: 1",
+                                     "sk-1\r"])
+    def test_key_no_http_header_can_carry_is_refused_without_showing_it(self, key):
+        with pytest.raises(ValueError, match="api_key") as refused:
+            HTTPBackend(base_url="http://models.internal", api_key=key)
+        assert key not in str(refused.value)
+
 
 class TestHTTPBackendAgainstLocalServer:
     """Faults served by a real loopback server; ``requests`` is not patched."""

@@ -494,6 +494,30 @@ class TestLiveEndpoint:
         assert endpoint.received == 1
 
 
+    @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+    @pytest.mark.parametrize("key", ["sk-\u20acuro", "sk-1\nX-Injected: 1"])
+    def test_key_no_http_header_can_carry_is_config_error_before_any_call(
+        self, tmp_path, capsys, monkeypatch, endpoint, command, key
+    ):
+        problem = Problem(id="apples", question="How many apples?",
+                          gold_answer=CanonicalNumber("7"))
+        problems_file = write_problems(tmp_path / "problems.jsonl", [problem])
+        config = write_json(tmp_path / "config.json", {
+            "api_base": endpoint.url, "decomposer_model": "d", "evaluator_model": "e"})
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        monkeypatch.setenv("DUALTRACK_API_KEY", key)
+        out_dir = tmp_path / "runs"
+        argv = ([command, problem.question] if command == "solve"
+                else [command, problems_file, "--out", str(out_dir)])
+        assert main(argv + ["--config", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: api_key: ")
+        assert key not in captured.out + captured.err
+        assert "Traceback" not in captured.err
+        assert endpoint.requests == []
+        assert not out_dir.exists()
+
+
 class TestSweep:
     def test_small_sweep_writes_csv(self, tmp_path, capsys):
         problems, fixture = build_sweep_case(count=3)
@@ -793,6 +817,74 @@ class TestConfigText:
         assert not out_dir.exists()
 
 
+class TestRefusals:
+    """Each refusal exits with its documented code and a message that names the
+    field or the file, before any run directory is made. Paths are relative to
+    the test's directory, where the default out_dir "runs" would be made."""
+
+    FILES = {
+        "problems.jsonl": '{"id": "p", "question": "How many apples?", "gold_answer": "7"}\n',
+        "script.json": json.dumps({"decomposer": ["STEP: Add 3 + 4 = 7 apples."],
+                                   "evaluator": ["Score: 3\nFeedback: Correct."]}),
+        "config.json": "{}",
+    }
+    BENCH = ["bench", "problems.jsonl", "--script", "script.json", "--config", "config.json"]
+    ROWS = {
+        "threshold-out-of-range": (
+            {}, BENCH + ["--threshold", "7"], EXIT_CONFIG, "accept_threshold must be within"),
+        "max-steps-zero": (
+            {"config.json": '{"max_steps": 0}'}, BENCH, EXIT_CONFIG, "max_steps must be positive"),
+        "config-not-json": ({"config.json": "{"}, BENCH, EXIT_CONFIG, "config file is not valid"),
+        "config-not-object": (
+            {"config.json": "[]"}, BENCH, EXIT_CONFIG, "config file must contain a JSON object"),
+        "script-not-json": ({"script.json": "{"}, BENCH, EXIT_DATA, "script fixture is not valid"),
+        "script-empty": (
+            {"script.json": "{}"}, BENCH, EXIT_DATA, "script fixture must be a non-empty"),
+        "script-not-object": (
+            {"script.json": "[]"}, BENCH, EXIT_DATA, "script fixture must be a non-empty"),
+        "script-entry-not-role-keyed": (
+            {"script.json": '{"p": ["FINAL_ANSWER: 7"]}'}, BENCH, EXIT_DATA,
+            "fixture['p']: expected an object with 'decomposer'/'evaluator' lists"),
+        "script-replies-not-strings": (
+            {"script.json": '{"decomposer": [7]}'}, BENCH, EXIT_DATA,
+            "fixture: decomposer script must be a list of strings"),
+        "live-without-both-models": (
+            {"config.json": '{"api_base": "http://127.0.0.1:9", "decomposer_model": "d"}'},
+            ["bench", "problems.jsonl", "--config", "config.json"], EXIT_CONFIG,
+            "decomposer_model/evaluator_model: required"),
+        "budget-not-integer": (
+            {}, ["sweep"] + BENCH[1:] + ["--budgets", "100,x"], EXIT_CONFIG,
+            "budgets: 'x' is not an integer"),
+        "problem-not-object": (
+            {"problems.jsonl": "[7]\n"}, BENCH, EXIT_DATA,
+            "problems.jsonl:1: record needs 'id' and 'question' fields"),
+        "question-not-string": (
+            {"problems.jsonl": '{"id": "p", "question": 7, "gold_answer": "7"}\n'}, BENCH,
+            EXIT_DATA, "problems.jsonl:1: question must be a string"),
+        "solve-step-limit": (
+            {"config.json": '{"max_steps": 1}'},
+            ["solve", "How many apples?", "--script", "script.json", "--config", "config.json"],
+            EXIT_UNSOLVED, "step limit reached after 1 steps"),
+    }
+
+    @pytest.mark.parametrize("files, argv, code, message", ROWS.values(), ids=ROWS)
+    def test_refusal(self, tmp_path, capsys, monkeypatch, files, argv, code, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        monkeypatch.delenv("DUALTRACK_API_KEY", raising=False)
+        for name, text in {**self.FILES, **files}.items():
+            Path(name).write_text(text, encoding="utf-8")
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == EXIT_UNSOLVED:
+            assert f"\n{message}\n" in captured.out
+        else:
+            kind = "config" if code == EXIT_CONFIG else "data"
+            assert captured.err.startswith(f"{kind} error: {message}")
+        assert "Traceback" not in captured.err
+        assert not Path("runs").exists()
+
+
 class TestRunConfig:
     """The config layer: file keys, their types, env and flag precedence."""
 
@@ -911,16 +1003,20 @@ class TestRunConfig:
 
 
 class TestCommandLineSurface:
-    """solve, bench and sweep keep every option string, dest, default and type."""
+    """solve, bench and sweep keep every option string, dest, default and type;
+    sweep runs every budget of --budgets with the cache off and on, so it takes
+    no --budget or --cache."""
 
     RUN_FLAGS = {
         "help": (("-h", "--help"), argparse.SUPPRESS, None),
         "config": (("--config",), None, None),
         "script_path": (("--script",), None, None),
-        "token_budget": (("--budget",), None, int),
-        "cache_enabled": (("--cache", "--no-cache"), None, None),
         "max_retries_per_step": (("--max-retries",), None, int),
         "accept_threshold": (("--threshold",), None, int),
+    }
+    ONE_CELL_FLAGS = {
+        "token_budget": (("--budget",), None, int),
+        "cache_enabled": (("--cache", "--no-cache"), None, None),
     }
     BATCH_FLAGS = {
         **RUN_FLAGS,
@@ -931,8 +1027,8 @@ class TestCommandLineSurface:
     }
 
     @pytest.mark.parametrize("command, expected", [
-        ("solve", {**RUN_FLAGS, "question": ((), None, None)}),
-        ("bench", BATCH_FLAGS),
+        ("solve", {**RUN_FLAGS, **ONE_CELL_FLAGS, "question": ((), None, None)}),
+        ("bench", {**BATCH_FLAGS, **ONE_CELL_FLAGS}),
         ("sweep", {**BATCH_FLAGS,
                    "budgets": (("--budgets",), "100,200,300,400,500,600", None)}),
     ])
@@ -944,6 +1040,34 @@ class TestCommandLineSurface:
                    for action in actions}
         assert len(actions) == len(surface)  # no dest is declared twice
         assert surface == expected
+
+    @pytest.mark.parametrize("flag", [["--budget", "600"], ["--no-cache"], ["--cache"]])
+    def test_sweep_refuses_one_cell_flags(self, tmp_path, capsys, monkeypatch, flag):
+        # Were flags abbreviated, "--budget 600" would read as "--budgets 600".
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "p.jsonl", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_strict_prefix_of_every_long_option_is_a_usage_error(self, capsys):
+        parser = build_parser()
+        (commands,) = (action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        lines = {None: [], "prep": ["prep", "in.jsonl", "out"], "solve": ["solve", "q"],
+                 "bench": ["bench", "p.jsonl"], "sweep": ["sweep", "p.jsonl"]}
+        for name, line in lines.items():
+            command_parser = parser if name is None else commands.choices[name]
+            for action in command_parser._actions:
+                value = [] if action.nargs == 0 else ["1"]
+                for option in (o for o in action.option_strings if o.startswith("--")):
+                    # The full spelling is accepted (help exits 0); each prefix is not.
+                    assert parse_outcome(parser.parse_args, line + [option] + value,
+                                         capsys)[1] in (None, 0), option
+                    for end in range(3, len(option)):
+                        argv = line + [option[:end]] + value
+                        assert parse_outcome(parser.parse_args, argv, capsys)[1] == 2, argv
 
 
 def parse_outcome(parse, argv, capsys) -> tuple:
@@ -971,16 +1095,18 @@ class TestCommandParsers:
         ["bench", "p.jsonl"],
         ["bench", "p.jsonl", "--workers", "2", "--out", "o", "--method", "m", "--cache"],
         ["sweep", "p.jsonl"],
-        ["sweep", "p.jsonl", "--budgets", "100,200", "--workers", "3", "--budget", "9"],
+        ["sweep", "p.jsonl", "--budgets", "100,200", "--workers", "3"],
     ]
     USAGE_ERRORS = [
         [], ["bogus"], ["--bogus"], ["bench", "p.jsonl", "--bogus"], ["sweep", "p", "extra"],
         ["bench"], ["solve"], ["prep", "in.jsonl"], ["bench", "p", "--workers", "x"],
         ["Bench", "p.jsonl"],
+        ["sweep", "p.jsonl", "--budgets", "100,200", "--workers", "3", "--budget", "9"],
+        ["--he"],
     ]
     # argparse releases may differ on a "--" before the command: only equality is checked.
     SEPARATED = [["--", "bench", "p.jsonl"]]
-    HELP = [["--help"], ["-h"], ["--he"], ["-h", "bench"], ["prep", "-h"], ["solve", "--help"],
+    HELP = [["--help"], ["-h"], ["-h", "bench"], ["prep", "-h"], ["solve", "--help"],
             ["bench", "--help"], ["sweep", "-h"], ["sweep", "p.jsonl", "--help"]]
     TABLE = LINES + USAGE_ERRORS + HELP + SEPARATED
 

@@ -20,7 +20,6 @@ from dualtrack.harness import (
     SWEEP_BUDGETS,
     budget_sweep,
     load_problems,
-    load_results,
     rows_to_csv,
     run_benchmark,
     wilson_interval,
@@ -1028,8 +1027,8 @@ class TestRunDirectories:
         assert sorted(tmp_path.iterdir()) == [first.run_dir, second.run_dir]
         for report, count in ((first, 3), (second, 5)):
             ids = [problem.id for problem in problems[:count]]
-            persisted = load_results(report.run_dir / "results.jsonl")
-            assert [result.problem_id for result in persisted] == ids
+            lines = (report.run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line)["problem_id"] for line in lines] == ids
             assert sorted(path.stem for path in (report.run_dir / "traces").iterdir()) == ids
 
     def test_same_second_sweeps_get_own_directories(self, tmp_path):

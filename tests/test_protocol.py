@@ -486,6 +486,10 @@ class TestNormalizeAnswer:
         with pytest.raises(NoNumberFound):
             normalize_answer("no digits here")
 
+    def test_literal_that_is_not_a_number_raises(self):
+        with pytest.raises(NoNumberFound):
+            CanonicalNumber.from_literal("abc")
+
     def test_canonical_equality_of_spellings(self):
         assert normalize_answer("72") == normalize_answer("72.0")
 
