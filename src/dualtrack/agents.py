@@ -6,8 +6,6 @@ Interchangeable backends expose ``complete(role, prompt, params)``:
   deterministic test/replay double.
 * :class:`HTTPBackend` speaks the OpenAI-compatible chat-completions
   protocol against a real model endpoint.
-* :class:`ReplayBackend` serves the replies a trace recorded, then hands
-  each role's calls on to that role's live backend.
 
 Token usage comes from the endpoint's ``usage`` report when available
 and otherwise from :func:`estimate_tokens`, a tokenizer-free byte-based
@@ -76,7 +74,7 @@ class DecodeParams(_DecodeParamsFields):
 
     def __new__(cls, *args, **kwargs) -> "DecodeParams":
         self = super().__new__(cls, *args, **kwargs)
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN too
             raise ValueError("temperature must be non-negative")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
@@ -138,46 +136,6 @@ class ScriptedBackend:
         """Move the role's cursor past ``count`` replies served elsewhere."""
         role = role if isinstance(role, Role) else Role(role)
         self._cursor[role] = self._cursor.get(role, 0) + count
-
-
-class ReplayBackend:
-    """Serves each role's recorded ``(raw, tokens_charged)`` replies in order,
-    then hands that role's calls to its live backend; a role with none raises
-    ``ScriptExhausted``.
-
-    A served reply reaches no backend and charges its recorded total, since a
-    trace does not split it into prompt and completion. A live backend with a
-    ``skip`` method (a positional script) is moved past the recorded replies
-    here. Single-owner, like ScriptedBackend.
-    """
-
-    def __init__(
-        self,
-        replies: Mapping[Role | str, Sequence[tuple[str, int]]],
-        decomposer: object | None = None,
-        evaluator: object | None = None,
-    ):
-        self._replies = {Role(role): list(recorded) for role, recorded in replies.items()}
-        self._served = {role: 0 for role in Role}
-        self._live = {Role.DECOMPOSER: decomposer, Role.EVALUATOR: evaluator}
-        for role, backend in self._live.items():
-            if hasattr(backend, "skip"):
-                backend.skip(role, len(self._replies.get(role, [])))
-
-    def complete(
-        self, role: Role | str, prompt: str, params: DecodeParams | None = None
-    ) -> AgentReply:
-        if not isinstance(role, Role):
-            role = Role(role)
-        recorded = self._replies.get(role, [])
-        served = self._served[role]
-        if served < len(recorded):
-            self._served[role] = served + 1
-            raw, tokens = recorded[served]
-            return new_record(AgentReply, (raw, tokens, 0))
-        if self._live[role] is None:
-            raise ScriptExhausted(f"{role.value} replay exhausted after {served} replies")
-        return self._live[role].complete(role, prompt, params)
 
 
 def _http_error(what: str, response: requests.Response) -> BackendError:

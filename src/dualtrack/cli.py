@@ -2,8 +2,8 @@
 
 Configuration comes from an optional JSON config file, environment
 variables for endpoint secrets, and command-line flags, with precedence
-flags > env > file. Exit codes: 0 success, 2 config/usage error,
-3 data error, 4 backend failure, 5 unsolved.
+flags > env > file. Exit codes: 0 success, 1 stdout closed early,
+2 config/usage error, 3 data error, 4 backend failure, 5 unsolved.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -136,6 +137,8 @@ def _check_type(key: str, value) -> None:
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     if kind is str and not is_unicode(value):
         raise ConfigError(f"{key}: {value!r} is not valid Unicode")
 
@@ -465,7 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # as by `| head`: "Note on SIGPIPE" in Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

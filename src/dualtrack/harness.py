@@ -23,8 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, is_unicode, normalize_answer, parse_worked_solution
-from .agents import ReplayBackend
-from .solver import BudgetCuts, Outcome, SolverConfig, SolveTrace, replies, solve
+from .solver import BudgetCuts, Outcome, ReplayBackend, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -273,7 +272,7 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
 
     One task per problem solves the trunk at ``max(budgets)`` under the last
     setting and writes its trace to ``trace_dir`` if given. A cache-off setting
-    before it forks from that trace, replaying its replies on a pair the provider
+    before it forks from that trace, replaying its calls on a pair the provider
     gives (PROTOCOL.md, Budget sweep); after a trunk error it solves on that pair.
     An error propagates unless ``continue_on_error`` is set. A trace never leaves
     its ``run``, so the trunk's is freed before the fork asks for its pair.
@@ -282,9 +281,9 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
     configs = {cache: config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
                for cache in settings}
 
-    def run(problem: Problem, cache: bool, recorded: Mapping | None = None,
+    def run(problem: Problem, cache: bool, recorded: Sequence | None = None,
             trace_path: Path | None = None) -> tuple:
-        """A scored solve and, in a sweep, the replies its cache-off fork replays or
+        """A scored solve and, in a sweep, the calls its cache-off fork replays or
         None; or its caught error and None. With ``recorded``, it is that fork."""
         try:
             backends = provider(problem)
@@ -301,7 +300,7 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
             trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         fork = None if len(settings) == 1 else cuts.fork
         return ((result, cuts.scores(budgets, _score(result))),
-                None if fork is None else replies(cuts.calls[:fork]))
+                None if fork is None else cuts.calls[:fork])
 
     def task(problem: Problem) -> tuple:
         """The problem's scored solves, one per setting."""

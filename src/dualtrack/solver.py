@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .agents import BackendError, DecodeParams, Role
+from .agents import AgentReply, BackendError, DecodeParams, Role
 from .cache import REJECTION_FEEDBACK, CacheDecision, RejectionCache, fingerprint
 from .protocol import (
     AcceptedStep,
@@ -259,14 +259,31 @@ class BudgetCuts:
                 for budget in budgets]
 
 
-def replies(calls: Sequence[TraceEvent]) -> dict[Role, list[tuple[str, int]]]:
-    """Each role's recorded ``(raw, tokens_charged)`` replies, in order, from
-    agent-call events such as ``BudgetCuts.calls``."""
-    by_role: dict[Role, list[tuple[str, int]]] = {role: [] for role in Role}
-    for event in calls:
-        by_role[_DECOMPOSER if event.kind is _GENERATED else _EVALUATOR].append(
-            (event.payload["raw"], event.tokens_charged))
-    return by_role
+class ReplayBackend:
+    """Both roles' backend in the cache-off fork: its i-th call gets the i-th
+    recorded agent call's ``raw`` reply, charged at that call's recorded total
+    (a trace does not split it into prompt and completion), and every later
+    call goes to its role's live backend. ``calls`` are the trunk's, as
+    ``BudgetCuts.calls[:fork]`` gives them; up to the fork point the cache-off
+    solve makes them in the same order (PROTOCOL.md, Budget sweep). A live
+    backend with a ``skip`` method (a positional script) is moved past its
+    role's recorded calls here. Single-owner, like ScriptedBackend.
+    """
+
+    def __init__(self, calls: Sequence[TraceEvent], decomposer, evaluator):
+        self._calls, self._served = calls, 0
+        self._live = {_DECOMPOSER: decomposer, _EVALUATOR: evaluator}
+        generated = sum(event.kind is _GENERATED for event in calls)
+        for role, count in ((_DECOMPOSER, generated), (_EVALUATOR, len(calls) - generated)):
+            if hasattr(self._live[role], "skip"):
+                self._live[role].skip(role, count)
+
+    def complete(self, role: Role, prompt: str, params: DecodeParams | None = None) -> AgentReply:
+        served = self._served
+        if served == len(self._calls):
+            return self._live[role].complete(role, prompt, params)
+        self._served, event = served + 1, self._calls[served]
+        return new_record(AgentReply, (event.payload["raw"], event.tokens_charged, 0))
 
 
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:

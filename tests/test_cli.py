@@ -865,6 +865,15 @@ class TestRefusals:
             {"config.json": '{"max_steps": 1}'},
             ["solve", "How many apples?", "--script", "script.json", "--config", "config.json"],
             EXIT_UNSOLVED, "step limit reached after 1 steps"),
+        # Python's json reads these tokens, 1e400 as inf, but no setting takes them.
+        **{f"{key}-{token}": (
+            {"config.json": f'{{{live}"{key}": {token}}}'}, argv, EXIT_CONFIG,
+            f"{key}: expected a finite number, got {float(token)!r}")
+           for key, live, argv in [
+               ("timeout", '"api_base": "http://127.0.0.1:9", "decomposer_model": "d", '
+                '"evaluator_model": "e", ', ["sweep", "problems.jsonl", "--config", "config.json"]),
+               ("temperature", "", BENCH)]
+           for token in ["NaN", "Infinity", "-Infinity", "1e400"]},
     }
 
     @pytest.mark.parametrize("files, argv, code, message", ROWS.values(), ids=ROWS)
@@ -1160,6 +1169,28 @@ class TestRunIdentity:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_closed_stdout_exits_1_without_a_word(self, tmp_path, command, unbuffered):
+        problems, fixture = build_sweep_case(count=2)
+        argv = [command, write_problems(tmp_path / "problems.jsonl", problems),
+                "--script", write_json(tmp_path / "scripts.json", fixture),
+                "--out", str(tmp_path / "runs")]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # stdout is a pipe whose read end is closed before the command starts.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "dualtrack", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, text=True, env=env, check=False)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "dualtrack", "--help"],

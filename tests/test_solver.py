@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from dualtrack.agents import DecodeParams, Role, ScriptedBackend
+from dualtrack.agents import AgentReply, DecodeParams, Role, ScriptedBackend
 from dualtrack.cache import DUPLICATE_FEEDBACK, KNOWN_BAD_FEEDBACK
 from dualtrack.protocol import (
     SCORE_RUBRIC,
@@ -22,11 +22,11 @@ from dualtrack.solver import (
     EventKind,
     MALFORMED_STEP_FEEDBACK,
     Outcome,
+    ReplayBackend,
     SolverConfig,
     SolveTrace,
     TraceEvent,
     UNPARSEABLE_FINAL_FEEDBACK,
-    replies,
     solve,
     step_decision,
 )
@@ -632,7 +632,8 @@ def _event(kind, **payload):
 # and, for every budget from 1 up, the budget stop it scores as: a list of (the
 # last budget it applies to, (spent, evaluator_calls) or None for the whole
 # solve's score). The spend before each agent call is worked out in the comments.
-# Then the totals, the agent calls the cache-off fork replays, and their replies.
+# Then the totals, the agent calls the cache-off fork replays, and their
+# ``(raw, tokens_charged)`` replies in call order.
 HAND_TRACES = {
     "solved": (16, Outcome.SOLVED, [
         _generated(3),  # 0: spend before 0
@@ -650,8 +651,7 @@ HAND_TRACES = {
         _event(EventKind.ACCEPTED),
         _event(EventKind.FINISHED, final_answer="1"),
     ], [(3, (3, 0)), (5, (5, 1)), (9, (9, 1)), (12, (12, 1)), (14, (14, 1)), (16, None)],
-        (15, 2), 3, {Role.DECOMPOSER: [("STEP: x", 3), ("STEP: x", 4)],
-                     Role.EVALUATOR: [("Score: 3", 2)]}),
+        (15, 2), 3, [("STEP: x", 3), ("Score: 3", 2), ("STEP: x", 4)]),
     # The solve's own stop, at spend 11, is the whole score of every budget
     # that no check before it stops: budget_exhausted, spent 11.
     "budget_stop": (10, Outcome.BUDGET_EXHAUSTED, [
@@ -663,7 +663,7 @@ HAND_TRACES = {
         _event(EventKind.RETRIED),
         _event(EventKind.BUDGET_STOP, spent=11, limit=10),
     ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 3,
-        {Role.DECOMPOSER: [("STEP: x", 4), ("STEP: x", 4)], Role.EVALUATOR: [("Score: 3", 3)]}),
+        [("STEP: x", 4), ("Score: 3", 3), ("STEP: x", 4)]),
     # The Evaluator call after event 3 raised and left no event, so the end,
     # at spend 13, is a check, and the fork replays every call before it.
     "raised call": (20, Outcome.BACKEND_FAILURE, [
@@ -672,13 +672,18 @@ HAND_TRACES = {
         _event(EventKind.ACCEPTED),
         _generated(6),  # 3: 7
     ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 3,
-        {Role.DECOMPOSER: [("STEP: x", 5), ("STEP: x", 6)], Role.EVALUATOR: [("Score: 3", 2)]}),
+        [("STEP: x", 5), ("Score: 3", 2), ("STEP: x", 6)]),
     # The Evaluator's reply left its event, so the end is no check.
     "unparsed reply": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2, score=None),  # 1: 5, a reply that did not parse
     ], [(5, (5, 0)), (20, None)], (7, 1), None, None),
 }
+
+
+def _recorded(calls):
+    """The ``(raw, tokens_charged)`` reply of each agent call, in call order."""
+    return [(event.payload["raw"], event.tokens_charged) for event in calls]
 
 
 def _score(problem, trace):
@@ -704,7 +709,7 @@ class TestBudgetCuts:
         assert cuts.scores(range(1, limit + 1), whole) == expected
         assert (cuts.totals, cuts.fork) == (totals, fork)
         if fork is not None:
-            assert replies(cuts.calls[:cuts.fork]) == fork_replies
+            assert _recorded(cuts.calls[:cuts.fork]) == fork_replies
         # Repeated and unsorted budgets are scored in the order given.
         budgets = [limit, *range(1, limit + 1), 1]
         assert cuts.scores(budgets, whole) == [expected[budget - 1] for budget in budgets]
@@ -738,13 +743,10 @@ class TestBudgetCuts:
             if end is None:
                 assert cuts.fork is None, problem.id
                 continue
-            expected = {role: [] for role in Role}
-            for event in trace.events[:end]:
-                if event.kind is EventKind.GENERATED:
-                    expected[Role.DECOMPOSER].append((event.payload["raw"], event.tokens_charged))
-                elif event.kind is EventKind.EVALUATED and event.payload["synthetic"] is None:
-                    expected[Role.EVALUATOR].append((event.payload["raw"], event.tokens_charged))
-            assert replies(cuts.calls[:cuts.fork]) == expected, problem.id
+            expected = [(event.payload["raw"], event.tokens_charged)
+                        for event in trace.events[:end] if event.kind is EventKind.GENERATED
+                        or event.kind is EventKind.EVALUATED and event.payload["synthetic"] is None]
+            assert _recorded(cuts.calls[:cuts.fork]) == expected, problem.id
         assert len(forks) == 2, forks
 
     def test_cut_equals_a_real_solve_at_that_budget(self):
@@ -786,6 +788,62 @@ class TestBudgetCuts:
 
 
 # SHA-256 over the traces of TestTraceDigest's corpus, one JSON line each.
+class _Counting:
+    """A prompt-keyed backend that counts the calls that reach it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def complete(self, role, prompt, params=None):
+        self.calls.append((role, prompt))
+        return AgentReply(raw_text=f"live {prompt}", prompt_tokens=2, completion_tokens=1)
+
+
+class TestReplayBackend:
+    """The cache-off fork's backend, built from a real cache-on trace: its
+    second generation repeats its first, so the fork point is 3 calls in."""
+
+    SCRIPTS = {"decomposer": TestCacheIntegration.DUPLICATE_SCRIPTS["decomposer"],
+               "evaluator": [f"Score: 3\nFeedback: {word}." for word in ("a", "b", "c", "d")]}
+
+    def _fork_calls(self):
+        backend = ScriptedBackend(self.SCRIPTS)
+        cuts = BudgetCuts(solve(Problem(id="p", question="q?"), config(), backend, backend))
+        assert cuts.fork == 3
+        return cuts.calls[:cuts.fork]
+
+    def test_serves_the_recorded_calls_in_order_then_delegates(self):
+        calls = self._fork_calls()
+        decomposer, evaluator = _Counting(), _Counting()
+        replay = ReplayBackend(calls, decomposer, evaluator)
+        served = [replay.complete(Role.DECOMPOSER, "p1"),
+                  replay.complete(Role.EVALUATOR, "p2"),
+                  replay.complete(Role.DECOMPOSER, "p3")]
+        # A recorded reply charges its recorded total and reaches no backend.
+        assert [(reply.raw_text, reply.total_tokens) for reply in served] == _recorded(calls)
+        assert [reply.completion_tokens for reply in served] == [0, 0, 0]
+        assert decomposer.calls == evaluator.calls == []
+        # Past the recorded calls, each role goes to its own live backend.
+        assert replay.complete(Role.EVALUATOR, "p4").raw_text == "live p4"
+        assert replay.complete(Role.DECOMPOSER, "p5").total_tokens == 3
+        assert replay.complete(Role.EVALUATOR, "p6").raw_text == "live p6"
+        assert decomposer.calls == [(Role.DECOMPOSER, "p5")]
+        assert evaluator.calls == [(Role.EVALUATOR, "p4"), (Role.EVALUATOR, "p6")]
+
+    def test_positional_live_backend_starts_past_the_recorded_calls(self):
+        script = ScriptedBackend(self.SCRIPTS)
+        replay = ReplayBackend(self._fork_calls(), script, script)
+        # The script is skipped by each role's recorded calls when the replay
+        # is built, before any call.
+        assert (script.calls(Role.DECOMPOSER), script.calls(Role.EVALUATOR)) == (2, 1)
+        problem, off = Problem(id="p", question="q?"), config(cache_enabled=False)
+        fresh = ScriptedBackend(self.SCRIPTS)
+        # The fork's cache-off solve is the one from scratch, its replayed
+        # calls charged at the same totals.
+        assert solve(problem, off, replay, replay) == solve(problem, off, fresh, fresh)
+        assert (script.calls(Role.DECOMPOSER), script.calls(Role.EVALUATOR)) == (4, 4)
+
+
 TRACE_CORPUS_DIGEST = "5e0d55632d5cbca08dd6332c9f009a76703e33dca389b84d021a65681db4c3c7"
 
 
