@@ -129,13 +129,8 @@ class ScriptedBackend:
         return new_record(AgentReply, (text, estimate_tokens(prompt), estimate_tokens(text)))
 
     def calls(self, role: Role | str) -> int:
-        """Number of replies served or skipped so far for the role."""
+        """Number of replies served so far for the role."""
         return self._cursor.get(role if isinstance(role, Role) else Role(role), 0)
-
-    def skip(self, role: Role | str, count: int) -> None:
-        """Move the role's cursor past ``count`` replies served elsewhere."""
-        role = role if isinstance(role, Role) else Role(role)
-        self._cursor[role] = self._cursor.get(role, 0) + count
 
 
 def _http_error(what: str, response: requests.Response) -> BackendError:

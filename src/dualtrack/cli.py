@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import NamedTuple, Sequence, get_args, get_type_hints
 from urllib.parse import urlsplit
 
@@ -34,14 +35,8 @@ from .dataset import (
     split_examples,
     write_instances,
 )
-from .harness import (
-    BackendProvider,
-    SWEEP_BUDGETS,
-    budget_sweep,
-    config_hash,
-    load_problems,
-    run_benchmark,
-)
+from .harness import (SWEEP_BUDGETS, BackendPair, BackendProvider, budget_sweep, config_hash,
+                      load_problems, run_benchmark)
 from .protocol import Problem, is_unicode
 from .solver import EventKind, Outcome, SolverConfig, solve
 
@@ -174,8 +169,8 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"method: {config.method!r} is not valid Unicode")
     if config.workers < 1:
         raise ConfigError(f"workers: must be at least 1, got {config.workers}")
-    if config.timeout <= 0:
-        raise ConfigError(f"timeout: must be positive, got {config.timeout}")
+    if not 0 < config.timeout <= TIMEOUT_MAX:  # the longest a socket timeout can hold
+        raise ConfigError(f"timeout: must be in (0, {TIMEOUT_MAX}] seconds, got {config.timeout}")
     return config
 
 
@@ -251,11 +246,13 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
         raise ConfigError(str(exc)) from None
 
 
-def _build_backends(config: RunConfig, problems: Sequence[Problem]) -> BackendProvider:
+def _build_backends(config: RunConfig,
+                    problems: Sequence[Problem]) -> BackendPair | BackendProvider:
+    """Per-problem scripts from a fixture, or one endpoint shared by every problem."""
     if config.script_path:
         return _scripted_provider(config.script_path, problems)
     backend = _http_backend(config)
-    return lambda problem: (backend, backend)
+    return backend, backend
 
 
 def _start_run(args: argparse.Namespace, problems: Sequence[Problem] | None = None):
@@ -327,7 +324,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"question: {exc}") from None
     _, solver_config, _, backends = _start_run(args, [problem])
-    trace = solve(problem, solver_config, *backends(problem))
+    trace = solve(problem, solver_config, *(backends(problem) if callable(backends) else backends))
 
     for event in trace.events:
         payload = event.payload
@@ -466,14 +463,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    closed = 1  # the exit code once stdout's reader has gone
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # after the help or a usage error; argparse ignores
+            closed = exc.code  # a closed stdout, so its exit code stands
+            sys.stdout.flush()
+            raise
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:  # as by `| head`: "Note on SIGPIPE" in Python's signal docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return closed
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

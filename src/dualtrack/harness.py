@@ -272,12 +272,14 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
 
     One task per problem solves the trunk at ``max(budgets)`` under the last
     setting and writes its trace to ``trace_dir`` if given. A cache-off setting
-    before it forks from that trace, replaying its calls on a pair the provider
-    gives (PROTOCOL.md, Budget sweep); after a trunk error it solves on that pair.
+    before it forks from that trace, replaying its calls up to the fork point;
+    a provider's pair, which may answer by position (a script), is sent those
+    calls too (PROTOCOL.md, Budget sweep). After a trunk error it solves anew.
     An error propagates unless ``continue_on_error`` is set. A trace never leaves
     its ``run``, so the trunk's is freed before the fork asks for its pair.
     """
-    provider = backends if callable(backends) else lambda problem: backends
+    shared = not callable(backends)
+    provider = (lambda problem: backends) if shared else backends
     configs = {cache: config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
                for cache in settings}
 
@@ -288,7 +290,7 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
         try:
             backends = provider(problem)
             if recorded is not None:
-                backends = (ReplayBackend(recorded, *backends),) * 2
+                backends = (ReplayBackend(recorded, *backends, relay=not shared),) * 2
             trace = solve(problem, configs[cache], *backends)
         except Exception as exc:
             if not continue_on_error:
@@ -378,9 +380,10 @@ def budget_sweep(
     (budget, cache) cell, budget by budget in the given order, cache off first.
 
     Every cell is cut from the engine's (``_solve_all``) one solve per problem
-    and cache setting at ``max(budgets)``, cache off forked from cache on. An
-    error in a solve, or the provider's error for it, fails every cell of its
-    cache setting; with ``continue_on_error`` those cells are logged.
+    and cache setting at ``max(budgets)``, cache off forked from cache on. On
+    one pair shared by all problems, the fork makes none of the trunk's calls.
+    An error in a solve, or the provider's error for it, fails every cell of
+    its cache setting; with ``continue_on_error`` those cells are logged.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")

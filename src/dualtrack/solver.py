@@ -265,23 +265,22 @@ class ReplayBackend:
     (a trace does not split it into prompt and completion), and every later
     call goes to its role's live backend. ``calls`` are the trunk's, as
     ``BudgetCuts.calls[:fork]`` gives them; up to the fork point the cache-off
-    solve makes them in the same order (PROTOCOL.md, Budget sweep). A live
-    backend with a ``skip`` method (a positional script) is moved past its
-    role's recorded calls here. Single-owner, like ScriptedBackend.
+    solve makes them in the same order (PROTOCOL.md, Budget sweep). With
+    ``relay``, each recorded call is made on its live backend too and that
+    reply dropped, so a backend that answers by position (a script) stays in
+    step. Single-owner, like ScriptedBackend.
     """
 
-    def __init__(self, calls: Sequence[TraceEvent], decomposer, evaluator):
-        self._calls, self._served = calls, 0
+    def __init__(self, calls: Sequence[TraceEvent], decomposer, evaluator, relay: bool = False):
+        self._calls, self._served, self._relay = calls, 0, relay
         self._live = {_DECOMPOSER: decomposer, _EVALUATOR: evaluator}
-        generated = sum(event.kind is _GENERATED for event in calls)
-        for role, count in ((_DECOMPOSER, generated), (_EVALUATOR, len(calls) - generated)):
-            if hasattr(self._live[role], "skip"):
-                self._live[role].skip(role, count)
 
     def complete(self, role: Role, prompt: str, params: DecodeParams | None = None) -> AgentReply:
         served = self._served
         if served == len(self._calls):
             return self._live[role].complete(role, prompt, params)
+        if self._relay:  # its reply is the recorded one
+            self._live[role].complete(role, prompt, params)
         self._served, event = served + 1, self._calls[served]
         return new_record(AgentReply, (event.payload["raw"], event.tokens_charged, 0))
 

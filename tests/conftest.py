@@ -84,7 +84,7 @@ class RecordingBackend:
     """Wraps a backend, capturing every call it is asked to make, in order,
     as ``(role, prompt)`` attempts (and each role's prompts), and every reply
     it serves, in order, as ``(role, reply)`` pairs. Other attributes, such
-    as a script's ``skip``, are the wrapped backend's."""
+    as a script's ``calls``, are the wrapped backend's."""
 
     def __init__(self, inner):
         self.inner = inner

@@ -130,28 +130,14 @@ class TestScriptedBackend:
                     ScriptedBackend({Role(role): replies for role, replies in scripts.items()})]
         for key in (Role.DECOMPOSER, "decomposer", Role.EVALUATOR, "evaluator"):
             assert len({backend.calls(key) for backend in backends}) == 1
-        for backend, key in zip(backends, ("decomposer", Role.DECOMPOSER)):
-            backend.skip(key, 1)
         for key in ("decomposer", Role.DECOMPOSER, "evaluator", Role.EVALUATOR):
             replies = {backend.complete(key, "p").raw_text for backend in backends}
             assert len(replies) == 1, (key, replies)
             assert len({backend.calls(key) for backend in backends}) == 1
         for backend in backends:
-            assert (backend.calls("decomposer"), backend.calls(Role.EVALUATOR)) == (3, 2)
+            assert (backend.calls("decomposer"), backend.calls(Role.EVALUATOR)) == (2, 2)
             with pytest.raises(ScriptExhausted):
                 backend.complete("evaluator", "p")
-
-    def test_skip_moves_only_that_roles_cursor(self):
-        backend = ScriptedBackend(
-            {"decomposer": ["STEP: a", "STEP: b", "STEP: c"], "evaluator": ["Score: 3"]}
-        )
-        backend.skip(Role.DECOMPOSER, 2)
-        backend.skip("evaluator", 0)
-        assert backend.complete(Role.DECOMPOSER, "p").raw_text == "STEP: c"
-        assert backend.complete(Role.EVALUATOR, "p").raw_text == "Score: 3"
-        assert backend.calls(Role.DECOMPOSER) == 3
-        with pytest.raises(ScriptExhausted):
-            backend.complete(Role.DECOMPOSER, "p")
 
 
 class _FakeResponse:

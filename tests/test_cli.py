@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -865,6 +866,16 @@ class TestRefusals:
             {"config.json": '{"max_steps": 1}'},
             ["solve", "How many apples?", "--script", "script.json", "--config", "config.json"],
             EXIT_UNSOLVED, "step limit reached after 1 steps"),
+        # A socket timeout holds at most threading.TIMEOUT_MAX seconds: a longer
+        # one is refused before any call, and that one reaches the endpoint.
+        **{f"timeout-{name}": (
+            {"config.json": json.dumps({"api_base": "http://127.0.0.1:9", "decomposer_model": "d",
+                                        "evaluator_model": "e", "timeout": timeout})},
+            ["solve", "How many apples?", "--config", "config.json"], code, message)
+           for name, timeout, code, message in [
+               ("1e10", 1e10, EXIT_CONFIG,
+                f"timeout: must be in (0, {threading.TIMEOUT_MAX}] seconds, got 10000000000.0"),
+               ("TIMEOUT_MAX", threading.TIMEOUT_MAX, EXIT_BACKEND, "outcome: backend_failure")]},
         # Python's json reads these tokens, 1e400 as inf, but no setting takes them.
         **{f"{key}-{token}": (
             {"config.json": f'{{{live}"{key}": {token}}}'}, argv, EXIT_CONFIG,
@@ -885,7 +896,7 @@ class TestRefusals:
             Path(name).write_text(text, encoding="utf-8")
         assert main(argv) == code
         captured = capsys.readouterr()
-        if code == EXIT_UNSOLVED:
+        if code in (EXIT_UNSOLVED, EXIT_BACKEND):
             assert f"\n{message}\n" in captured.out
         else:
             kind = "config" if code == EXIT_CONFIG else "data"
@@ -1168,6 +1179,23 @@ class TestRunIdentity:
         assert len(printed) == 1
 
 
+def run_to_closed_stdout(argv, unbuffered: bool):
+    """``python -m dualtrack`` with ``argv``, its stdout a pipe whose read end
+    is closed before the command starts; PYTHONUNBUFFERED set only if asked."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "dualtrack", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, check=False)
+    finally:
+        os.close(write_end)
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["bench", "sweep"])
@@ -1176,20 +1204,15 @@ class TestEntryPoint:
         argv = [command, write_problems(tmp_path / "problems.jsonl", problems),
                 "--script", write_json(tmp_path / "scripts.json", fixture),
                 "--out", str(tmp_path / "runs")]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        # stdout is a pipe whose read end is closed before the command starts.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run([sys.executable, "-m", "dualtrack", *argv], stdout=write_end,
-                                    stderr=subprocess.PIPE, text=True, env=env, check=False)
-        finally:
-            os.close(write_end)
+        result = run_to_closed_stdout(argv, unbuffered)
         assert (result.returncode, result.stderr) == (1, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["sweep", "--help"], ["-h"]], ids=" ".join)
+    def test_help_to_a_closed_stdout_exits_0_without_a_word(self, argv, unbuffered):
+        # argparse ignores a failed write of its help, so the help exits 0.
+        result = run_to_closed_stdout(argv, unbuffered)
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -3,9 +3,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import threading
 import time
 import weakref
+import zlib
 from collections import Counter
 from fractions import Fraction
 
@@ -384,7 +386,7 @@ class TestBudgetSweep:
         healthy = budget_sweep(problems, budgets, config, scripted_provider(fixture))
         # A problem's second provider call is the pair of its cache-off fork,
         # asked for before the fork starts.
-        failed_id = next(problem.id for problem, (_, live) in zip(problems, _fork_calls(
+        failed_id = next(problem.id for problem, (*_, live) in zip(problems, _fork_calls(
             problems, config.with_overrides(token_budget=max(budgets)), fixture)) if live)
         served = []
 
@@ -455,7 +457,7 @@ class TestBudgetSweep:
         # error for it fails the cache-off cells.
         top = config.with_overrides(token_budget=max(budgets))
         failed_id = next(
-            problem.id for problem, (_, live), forked in zip(
+            problem.id for problem, (*_, live), forked in zip(
                 problems, _fork_calls(problems, top, fixture), _has_fork(problems, top, fixture))
             if forked and live == 0)
         served = Counter()
@@ -490,7 +492,7 @@ class TestBudgetSweep:
         # if it has one; at 600 every fork reaches the live backend. A failed
         # problem's fork has no trace to replay, but asks the provider too.
         expected = Counter(problem.id for problem in problems) + Counter(
-            problem.id for problem, (_, live) in zip(problems, forks)
+            problem.id for problem, (*_, live) in zip(problems, forks)
             if live or problem.id in failed_ids)
         assert 0 < sum(expected.values()) - len(problems) < len(problems)
         for workers in (1, 2):
@@ -547,19 +549,21 @@ def _per_cell_rows(problems, budgets, config, provider, workers):
     ]
 
 
-def _fork_calls(problems, config, fixture):
+def _fork_calls(problems, config, fixture, model=None):
     """Per problem, the calls its cache-on solve at ``config``'s budget makes,
-    and the calls its cache-off solve makes past the longest prefix it shares
-    with the calls the cache-on solve made and got a reply to. Counted from
-    one solve per problem and cache setting, apart from the sweep: a sweep
-    forks the cache-off solve there, so its live backend gets the second count
-    of calls. At budgets that stop no fork before its first live call, the
-    problems where that count is above 0 are those ``_has_fork`` names."""
+    the calls its cache-off solve makes, and those of them past the longest
+    prefix it shares with the calls the cache-on solve made and got a reply
+    to; on the problem's script, or on ``model``, one backend for every
+    problem. Counted from one solve per problem and cache setting, apart from
+    the sweep: a sweep on one shared pair forks the cache-off solve there, so
+    the pair gets the third count of its calls. At budgets that stop no fork
+    before its first live call, the problems where that count is above 0 are
+    those ``_has_fork`` names."""
     counts = []
     for problem in problems:
         solves = {}
         for cache in (True, False):
-            backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+            backend = RecordingBackend(model or ScriptedBackend(fixture[problem.id]))
             solve(problem, config.with_overrides(cache_enabled=cache), backend, backend)
             solves[cache] = backend
         on, off = solves[True], solves[False]
@@ -568,7 +572,7 @@ def _fork_calls(problems, config, fixture):
             if replied != asked:
                 break
             shared += 1
-        counts.append((len(on.attempts), len(off.attempts) - shared))
+        counts.append((len(on.attempts), len(off.attempts), len(off.attempts) - shared))
     return counts
 
 
@@ -612,6 +616,21 @@ class _Sampled:
         return ScriptedBackend({role: [text]}).complete(role, prompt, params)
 
 
+class _Keyed:
+    """One backend for every problem that answers by the request alone: the
+    reply to a prompt is one of its problem's scripted replies, picked by a
+    hash of the prompt. The problem's id ends its question, in parentheses."""
+
+    def __init__(self, fixture):
+        self.fixture = fixture
+
+    def complete(self, role, prompt, params=None):
+        problem_id = re.search(r"\((r\d+)\)$", prompt, re.M)[1]
+        replies = self.fixture[problem_id][Role(role).value]
+        text = replies[zlib.crc32(prompt.encode("utf-8")) % len(replies)]
+        return ScriptedBackend({role: [text]}).complete(role, prompt, params)
+
+
 class TestDerivedSweep:
     """Cells cut from one max-budget solve per problem with the cache on, and
     one with the cache off forked from it at its first cache hit or failed
@@ -644,7 +663,7 @@ class TestDerivedSweep:
             # solve's, and the rest fork from it onto the live backend (at
             # these top budgets no fork stops before its first live call).
             top = config.with_overrides(token_budget=max(budgets))
-            forks = sum(live > 0 for _, live in _fork_calls(problems, top, fixture))
+            forks = sum(live > 0 for *_, live in _fork_calls(problems, top, fixture))
             assert 0 < forks < len(problems)
             assert len(served) == len(problems) + forks
             expected = _per_cell_rows(problems, budgets, config, provider, workers)
@@ -659,13 +678,13 @@ class TestDerivedSweep:
         # At 300 a few cache-off forks stop at the budget check before their
         # first call past the prefix, so they never reach the live backend.
         top = config.with_overrides(token_budget=max(budgets))
-        on_calls, live_calls = zip(*_fork_calls(problems, top, fixture))
+        on_calls, off_calls, live_calls = zip(*_fork_calls(problems, top, fixture))
         forks = sum(live > 0 for live in live_calls)
         assert 0 < forks < len(problems)
         # The provider is asked for a fork's pair before the fork starts, so
-        # once for each cache-on trace with a fork point, whether or not the
-        # fork reaches the live backend.
-        forked = sum(_has_fork(problems, top, fixture))
+        # once for each cache-on trace with a fork point. A provider's pair may
+        # answer by position, so the fork's whole cache-off solve runs on it.
+        forked = _has_fork(problems, top, fixture)
         swept = []
 
         def provider(problem):
@@ -674,8 +693,26 @@ class TestDerivedSweep:
             return backend, backend
 
         budget_sweep(problems, budgets, config, provider)
-        assert len(swept) == len(problems) + forked == {600: 65, 300: 56}[max(budgets)]
-        assert sum(len(backend.attempts) for backend in swept) == sum(on_calls) + sum(live_calls)
+        assert len(swept) == len(problems) + sum(forked) == {600: 65, 300: 56}[max(budgets)]
+        assert sum(len(backend.attempts) for backend in swept) == sum(on_calls) + sum(
+            off for off, fork in zip(off_calls, forked) if fork)
+
+    @pytest.mark.parametrize("budgets", [(600,), (100, 600, 300), SWEEP_BUDGETS, (100, 300)])
+    def test_shared_pair_gets_only_the_calls_past_each_fork_point(self, budgets):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        problems = [problem._replace(question=f"{problem.question} ({problem.id})")
+                    for problem in problems]
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        top = config.with_overrides(token_budget=max(budgets))
+        on_calls, _, live_calls = zip(*_fork_calls(problems, top, fixture, _Keyed(fixture)))
+        assert 0 < sum(live > 0 for live in live_calls) < len(problems)
+        # One pair for every problem answers by the request, so each fork
+        # replays its trunk's calls up to the fork point and sends it the rest.
+        model = RecordingBackend(_Keyed(fixture))
+        rows = budget_sweep(problems, budgets, config, (model, model))
+        assert len(model.attempts) == sum(on_calls) + sum(live_calls)
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
+            problems, budgets, config, (_Keyed(fixture),) * 2, 1)]
 
     @pytest.mark.parametrize("keyed", [False, True], ids=["positional", "prompt-keyed"])
     def test_fork_replays_the_prefix_and_solves_the_rest_live(self, keyed):
@@ -691,30 +728,39 @@ class TestDerivedSweep:
             "evaluator": ["Score: 3\nFeedback: fine."] * 4,
         }
         config = SolverConfig(token_budget=BIG_BUDGET)
-        replies = {}
+        replies, attempts = {}, {}
         for cache in (True, False):
             scratch = RecordingBackend(ScriptedBackend(scripts))
             off = solve(problem, config.with_overrides(cache_enabled=cache), scratch, scratch)
             replies.update(zip(scratch.attempts, (reply for _, reply in scratch.replies)))
+            attempts[cache] = scratch.attempts
+        # The cache-off solve's first 3 calls are the cache-on solve's.
+        assert attempts[False][:3] == attempts[True][:3] and len(attempts[False]) == 8
 
         class Keyed:
             def complete(self, role, prompt, params=None):
                 return replies[Role(role), prompt]
 
-        live = []
-
-        def provider(problem):
-            backend = RecordingBackend(Keyed() if keyed else ScriptedBackend(scripts))
-            live.append(backend)
-            return backend, backend
-
         budgets = (100, 250, BIG_BUDGET)
-        rows = budget_sweep([problem], budgets, config, provider)
-        on, fork = live
-        # Of the cache-off solve's 8 calls, the first 3 are the cache-on
-        # solve's replayed; only the other 5 reach a backend.
-        assert scratch.attempts[:3] == on.attempts[:3] and len(scratch.attempts) == 8
-        assert fork.attempts == scratch.attempts[3:]
+        if keyed:
+            # One pair for every problem: the fork replays those 3 calls, so
+            # only the other 5 reach it after the cache-on solve's.
+            shared = RecordingBackend(Keyed())
+            rows = budget_sweep([problem], budgets, config, (shared, shared))
+            assert shared.attempts == attempts[True] + attempts[False][3:]
+        else:
+            # A provider's pair may answer by position, so the fork sends it
+            # the replayed calls too: all 8 calls reach it.
+            live = []
+
+            def provider(problem):
+                backend = RecordingBackend(ScriptedBackend(scripts))
+                live.append(backend)
+                return backend, backend
+
+            rows = budget_sweep([problem], budgets, config, provider)
+            on, fork = live
+            assert (on.attempts, fork.attempts) == (attempts[True], attempts[False])
         assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
             [problem], budgets, config, scripted_provider({"dup": scripts}), 1)]
         assert rows[-2].evaluator_calls == off.evaluator_calls == 4
@@ -754,7 +800,7 @@ class TestDerivedSweep:
         sampled = config.with_overrides(**{role: DecodeParams(temperature=0.7)})
         rows = budget_sweep(problems, budgets, sampled,
                             lambda problem: served.append(problem) or provider(problem))
-        forks = sum(live > 0 for _, live in _fork_calls(
+        forks = sum(live > 0 for *_, live in _fork_calls(
             problems, config.with_overrides(token_budget=max(budgets)), fixture))
         assert 0 < forks < len(problems)
         assert served == greedy_served
@@ -783,26 +829,57 @@ class TestDerivedSweep:
             scratch[json.dumps(row.to_dict())] += Fraction(1, len(flips))
         assert sorted(scratch.values()) == [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
         # The sweep over every outcome: the cache-on solve draws first, and a
-        # fork's live backend draws afresh.
-        swept, old_rule = Counter(), Fraction(0)
+        # fork replays it up to its cache hit and draws afresh from there. A
+        # provider's pair also gets, and draws for, the replayed calls, but
+        # their replies are the trunk's.
         outcomes = list(itertools.product(flips, flips))
+        for shared in (True, False):
+            swept = Counter()
+            for first, second in outcomes:
+                pairs = iter([_Sampled(first), _Sampled(second)])
+                backends = ((_Sampled(first + second),) * 2 if shared
+                            else lambda problem: (next(pairs),) * 2)
+                off, on = budget_sweep([problem], (BIG_BUDGET,), config, backends)
+                swept[json.dumps(off.to_dict())] += Fraction(1, len(outcomes))
+                # Paired: cache off and on share the first flip, which decides both.
+                assert off.correct == on.correct
+            assert swept == scratch, shared
+            assert sum(json.loads(row)["correct"] * weight
+                       for row, weight in swept.items()) == Fraction(1, 2)
+        # The rule that took the cache-on solve where the cache never fired,
+        # and sampled the cache-off solve afresh everywhere else.
+        old_rule = Fraction(0)
         for first, second in outcomes:
-            backends = iter([_Sampled(first), _Sampled(second)])
-            off, on = budget_sweep([problem], (BIG_BUDGET,), config,
-                                   lambda problem: (next(backends),) * 2)
-            swept[json.dumps(off.to_dict())] += Fraction(1, len(outcomes))
-            # Paired: cache off and on share the first flip, which decides both.
-            assert off.correct == on.correct
-            # The rule that took the cache-on solve where the cache never
-            # fired, and sampled the cache-off solve afresh everywhere else.
             trace = solved(True, first)
             if trace.events_of(EventKind.CACHE_REJECTED):
                 trace = solved(False, second)
             old_rule += Fraction(_result_of(problem, trace).correct, len(outcomes))
-        assert swept == scratch
-        assert sum(json.loads(row)["correct"] * weight
-                   for row, weight in swept.items()) == Fraction(1, 2)
         assert old_rule == Fraction(3, 4)
+
+    def test_provider_wrapper_that_forwards_only_complete_keeps_the_rows(self):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (300, 600)
+
+        class Wrapper:
+            """Forwards only ``complete``, as a logging wrapper might."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, role, prompt, params=None):
+                return self.inner.complete(role, prompt, params)
+
+        def provider(problem):
+            backend = Wrapper(ScriptedBackend(fixture[problem.id]))
+            return backend, backend
+
+        rows = budget_sweep(problems, budgets, config, provider)
+        # A fork sends its wrapped script every call, so the script stays in step.
+        plain = budget_sweep(problems, budgets, config, scripted_provider(fixture))
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in plain]
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
+            problems, budgets, config, scripted_provider(fixture), 1)]
 
     def test_cache_on_call_failure_is_solved_again_with_cache_off(self):
         problems, fixture = build_sweep_case(count=3)
@@ -831,11 +908,10 @@ class TestDerivedSweep:
         rows = budget_sweep(problems, budgets, config, provider)
         assert [problem_id for problem_id, _ in served] == [
             problems[0].id, problems[1].id, problems[1].id, problems[2].id]
-        # The fork's live backend makes its own attempt at the failed call and
-        # serves the rest of the script: 5 of its 8 replies.
+        # The fork's pair comes from a provider, so it gets every call of the
+        # cache-off solve, the 3 replayed ones and the failed one included.
         fork = served[2][1]
-        assert [role for role, _ in fork.attempts] == [Role.EVALUATOR] + [
-            Role.DECOMPOSER, Role.EVALUATOR] * 2
+        assert [role for role, _ in fork.attempts] == [Role.DECOMPOSER, Role.EVALUATOR] * 4
         assert (fork.inner.calls(Role.DECOMPOSER), fork.inner.calls(Role.EVALUATOR)) == (4, 4)
         assert [rows[cell].to_dict() for cell in (0, 2)] == [healthy[cell].to_dict()
                                                             for cell in (0, 2)]

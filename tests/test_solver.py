@@ -830,18 +830,20 @@ class TestReplayBackend:
         assert decomposer.calls == [(Role.DECOMPOSER, "p5")]
         assert evaluator.calls == [(Role.EVALUATOR, "p4"), (Role.EVALUATOR, "p6")]
 
-    def test_positional_live_backend_starts_past_the_recorded_calls(self):
-        script = ScriptedBackend(self.SCRIPTS)
-        replay = ReplayBackend(self._fork_calls(), script, script)
-        # The script is skipped by each role's recorded calls when the replay
-        # is built, before any call.
-        assert (script.calls(Role.DECOMPOSER), script.calls(Role.EVALUATOR)) == (2, 1)
+    def test_relay_sends_the_recorded_calls_to_a_positional_backend_too(self):
+        calls, live = self._fork_calls(), _Counting()
+        # A relayed call reaches the live backend, but its reply is the recorded one.
+        reply = ReplayBackend(calls, live, live, relay=True).complete(Role.DECOMPOSER, "p1")
+        assert (reply.raw_text, reply.total_tokens) == _recorded(calls)[0]
+        assert live.calls == [(Role.DECOMPOSER, "p1")]
         problem, off = Problem(id="p", question="q?"), config(cache_enabled=False)
+        script = RecordingBackend(ScriptedBackend(self.SCRIPTS))
         fresh = ScriptedBackend(self.SCRIPTS)
-        # The fork's cache-off solve is the one from scratch, its replayed
-        # calls charged at the same totals.
+        replay = ReplayBackend(calls, script, script, relay=True)
+        # The fork's cache-off solve is the one from scratch: the script gets
+        # every call, and the 3 replayed ones are charged at the same totals.
         assert solve(problem, off, replay, replay) == solve(problem, off, fresh, fresh)
-        assert (script.calls(Role.DECOMPOSER), script.calls(Role.EVALUATOR)) == (4, 4)
+        assert [role for role, _ in script.attempts] == [Role.DECOMPOSER, Role.EVALUATOR] * 4
 
 
 TRACE_CORPUS_DIGEST = "5e0d55632d5cbca08dd6332c9f009a76703e33dca389b84d021a65681db4c3c7"
