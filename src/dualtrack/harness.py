@@ -272,26 +272,31 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
 
     One task per problem solves the trunk at ``max(budgets)`` under the last
     setting and writes its trace to ``trace_dir`` if given. A cache-off setting
-    before it forks from that trace, replaying its calls up to the fork point;
-    a provider's pair, which may answer by position (a script), is sent those
-    calls too (PROTOCOL.md, Budget sweep). After a trunk error it solves anew.
-    An error propagates unless ``continue_on_error`` is set. A trace never leaves
-    its ``run``, so the trunk's is freed before the fork asks for its pair.
+    before it forks from that trace if it has a fork point, looking each request
+    up in the trunk's call log: the whole log on one shared pair, the calls
+    before the fork point on a provider's pair, which may answer by position (a
+    script) and so is sent every call (PROTOCOL.md, Budget sweep). After a trunk
+    error it solves anew. An error propagates unless ``continue_on_error`` is
+    set. A trace never leaves its ``run``, so the trunk's is freed before the
+    fork asks for its pair; the log holds requests and replies, not the trace.
     """
     shared = not callable(backends)
     provider = (lambda problem: backends) if shared else backends
     configs = {cache: config.with_overrides(token_budget=max(budgets), cache_enabled=cache)
                for cache in settings}
+    sweep = len(settings) > 1
 
     def run(problem: Problem, cache: bool, recorded: Sequence | None = None,
             trace_path: Path | None = None) -> tuple:
-        """A scored solve and, in a sweep, the calls its cache-off fork replays or
-        None; or its caught error and None. With ``recorded``, it is that fork."""
+        """A scored solve and, for a sweep's trunk with a fork point, the calls its
+        cache-off fork looks up, else None; or its caught error and None. With
+        ``recorded``, it is that fork."""
+        calls = [] if sweep and cache else None  # the trunk's call log
         try:
             backends = provider(problem)
             if recorded is not None:
                 backends = (ReplayBackend(recorded, *backends, relay=not shared),) * 2
-            trace = solve(problem, configs[cache], *backends)
+            trace = solve(problem, configs[cache], *backends, calls)
         except Exception as exc:
             if not continue_on_error:
                 raise
@@ -300,9 +305,9 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
         result = _result(problem, trace, cuts.totals, trace_path)
         if trace_path is not None:
             trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-        fork = None if len(settings) == 1 else cuts.fork
+        fork = None if calls is None else cuts.fork
         return ((result, cuts.scores(budgets, _score(result))),
-                None if fork is None else cuts.calls[:fork])
+                None if fork is None else calls if shared else calls[:fork])
 
     def task(problem: Problem) -> tuple:
         """The problem's scored solves, one per setting."""
@@ -381,7 +386,8 @@ def budget_sweep(
 
     Every cell is cut from the engine's (``_solve_all``) one solve per problem
     and cache setting at ``max(budgets)``, cache off forked from cache on. On
-    one pair shared by all problems, the fork makes none of the trunk's calls.
+    one pair shared by all problems, the fork is sent only the requests the
+    cache-on solve did not make as often.
     An error in a solve, or the provider's error for it, fails every cell of
     its cache setting; with ``continue_on_error`` those cells are logged.
     """

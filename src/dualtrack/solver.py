@@ -15,6 +15,11 @@ scoring, and checks the budget right before each and never mid-call, so
 total spend can overshoot the limit by at most the cost of the final call,
 and a solve at a smaller budget is the one at a larger budget stopped at its
 first check at or above the smaller one (PROTOCOL.md, Budget sweep).
+
+Given a ``calls`` list, a solve also logs each agent call that returned as
+``(role, prompt, params, reply)``, in call order: the requests and replies
+a sweep's cache-off fork looks up in ``ReplayBackend``, and nothing of the
+trace.
 """
 
 from __future__ import annotations
@@ -207,19 +212,18 @@ class BudgetCuts:
     cut rule of PROTOCOL.md "Budget sweep": one walk notes the spend before
     each budget check, and a budget stops the solve at the first at or above it.
 
-    The walk alone tells agent calls (``generated`` and non-synthetic
-    ``evaluated`` events) from the rest and keeps them as ``calls``. It also
-    keeps ``totals``, the trace's ``(tokens_spent, evaluator_calls)``, and
-    ``fork``, how many ``calls`` the cache-off solve replays from this trace:
-    those before the first ``cache_rejected`` event, else all of a trace whose
-    last call raised and left no event, else None (the trace is that solve).
+    The walk tells agent calls (``generated`` and non-synthetic ``evaluated``
+    events) from the rest. It also keeps ``totals``, the trace's
+    ``(tokens_spent, evaluator_calls)``, and ``fork``, how many agent calls
+    come before the cache-off fork point: the first ``cache_rejected`` event,
+    else the end of a trace whose last call raised and left no event, else
+    None (the trace is the cache-off solve).
     """
 
     def __init__(self, trace: SolveTrace):
         self._limit: int = trace.config["token_budget"]
         # Per budget check: the spend before it and the Evaluator calls before it.
         self._spends, self._evaluations = spends, evaluations = [], []
-        self.calls = calls = []
         spent = evaluator_calls = 0
         fork = None
         for event in trace.events:
@@ -228,18 +232,17 @@ class BudgetCuts:
                     kind is _EVALUATED and event.payload.get("synthetic") is None):
                 spends.append(spent)
                 evaluations.append(evaluator_calls)
-                calls.append(event)
                 evaluator_calls += kind is _EVALUATED
             elif fork is None and kind is _CACHE_REJECTED:
-                fork = len(calls)
+                fork = len(spends)
             spent += event.tokens_charged  # 0 unless the event is an agent call
         if trace.outcome is _BACKEND_FAILURE:
             # A last call that raised left no event: the end is one more check.
             last = trace.events[-1] if trace.events else None
             if not (last and last.kind is _EVALUATED and last.payload["score"] is None):
+                fork = len(spends) if fork is None else fork
                 spends.append(spent)
                 evaluations.append(evaluator_calls)
-                fork = len(calls) if fork is None else fork
         self.totals, self.fork = (spent, evaluator_calls), fork
 
     def scores(self, budgets: Sequence[int], whole: tuple) -> list[tuple]:
@@ -260,29 +263,35 @@ class BudgetCuts:
 
 
 class ReplayBackend:
-    """Both roles' backend in the cache-off fork: its i-th call gets the i-th
-    recorded agent call's ``raw`` reply, charged at that call's recorded total
-    (a trace does not split it into prompt and completion), and every later
-    call goes to its role's live backend. ``calls`` are the trunk's, as
-    ``BudgetCuts.calls[:fork]`` gives them; up to the fork point the cache-off
-    solve makes them in the same order (PROTOCOL.md, Budget sweep). With
-    ``relay``, each recorded call is made on its live backend too and that
-    reply dropped, so a backend that answers by position (a script) stays in
-    step. Single-owner, like ScriptedBackend.
+    """Both roles' backend in the cache-off fork, over a trunk's call log as
+    ``solve`` keeps it: the n-th time the fork makes a request ``(role, prompt,
+    params)`` it gets the reply the log holds for the trunk's n-th such
+    request, if it holds one, and every other call goes to its role's live
+    backend (PROTOCOL.md, Budget sweep). With ``relay``, a call served from
+    the log is made on its live backend too and that reply dropped, so a
+    backend that answers by position (a script) stays in step. Single-owner,
+    like ScriptedBackend.
     """
 
-    def __init__(self, calls: Sequence[TraceEvent], decomposer, evaluator, relay: bool = False):
-        self._calls, self._served, self._relay = calls, 0, relay
-        self._live = {_DECOMPOSER: decomposer, _EVALUATOR: evaluator}
+    def __init__(self, calls: Sequence[tuple], decomposer, evaluator, relay: bool = False):
+        # Each request's logged replies, in call order; serving one pops it.
+        self._replies = replies = {}
+        for role, prompt, params, reply in calls:
+            key = (role, prompt, params)
+            logged = replies.get(key)
+            if logged is None:
+                replies[key] = [reply]
+            else:
+                logged.append(reply)
+        self._live, self._relay = {_DECOMPOSER: decomposer, _EVALUATOR: evaluator}, relay
 
     def complete(self, role: Role, prompt: str, params: DecodeParams | None = None) -> AgentReply:
-        served = self._served
-        if served == len(self._calls):
+        logged = self._replies.get((role, prompt, params))
+        if not logged:
             return self._live[role].complete(role, prompt, params)
-        if self._relay:  # its reply is the recorded one
+        if self._relay:  # its reply is the logged one
             self._live[role].complete(role, prompt, params)
-        self._served, event = served + 1, self._calls[served]
-        return new_record(AgentReply, (event.payload["raw"], event.tokens_charged, 0))
+        return logged.pop(0)
 
 
 def step_decision(score: int, retries_so_far: int, config: SolverConfig) -> Decision:
@@ -299,6 +308,7 @@ def solve(
     config: SolverConfig,
     decomposer_backend,
     evaluator_backend,
+    calls: list | None = None,
 ) -> SolveTrace:
     """Run the full Decomposer-Evaluator loop on one problem.
 
@@ -308,6 +318,8 @@ def solve(
     generation and the Evaluator's scoring; a cache hit or a synthetic
     evaluation makes no call and is not checked. Backend failures end the
     solve with outcome ``backend_failure`` and the partial trace preserved.
+    Each call that returns is appended to ``calls``, if given, as ``(role,
+    prompt, params, reply)``.
     """
     events: list[TraceEvent] = []
     accepted: list[AcceptedStep] = []
@@ -327,11 +339,14 @@ def solve(
             emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0)))
             outcome = _BUDGET_EXHAUSTED
             break
+        prompt = build_decomposer_prompt(block, hint)
         try:
-            reply = generate(_DECOMPOSER, build_decomposer_prompt(block, hint), decomposer_params)
+            reply = generate(_DECOMPOSER, prompt, decomposer_params)
         except BackendError as exc:
             outcome, error = _BACKEND_FAILURE, f"decomposer: {exc}"
             break
+        if calls is not None:
+            calls.append((_DECOMPOSER, prompt, decomposer_params, reply))
         raw, tokens = reply.raw_text, reply.total_tokens
         emit(new_record(TraceEvent, (_GENERATED, {"slot": slot, "attempt": retries, "raw": raw},
                                      tokens)))
@@ -360,12 +375,14 @@ def solve(
                 emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0)))
                 outcome = _BUDGET_EXHAUSTED
                 break
+            prompt = build_evaluator_prompt(block, candidate)
             try:
-                reply = evaluate(_EVALUATOR, build_evaluator_prompt(block, candidate),
-                                 evaluator_params)
+                reply = evaluate(_EVALUATOR, prompt, evaluator_params)
             except BackendError as exc:
                 outcome, error = _BACKEND_FAILURE, f"evaluator: {exc}"
                 break
+            if calls is not None:
+                calls.append((_EVALUATOR, prompt, evaluator_params, reply))
             verdict, tokens = reply.raw_text, reply.total_tokens
             # score and feedback stay null in the trace if the reply fails to parse
             payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None,

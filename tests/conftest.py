@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -17,6 +18,7 @@ from dualtrack import (
     Problem,
     Role,
     ScriptedBackend,
+    solve,
 )
 
 # A token budget above the spend of every solve in these tests.
@@ -101,6 +103,33 @@ class RecordingBackend:
         reply = self.inner.complete(role, prompt, params)
         self.replies.append((Role(role), reply))
         return reply
+
+
+def from_scratch(problem: Problem, config, model) -> list:
+    """The cache-on and the cache-off solve of ``problem`` at ``config``, each
+    from scratch on ``model()``, as the RecordingBackends that served them."""
+    solves = []
+    for cache in (True, False):
+        backend = RecordingBackend(model())
+        solve(problem, config.with_overrides(cache_enabled=cache), backend, backend)
+        solves.append(backend)
+    return solves
+
+
+def unpaid_calls(on: RecordingBackend, off: RecordingBackend) -> list:
+    """The calls of the cache-off solve ``off`` whose (request, repeat) the
+    cache-on solve ``on`` never made and got a reply to, in call order, both
+    recorded from scratch: what a sweep's cache-off fork sends one shared pair
+    that answers by the request."""
+
+    def repeats(attempts):
+        made = Counter()
+        for attempt in attempts:
+            made[attempt] += 1
+            yield attempt, made[attempt]
+
+    paid = set(repeats(on.attempts[:len(on.replies)]))
+    return [attempt for attempt, repeat in repeats(off.attempts) if (attempt, repeat) not in paid]
 
 
 def scripted_provider(fixture: dict):
@@ -317,8 +346,9 @@ def chat_ok(content, usage=None):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Records the request, then plays the server's next action: ``(status,
-    body bytes)`` or ``(status, body bytes, extra headers)`` sent with one
+    """Records the request, then plays the server's next action, or the action
+    its ``responder`` gives for the request's JSON body: ``(status, body
+    bytes)`` or ``(status, body bytes, extra headers)`` sent with one
     ``write``, ``"close"`` (no response) or ``"stall"`` (no response for 1 s)."""
 
     protocol_version = "HTTP/1.1"
@@ -331,7 +361,8 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.server
         with server.lock:
             server.requests.append((self.headers, body))
-            action = server.actions[min(server.received, len(server.actions)) - 1]
+            action = (server.responder(body) if server.responder
+                      else server.actions[min(server.received, len(server.actions)) - 1])
         if action in ("close", "stall"):
             if action == "stall":
                 server.released.wait(1.0)
@@ -349,8 +380,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class LocalEndpoint(ThreadingHTTPServer):
-    """A chat-completions endpoint on 127.0.0.1; the last action repeats.
-    ``requests`` holds each request's headers and JSON body, in arrival order."""
+    """A chat-completions endpoint on 127.0.0.1; the last action repeats, or,
+    with a ``responder`` set, each request gets the action it returns for the
+    request's body. ``requests`` holds each request's headers and JSON body,
+    in arrival order."""
 
     daemon_threads = True
 
@@ -360,6 +393,7 @@ class LocalEndpoint(ThreadingHTTPServer):
         self.released = threading.Event()
         self.requests: list = []
         self.actions: list = []
+        self.responder = None
 
     @property
     def received(self) -> int:

@@ -26,8 +26,10 @@ from dualtrack.cli import (
     load_run_config,
     main,
 )
-from dualtrack.harness import config_hash
-from dualtrack.protocol import DECOMPOSER_SYSTEM_PROMPT, CanonicalNumber, Problem
+from dualtrack.agents import Role, ScriptedBackend
+from dualtrack.harness import config_hash, rows_to_csv, run_benchmark
+from dualtrack.protocol import (DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, CanonicalNumber,
+                                Problem)
 from dualtrack.solver import SolverConfig
 
 from conftest import (
@@ -42,6 +44,8 @@ from conftest import (
     build_bench_case,
     build_sweep_case,
     chat_ok,
+    from_scratch,
+    unpaid_calls,
 )
 
 
@@ -494,6 +498,82 @@ class TestLiveEndpoint:
             "backend_failure", "decomposer: message content is not valid Unicode", [])
         assert endpoint.received == 1
 
+
+    def test_sweep_sends_each_request_its_trunk_did_not_already_pay_for(
+        self, tmp_path, monkeypatch, endpoint
+    ):
+        # Problem n: add n, then remove 2, then answer. On odd n the Decomposer
+        # first repeats step 1 in slot 2: a cache hit with the cache on, an
+        # Evaluator's 0 with it off. Either hint brings the fix, and from the
+        # fix on both solves make the same requests.
+        problems = [Problem(id=f"n{n}", question=f"How many apples remain on cart {n}?",
+                            gold_answer=CanonicalNumber(str(10 + n - n % 3 // 2)))
+                    for n in range(1, 7)]
+
+        def answer(role, prompt):
+            n = int(re.search(r"cart (\d+)\?", prompt)[1])
+            first = f"STEP: First he adds 12 + {n} = {12 + n} apples."
+            steps = prompt.count("\nSTEP ")
+            if role == "evaluator":
+                repeat = steps and first in prompt.rpartition("Candidate step:")[2]
+                return ("Score: 0\nFeedback: It repeats step 1." if repeat
+                        else "Score: 3\nFeedback: Ok.")
+            fix = f"STEP: Then he removes {12 + n} - 2 = {10 + n} apples."
+            if steps == 1:
+                return fix if n % 2 == 0 or "HINT:" in prompt else first
+            return (first, None, f"FINAL_ANSWER: {10 + n}")[steps]
+
+        models = {"decomposer": "decomposer-8b", "evaluator": "evaluator-8b"}
+        roles = {model: role for role, model in models.items()}
+        endpoint.responder = lambda body: chat_ok(
+            answer(roles[body["model"]], body["messages"][-1]["content"]))
+
+        class InProcess:
+            def complete(self, role, prompt, params=None):
+                return ScriptedBackend({role: [answer(Role(role).value, prompt)]}).complete(
+                    role, prompt, params)
+
+        problems_file = write_problems(tmp_path / "problems.jsonl", problems)
+        config_file = write_json(tmp_path / "config.json", {
+            "api_base": endpoint.url, "decomposer_model": models["decomposer"],
+            "evaluator_model": models["evaluator"]})
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        monkeypatch.delenv("DUALTRACK_API_KEY", raising=False)
+        budgets = (150, 300, 450, 900)
+        out_dir = tmp_path / "runs"
+        argv = ["sweep", problems_file, "--config", config_file,
+                "--budgets", ",".join(map(str, budgets)), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        # Each problem's cache-on solve, then what its fork did not find in its log.
+        run_config = load_run_config(config_file, build_parser().parse_args(argv))
+        top = run_config.solver_config().with_overrides(token_budget=max(budgets))
+        expected, saved = [], 0
+        for problem in problems:
+            on, off = from_scratch(problem, top, InProcess)
+            unpaid = unpaid_calls(on, off)
+            expected += on.attempts + unpaid
+            if on.attempts != off.attempts:  # the 3 calls past the fork point from the fix on
+                assert off.attempts[5:] == on.attempts[4:] and unpaid == off.attempts[3:5]
+                saved += 3
+        assert saved == 9
+        system = {Role.DECOMPOSER: DECOMPOSER_SYSTEM_PROMPT,
+                  Role.EVALUATOR: EVALUATOR_SYSTEM_PROMPT}
+        params = {Role.DECOMPOSER: top.decomposer_params, Role.EVALUATOR: top.evaluator_params}
+        assert [body for _, body in endpoint.requests] == [
+            {"model": models[role.value],
+             "messages": [{"role": "system", "content": system[role]},
+                          {"role": "user", "content": prompt}],
+             "temperature": params[role].temperature, "max_tokens": params[role].max_new_tokens}
+            for role, prompt in expected]
+        (run_dir,) = out_dir.glob("*-sweep-*")
+        sweep_csv = (run_dir / "sweep.csv").read_text(encoding="utf-8")
+        # The rows are those of one benchmark per cell against the same endpoint.
+        backend = endpoint.backend()
+        cells = [run_benchmark(problems, top.with_overrides(token_budget=budget,
+                                                             cache_enabled=cache),
+                               (backend, backend)).summary
+                 for budget in budgets for cache in (False, True)]
+        assert sweep_csv == rows_to_csv(cells)
 
     @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
     @pytest.mark.parametrize("key", ["sk-\u20acuro", "sk-1\nX-Injected: 1"])

@@ -26,17 +26,21 @@ from dualtrack.harness import (
     run_benchmark,
     wilson_interval,
 )
-from dualtrack.protocol import CanonicalNumber, Problem
+from dualtrack.cache import KNOWN_BAD_FEEDBACK
+from dualtrack.protocol import CanonicalNumber, Problem, render_problem_block
 from dualtrack.solver import BudgetCuts, EventKind, Outcome, SolverConfig, solve
 
 from conftest import (
     BIG_BUDGET,
     HENRY_QUESTION,
+    HENRY_SCRIPTS,
     RecordingBackend,
     build_bench_case,
     build_random_case,
     build_sweep_case,
+    from_scratch,
     scripted_provider,
+    unpaid_calls,
 )
 
 
@@ -555,18 +559,12 @@ def _fork_calls(problems, config, fixture, model=None):
     prefix it shares with the calls the cache-on solve made and got a reply
     to; on the problem's script, or on ``model``, one backend for every
     problem. Counted from one solve per problem and cache setting, apart from
-    the sweep: a sweep on one shared pair forks the cache-off solve there, so
-    the pair gets the third count of its calls. At budgets that stop no fork
-    before its first live call, the problems where that count is above 0 are
-    those ``_has_fork`` names."""
+    the sweep. At budgets that stop no fork before its first live call, the
+    problems where the third count is above 0 are those ``_has_fork`` names."""
     counts = []
     for problem in problems:
-        solves = {}
-        for cache in (True, False):
-            backend = RecordingBackend(model or ScriptedBackend(fixture[problem.id]))
-            solve(problem, config.with_overrides(cache_enabled=cache), backend, backend)
-            solves[cache] = backend
-        on, off = solves[True], solves[False]
+        on, off = from_scratch(problem, config,
+                                lambda: model or ScriptedBackend(fixture[problem.id]))
         shared = 0
         for replied, asked in zip(on.attempts[: len(on.replies)], off.attempts):
             if replied != asked:
@@ -614,6 +612,69 @@ class _Sampled:
         else:
             text = ("FINAL_ANSWER: 5", self.WRONG)[next(self.draws)]
         return ScriptedBackend({role: [text]}).complete(role, prompt, params)
+
+
+class _Repeats:
+    """A sampled model over one problem whose outcomes can be enumerated, and
+    in which requests repeat.
+
+    Its first Decomposer reply is a coin flip: the right final answer, or a
+    wrong step that the Evaluator scores 0 with ``FEEDBACK``. After that
+    feedback the Decomposer flips again between the wrong step and the right
+    answer: a request a solve may make several times, each a fresh draw. With
+    the cache on, the wrong step again is a known-bad hit, after which the
+    Decomposer gives ``OTHER``, another wrong step with the same feedback, so
+    the cache-on solve asks the feedback's request twice. Its cache-off fork
+    asks the Evaluator about the wrong step a second time, once more than the
+    cache-on solve, and then asks the feedback's request a second time, as
+    the cache-on solve did. A wrong step force-accepted after 3 retries leads
+    to a wrong final answer. The flips come from ``draws``, one per reply
+    that is sampled (``_flip``); every other reply follows from the prompt.
+    """
+
+    RIGHT, WRONG, OTHER = ("FINAL_ANSWER: 5", "STEP: Take 2 + 2 = 5 apples.",
+                           "STEP: Take 3 + 3 = 7 apples.")
+    FEEDBACK = "Recount the apples."
+    PROBLEM = Problem(id="repeats", question="How many apples are left?",
+                      gold_answer=CanonicalNumber("5"))
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def _flip(self, prompt):
+        return next(self.draws)
+
+    def complete(self, role, prompt, params=None):
+        if role == "evaluator":
+            wrong = any(f"step:\n{step}\n" in prompt for step in (self.WRONG, self.OTHER))
+            text = f"Score: 0\nFeedback: {self.FEEDBACK}" if wrong else "Score: 3\nFeedback: Ok."
+        elif "\nSTEP 1: " in prompt:
+            text = "FINAL_ANSWER: 6 apples are left"
+        elif prompt.endswith(KNOWN_BAD_FEEDBACK):
+            text = self.OTHER
+        elif prompt.endswith(self.FEEDBACK):
+            text = (self.WRONG, self.RIGHT)[self._flip(prompt)]
+        else:
+            text = (self.RIGHT, self.WRONG)[self._flip(prompt)]
+        return ScriptedBackend({role: [text]}).complete(role, prompt, params)
+
+
+class _Tabled(_Repeats):
+    """``_Repeats`` reading one table of draws, one per (sampled request,
+    repeat): solves that share a table share the draw of every (request,
+    repeat) they both make."""
+
+    # The sampled (request, repeat) pairs a solve can make: the first
+    # request once, the feedback's up to 3 times.
+    KEYS = ((False, 1), (True, 1), (True, 2), (True, 3))
+
+    def __init__(self, table):
+        self.table, self.made = table, Counter()
+
+    def _flip(self, prompt):
+        key = prompt.endswith(self.FEEDBACK)
+        self.made[key] += 1
+        return self.table[key, self.made[key]]
 
 
 class _Keyed:
@@ -707,10 +768,18 @@ class TestDerivedSweep:
         on_calls, _, live_calls = zip(*_fork_calls(problems, top, fixture, _Keyed(fixture)))
         assert 0 < sum(live > 0 for live in live_calls) < len(problems)
         # One pair for every problem answers by the request, so each fork
-        # replays its trunk's calls up to the fork point and sends it the rest.
+        # looks its requests up in its trunk's call log and sends the pair
+        # only the (request, repeat) pairs the trunk did not pay for.
+        expected = []
+        for problem in problems:
+            on, off = from_scratch(problem, top, lambda: _Keyed(fixture))
+            expected += on.attempts + unpaid_calls(on, off)
         model = RecordingBackend(_Keyed(fixture))
         rows = budget_sweep(problems, budgets, config, (model, model))
-        assert len(model.attempts) == sum(on_calls) + sum(live_calls)
+        assert model.attempts == expected
+        # At 600 three forks reuse a reply past their fork point, which serving
+        # the prefix alone would have sent to the pair again.
+        assert sum(on_calls) + sum(live_calls) - len(expected) == {600: 3, 300: 0}[max(budgets)]
         assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
             problems, budgets, config, (_Keyed(fixture),) * 2, 1)]
 
@@ -743,11 +812,16 @@ class TestDerivedSweep:
 
         budgets = (100, 250, BIG_BUDGET)
         if keyed:
-            # One pair for every problem: the fork replays those 3 calls, so
-            # only the other 5 reach it after the cache-on solve's.
+            # One pair for every problem: the fork looks each request up in the
+            # trunk's call log, so the pair gets only the (request, repeat)
+            # pairs the cache-on solve never made: here the last 5, since the
+            # accepted duplicate changes every later prompt.
+            scratch_on, scratch_off = from_scratch(problem, config, Keyed)
+            unpaid = unpaid_calls(scratch_on, scratch_off)
+            assert unpaid == attempts[False][3:]
             shared = RecordingBackend(Keyed())
             rows = budget_sweep([problem], budgets, config, (shared, shared))
-            assert shared.attempts == attempts[True] + attempts[False][3:]
+            assert shared.attempts == scratch_on.attempts + unpaid
         else:
             # A provider's pair may answer by position, so the fork sends it
             # the replayed calls too: all 8 calls reach it.
@@ -764,6 +838,73 @@ class TestDerivedSweep:
         assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
             [problem], budgets, config, scripted_provider({"dup": scripts}), 1)]
         assert rows[-2].evaluator_calls == off.evaluator_calls == 4
+
+    def test_shared_pair_fork_reuses_the_trunks_replies_to_the_fix(self):
+        # With the cache off the Evaluator scores the duplicate 0, and its
+        # feedback brings the fix the cache-on solve made after the cache's
+        # hint. From the fix on, both solves make the same requests.
+        problem = Problem(id="dup", question="How many apples remain on the cart?",
+                          gold_answer=CanonicalNumber("40"))
+        first = "STEP: First he adds 12 + 30 = 42 apples."
+        fix = "STEP: Then he removes 42 - 2 = 40 apples."
+
+        class Keyed:
+            def complete(self, role, prompt, params=None):
+                steps = prompt.count("\nSTEP ")
+                if role == "evaluator":
+                    candidate = prompt.rpartition("Candidate step:")[2]
+                    text = ("Score: 0\nFeedback: It repeats step 1." if steps and first in candidate
+                            else "Score: 3\nFeedback: fine.")
+                else:
+                    text = (first, fix if "HINT:" in prompt else first, "FINAL_ANSWER: 40")[steps]
+                return ScriptedBackend({role: [text]}).complete(role, prompt, params)
+
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        on, off = from_scratch(problem, config, Keyed)
+        assert (len(on.attempts), len(off.attempts)) == (7, 8)
+        # Past the fork point (3 calls in) the cache-off solve makes 5 calls:
+        # the Evaluator's look at the duplicate and the Decomposer's answer to
+        # its feedback are new; the fix's evaluation and the last step's two
+        # calls are the trunk's own requests, which the fork gets from its log.
+        assert off.attempts[5:] == on.attempts[4:]
+        shared = RecordingBackend(Keyed())
+        budgets = (100, 250, BIG_BUDGET)
+        rows = budget_sweep([problem], budgets, config, (shared, shared))
+        assert shared.attempts == on.attempts + off.attempts[3:5]
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
+            [problem], budgets, config, (Keyed(), Keyed()), 1)]
+        assert rows[-2].evaluator_calls == 4
+
+    def test_shared_pair_fork_makes_the_trunks_raised_call_again_live(self, henry_problem):
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        # Henry's solve makes the same 6 calls with the cache on and off.
+        on, off = from_scratch(henry_problem, config, lambda: ScriptedBackend(HENRY_SCRIPTS))
+        assert on.attempts == off.attempts and len(on.attempts) == 6
+        replies = dict(zip(on.attempts, (reply for _, reply in on.replies)))
+        failing = on.attempts[3]  # the Evaluator's look at the good step
+
+        class Flaky:
+            """Answers by the request, but fails the first time it is asked ``failing``."""
+
+            def __init__(self):
+                self.failed = False
+
+            def complete(self, role, prompt, params=None):
+                if (Role(role), prompt) == failing and not self.failed:
+                    self.failed = True
+                    raise BackendError("connection reset")
+                return replies[Role(role), prompt]
+
+        shared = RecordingBackend(Flaky())
+        off_row, on_row = budget_sweep([henry_problem], (BIG_BUDGET,), config, (shared, shared))
+        # The trunk's failed call is not in its log, so the fork, having the
+        # first 3 calls from the log, makes it again on the pair and goes on live.
+        assert shared.attempts == on.attempts[:4] + on.attempts[3:]
+        assert on_row.outcomes == {"backend_failure": 1}
+        assert off_row.to_dict() == _per_cell_rows(
+            [henry_problem], (BIG_BUDGET,), config,
+            lambda problem: (ScriptedBackend(HENRY_SCRIPTS),) * 2, 1)[0].to_dict()
+        assert off_row.correct == 1
 
     def test_trace_ending_in_an_unparsed_evaluator_reply_is_the_cache_off_solve(
             self, monkeypatch):
@@ -855,6 +996,69 @@ class TestDerivedSweep:
                 trace = solved(False, second)
             old_rule += Fraction(_result_of(problem, trace).correct, len(outcomes))
         assert old_rule == Fraction(3, 4)
+
+    def test_sampled_fork_reuses_repeated_requests_and_keeps_the_distribution(self):
+        sampled = DecodeParams(temperature=0.7)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_retries_per_step=3,
+                              decomposer_params=sampled, evaluator_params=sampled)
+        problem = _Repeats.PROBLEM
+
+        def row(trace, cache):
+            return json.dumps(harness._summary(
+                [harness._score(_result_of(problem, trace))], method="dual_cot",
+                budget=BIG_BUDGET, cache=cache).to_dict())
+
+        def solved(cache, model):
+            return solve(problem, config.with_overrides(cache_enabled=cache), model, model)
+
+        # The target: the cache-off solve from scratch, a fresh draw per sampled call.
+        scratch = Counter()
+        for draws in itertools.product((0, 1), repeat=4):  # a solve draws at most 4
+            scratch[row(solved(False, _Repeats(draws)), False)] += Fraction(1, 16)
+        assert len(scratch) == 5  # the right answer at each of 4 attempts, or a forced wrong step
+        # The pairing: both solves read one table of draws, one per (request, repeat).
+        coupled = Counter()
+        for bits in itertools.product((0, 1), repeat=len(_Tabled.KEYS)):
+            table = dict(zip(_Tabled.KEYS, bits))
+            coupled[row(solved(False, _Tabled(table)), False),
+                    row(solved(True, _Tabled(table)), True)] += Fraction(1, 16)
+
+        hinted = f"{render_problem_block(problem.question, ())}\nHINT: {_Repeats.FEEDBACK}"
+        looks_at_wrong = next(prompt for role, prompt in from_scratch(
+            problem, config, lambda: _Repeats((1, 0, 0, 0)))[0].attempts
+            if role is Role.EVALUATOR and _Repeats.WRONG in prompt)
+        # One shared pair: the cache-on solve draws first, then its fork draws
+        # each call the trunk did not make as often.
+        swept = Counter()
+        for draws in itertools.product((0, 1), repeat=4):
+            model = RecordingBackend(_Repeats(draws))
+            off, on = budget_sweep([problem], (BIG_BUDGET,), config, (model, model))
+            swept[json.dumps(off.to_dict()), json.dumps(on.to_dict())] += Fraction(1, 16)
+            asked = Counter(prompt for _, prompt in model.attempts)
+            if draws[:3] == (1, 0, 1):
+                # The cache-on solve draws the wrong step twice and then the right
+                # answer at its second ask of the feedback's request: 7 calls.
+                # The fork takes its first 3 calls from the log, asks the
+                # Evaluator about the wrong step a second time (live: the trunk
+                # asked once), and gets the trunk's second draw for the
+                # feedback's request and the trunk's verdict on the answer.
+                assert (asked[hinted], asked[looks_at_wrong]) == (2, 2)
+                assert len(model.attempts) == 7 + 1
+                assert off.correct == on.correct == 1
+        assert swept == coupled
+        off_rows = Counter()
+        for (off, _), weight in swept.items():
+            off_rows[off] += weight
+        assert off_rows == scratch
+        # A provider's pair gets every call, and its fork looks up only the
+        # calls before the fork point; its cache-off rows are exact too.
+        swept = Counter()
+        for first, second in itertools.product(itertools.product((0, 1), repeat=4), repeat=2):
+            pairs = iter([_Repeats(first), _Repeats(second)])
+            off, _ = budget_sweep([problem], (BIG_BUDGET,), config,
+                                  lambda problem: (next(pairs),) * 2)
+            swept[json.dumps(off.to_dict())] += Fraction(1, 256)
+        assert swept == scratch
 
     def test_provider_wrapper_that_forwards_only_complete_keeps_the_rows(self):
         problems, fixture = build_random_case(random.Random(606), 40)

@@ -632,8 +632,7 @@ def _event(kind, **payload):
 # and, for every budget from 1 up, the budget stop it scores as: a list of (the
 # last budget it applies to, (spent, evaluator_calls) or None for the whole
 # solve's score). The spend before each agent call is worked out in the comments.
-# Then the totals, the agent calls the cache-off fork replays, and their
-# ``(raw, tokens_charged)`` replies in call order.
+# Then the totals and the agent calls before the cache-off fork point.
 HAND_TRACES = {
     "solved": (16, Outcome.SOLVED, [
         _generated(3),  # 0: spend before 0
@@ -651,7 +650,7 @@ HAND_TRACES = {
         _event(EventKind.ACCEPTED),
         _event(EventKind.FINISHED, final_answer="1"),
     ], [(3, (3, 0)), (5, (5, 1)), (9, (9, 1)), (12, (12, 1)), (14, (14, 1)), (16, None)],
-        (15, 2), 3, [("STEP: x", 3), ("Score: 3", 2), ("STEP: x", 4)]),
+        (15, 2), 3),
     # The solve's own stop, at spend 11, is the whole score of every budget
     # that no check before it stops: budget_exhausted, spent 11.
     "budget_stop": (10, Outcome.BUDGET_EXHAUSTED, [
@@ -662,28 +661,21 @@ HAND_TRACES = {
         _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # the fork, after 3 calls
         _event(EventKind.RETRIED),
         _event(EventKind.BUDGET_STOP, spent=11, limit=10),
-    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 3,
-        [("STEP: x", 4), ("Score: 3", 3), ("STEP: x", 4)]),
+    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 3),
     # The Evaluator call after event 3 raised and left no event, so the end,
-    # at spend 13, is a check, and the fork replays every call before it.
+    # at spend 13, is a check, and the fork point: every call is before it.
     "raised call": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2),  # 1: 5
         _event(EventKind.ACCEPTED),
         _generated(6),  # 3: 7
-    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 3,
-        [("STEP: x", 5), ("Score: 3", 2), ("STEP: x", 6)]),
+    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 3),
     # The Evaluator's reply left its event, so the end is no check.
     "unparsed reply": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2, score=None),  # 1: 5, a reply that did not parse
-    ], [(5, (5, 0)), (20, None)], (7, 1), None, None),
+    ], [(5, (5, 0)), (20, None)], (7, 1), None),
 }
-
-
-def _recorded(calls):
-    """The ``(raw, tokens_charged)`` reply of each agent call, in call order."""
-    return [(event.payload["raw"], event.tokens_charged) for event in calls]
 
 
 def _score(problem, trace):
@@ -696,7 +688,7 @@ def _score(problem, trace):
 class TestBudgetCuts:
     @pytest.mark.parametrize("name", list(HAND_TRACES))
     def test_every_budget_cuts_where_worked_out_by_hand(self, name):
-        limit, outcome, events, spans, totals, fork, fork_replies = HAND_TRACES[name]
+        limit, outcome, events, spans, totals, fork = HAND_TRACES[name]
         cuts = BudgetCuts(SolveTrace(problem_id="p", config={"token_budget": limit},
                                      events=events, outcome=outcome))
         whole = (outcome, outcome is Outcome.SOLVED, *totals)
@@ -708,8 +700,6 @@ class TestBudgetCuts:
         assert len(expected) == limit
         assert cuts.scores(range(1, limit + 1), whole) == expected
         assert (cuts.totals, cuts.fork) == (totals, fork)
-        if fork is not None:
-            assert _recorded(cuts.calls[:cuts.fork]) == fork_replies
         # Repeated and unsorted budgets are scored in the order given.
         budgets = [limit, *range(1, limit + 1), 1]
         assert cuts.scores(budgets, whole) == [expected[budget - 1] for budget in budgets]
@@ -720,16 +710,17 @@ class TestBudgetCuts:
     @pytest.mark.parametrize("retries", [1, 3])
     @pytest.mark.parametrize("seed", [606, 707, 808])
     def test_fork_replies_equal_those_before_the_fork_event(self, seed, retries):
-        """The cache-off fork's replies, taken as a count of ``calls``, against
-        the agent-call replies before the event where the fork leaves the trace:
-        its first cache_rejected event, else the end of a trace whose last call
-        raised and left no event. Both kinds of fork must be reached."""
+        """The replies of the solve's call log up to the fork point, taken as a
+        count, against the agent-call replies before the event where the fork
+        leaves the trace: its first cache_rejected event, else the end of a
+        trace whose last call raised and left no event. Both kinds of fork must
+        be reached."""
         problems, fixture = build_random_case(random.Random(seed), 40)
         base = config(max_steps=40, max_retries_per_step=retries, cache_enabled=True)
         forks = Counter()
         for problem in problems:
-            backend = ScriptedBackend(fixture[problem.id])
-            trace = solve(problem, base, backend, backend)
+            backend, calls = ScriptedBackend(fixture[problem.id]), []
+            trace = solve(problem, base, backend, backend, calls)
             kinds = [event.kind for event in trace.events]
             last = trace.events[-1] if trace.events else None
             if EventKind.CACHE_REJECTED in kinds:
@@ -746,7 +737,8 @@ class TestBudgetCuts:
             expected = [(event.payload["raw"], event.tokens_charged)
                         for event in trace.events[:end] if event.kind is EventKind.GENERATED
                         or event.kind is EventKind.EVALUATED and event.payload["synthetic"] is None]
-            assert _recorded(cuts.calls[:cuts.fork]) == expected, problem.id
+            assert [(reply.raw_text, reply.total_tokens)
+                    for *_, reply in calls[:cuts.fork]] == expected, problem.id
         assert len(forks) == 2, forks
 
     def test_cut_equals_a_real_solve_at_that_budget(self):
@@ -800,50 +792,87 @@ class _Counting:
 
 
 class TestReplayBackend:
-    """The cache-off fork's backend, built from a real cache-on trace: its
+    """The cache-off fork's backend, over a real cache-on solve's call log: its
     second generation repeats its first, so the fork point is 3 calls in."""
 
     SCRIPTS = {"decomposer": TestCacheIntegration.DUPLICATE_SCRIPTS["decomposer"],
                "evaluator": [f"Score: 3\nFeedback: {word}." for word in ("a", "b", "c", "d")]}
 
-    def _fork_calls(self):
-        backend = ScriptedBackend(self.SCRIPTS)
-        cuts = BudgetCuts(solve(Problem(id="p", question="q?"), config(), backend, backend))
+    def _log(self):
+        backend, calls = ScriptedBackend(self.SCRIPTS), []
+        cuts = BudgetCuts(solve(Problem(id="p", question="q?"), config(), backend, backend, calls))
         assert cuts.fork == 3
-        return cuts.calls[:cuts.fork]
+        return calls
 
-    def test_serves_the_recorded_calls_in_order_then_delegates(self):
-        calls = self._fork_calls()
+    def test_serves_each_logged_request_then_delegates(self):
+        calls = self._log()
         decomposer, evaluator = _Counting(), _Counting()
         replay = ReplayBackend(calls, decomposer, evaluator)
-        served = [replay.complete(Role.DECOMPOSER, "p1"),
-                  replay.complete(Role.EVALUATOR, "p2"),
-                  replay.complete(Role.DECOMPOSER, "p3")]
-        # A recorded reply charges its recorded total and reaches no backend.
-        assert [(reply.raw_text, reply.total_tokens) for reply in served] == _recorded(calls)
-        assert [reply.completion_tokens for reply in served] == [0, 0, 0]
+        # A logged request gets its logged reply, charged as it was, and
+        # reaches no backend.
+        served = [replay.complete(role, prompt, params) for role, prompt, params, _ in calls]
+        assert all(mine is reply for mine, (*_, reply) in zip(served, calls))
         assert decomposer.calls == evaluator.calls == []
-        # Past the recorded calls, each role goes to its own live backend.
+        # A request the log does not hold as often, or with other params, goes
+        # to its role's live backend.
+        role, prompt, params, _ = calls[0]
+        assert replay.complete(role, prompt, params).raw_text == f"live {prompt}"
+        assert replay.complete(role, prompt, params._replace(temperature=0.5)).total_tokens == 3
         assert replay.complete(Role.EVALUATOR, "p4").raw_text == "live p4"
-        assert replay.complete(Role.DECOMPOSER, "p5").total_tokens == 3
-        assert replay.complete(Role.EVALUATOR, "p6").raw_text == "live p6"
-        assert decomposer.calls == [(Role.DECOMPOSER, "p5")]
-        assert evaluator.calls == [(Role.EVALUATOR, "p4"), (Role.EVALUATOR, "p6")]
+        assert decomposer.calls == [(Role.DECOMPOSER, prompt)] * 2
+        assert evaluator.calls == [(Role.EVALUATOR, "p4")]
+
+    def test_nth_repeat_of_a_request_gets_the_nth_logged_reply(self):
+        params, live = DecodeParams(), _Counting()
+        first, second = (AgentReply(f"STEP: draw {n}", 2, 2) for n in (1, 2))
+        calls = [(Role.DECOMPOSER, "p", params, first), (Role.EVALUATOR, "q", params, first),
+                 (Role.DECOMPOSER, "p", params, second)]
+        replay = ReplayBackend(calls, live, live)
+        # The string role names the same request as the Role.
+        assert [replay.complete(role, "p", params) for role in (Role.DECOMPOSER, "decomposer")
+                ] == [first, second]
+        assert live.calls == []
+        assert replay.complete(Role.DECOMPOSER, "p", params).raw_text == "live p"
+        assert live.calls == [(Role.DECOMPOSER, "p")]
 
     def test_relay_sends_the_recorded_calls_to_a_positional_backend_too(self):
-        calls, live = self._fork_calls(), _Counting()
-        # A relayed call reaches the live backend, but its reply is the recorded one.
-        reply = ReplayBackend(calls, live, live, relay=True).complete(Role.DECOMPOSER, "p1")
-        assert (reply.raw_text, reply.total_tokens) == _recorded(calls)[0]
-        assert live.calls == [(Role.DECOMPOSER, "p1")]
+        calls, live = self._log()[:3], _Counting()
+        # A relayed call reaches the live backend, but its reply is the logged one.
+        role, prompt, params, logged = calls[0]
+        reply = ReplayBackend(calls, live, live, relay=True).complete(role, prompt, params)
+        assert reply is logged
+        assert live.calls == [(Role.DECOMPOSER, prompt)]
         problem, off = Problem(id="p", question="q?"), config(cache_enabled=False)
         script = RecordingBackend(ScriptedBackend(self.SCRIPTS))
         fresh = ScriptedBackend(self.SCRIPTS)
         replay = ReplayBackend(calls, script, script, relay=True)
         # The fork's cache-off solve is the one from scratch: the script gets
-        # every call, and the 3 replayed ones are charged at the same totals.
+        # every call, and the 3 logged ones are charged at the same totals.
         assert solve(problem, off, replay, replay) == solve(problem, off, fresh, fresh)
         assert [role for role, _ in script.attempts] == [Role.DECOMPOSER, Role.EVALUATOR] * 4
+
+
+class TestCallLog:
+    def test_log_holds_each_returned_calls_request_and_reply_and_no_event(self):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        base = config(max_steps=40, evaluator_params=DecodeParams(max_new_tokens=64))
+        raised = 0
+        for problem in problems:
+            backend, calls = RecordingBackend(ScriptedBackend(fixture[problem.id])), []
+            trace = solve(problem, base, backend, backend, calls)
+            # A call that raised is the solve's last and is not logged.
+            returned = backend.attempts[:len(backend.replies)]
+            raised += len(backend.attempts) > len(returned)
+            assert [(role, prompt) for role, prompt, _, _ in calls] == returned
+            assert all(mine is reply for (*_, mine), (_, reply) in zip(calls, backend.replies))
+            assert [params for _, _, params, _ in calls] == [
+                base.decomposer_params if role is Role.DECOMPOSER else base.evaluator_params
+                for role, _ in returned]
+            assert not any(isinstance(item, TraceEvent) for call in calls for item in call)
+            # The log changes nothing in the trace.
+            again = ScriptedBackend(fixture[problem.id])
+            assert solve(problem, base, again, again) == trace
+        assert raised > 0
 
 
 TRACE_CORPUS_DIGEST = "5e0d55632d5cbca08dd6332c9f009a76703e33dca389b84d021a65681db4c3c7"
