@@ -46,7 +46,7 @@ EXIT_DATA = 3
 EXIT_BACKEND = 4
 EXIT_UNSOLVED = 5
 
-_ROLE_KEYS = {role.value for role in Role}
+_ROLES = {role.value: role for role in Role}  # a fixture's role keys
 
 
 class ConfigError(Exception):
@@ -190,20 +190,22 @@ def _scripted_provider(path: str | Path, problems: Sequence[Problem]) -> Backend
         raise DataError("script fixture must be a non-empty JSON object")
 
     def role_scripts(entry, where: str) -> dict[Role, list[str]]:
-        if not isinstance(entry, dict) or not set(entry) <= _ROLE_KEYS:
+        if not isinstance(entry, dict) or not entry.keys() <= _ROLES.keys():
             raise DataError(
                 f"{where}: expected an object with 'decomposer'/'evaluator' lists"
             )
         for role, replies in entry.items():
-            if not isinstance(replies, list) or not all(
-                isinstance(reply, str) for reply in replies
-            ):
+            try:  # a reply that is not a string fails the join
+                text = "".join(replies)
+            except TypeError:
+                text = None
+            if text is None or not isinstance(replies, list):
                 raise DataError(f"{where}: {role} script must be a list of strings")
-            if not is_unicode("".join(replies)):
+            if not is_unicode(text):
                 raise DataError(f"{where}: {role} script holds text that is not valid Unicode")
-        return {Role(role): replies for role, replies in entry.items()}
+        return {_ROLES[role]: replies for role, replies in entry.items()}
 
-    if set(raw) <= _ROLE_KEYS:
+    if raw.keys() <= _ROLES.keys():
         scripts_for = dict.fromkeys((p.id for p in problems), role_scripts(raw, "fixture"))
     else:
         scripts_for = {problem_id: role_scripts(entry, f"fixture[{problem_id!r}]")

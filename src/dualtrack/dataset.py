@@ -139,7 +139,9 @@ def read_text(path: str | Path, name: str = "") -> str:
 
 def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     path = Path(path)
-    for line_number, line in enumerate(read_text(path).splitlines(), start=1):
+    # Records end at "\n" only (reading turns "\r\n" into it): JSON takes U+2028,
+    # U+2029 and U+0085 raw inside a string, where str.splitlines() would split.
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:

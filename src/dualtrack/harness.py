@@ -178,7 +178,7 @@ def load_problems(path: str | Path) -> list[Problem]:
                 _, gold = parse_worked_solution(str(record["answer"]))
             elif record.get("gold_answer") is not None:
                 gold = normalize_answer(str(record["gold_answer"]))
-            problems.append(Problem(id=problem_id, question=question, gold_answer=gold))
+            problems.append(Problem(problem_id, question, gold))
         except ValueError as exc:  # a ProtocolError, or a blank question
             raise DataError(f"{path}:{line_number}: {exc}") from None
     return problems

@@ -340,6 +340,9 @@ def normalize_answer(text: str) -> CanonicalNumber:
     Raises:
         NoNumberFound: the text contains no numeric literal.
     """
+    digits = text.strip()
+    if digits.isdigit() and digits.isascii():  # its own last literal, as most answers are
+        return new_record(CanonicalNumber, (digits.lstrip("0") or "0",))
     cleaned = _CURRENCY_RE.sub("", text)
     literals = _NUMBER_RE.findall(cleaned)
     if not literals:

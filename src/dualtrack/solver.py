@@ -82,7 +82,8 @@ class Decision(str, Enum):
 
 
 # The members the solve loop uses, bound once: on Python 3.11 every
-# ``EnumClass.MEMBER`` lookup is a descriptor call.
+# ``EnumClass.MEMBER`` lookup is a descriptor call, as is ``member.value``, so
+# the loop reads a member's string as ``member._value_``.
 _SOLVED, _STEP_LIMIT = Outcome.SOLVED, Outcome.STEP_LIMIT
 _BUDGET_EXHAUSTED, _BACKEND_FAILURE = Outcome.BUDGET_EXHAUSTED, Outcome.BACKEND_FAILURE
 _GENERATED, _EVALUATED, _CACHE_REJECTED = (
@@ -368,7 +369,7 @@ def solve(
             emit(new_record(TraceEvent, (_EVALUATED, payload, 0)))
         elif cache is not None and (hit := cache.check(fp)) is not _MISS:
             score, feedback = 0, REJECTION_FEEDBACK[hit]
-            payload = {"decision": hit.value, "fingerprint": fp, "score": 0, "feedback": feedback}
+            payload = {"decision": hit._value_, "fingerprint": fp, "score": 0, "feedback": feedback}
             emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0)))
         else:
             if spent >= budget:
@@ -419,7 +420,7 @@ def solve(
         if cache is not None:
             cache.record(fp, _DUPLICATE_ACCEPTED)
         emit(new_record(TraceEvent, (_FORCED_ACCEPT if forced else _ACCEPTED,
-                                     {"index": slot, "kind": kind.value, "text": text,
+                                     {"index": slot, "kind": kind._value_, "text": text,
                                       "fingerprint": fp, "score": score}, 0)))
         hint, retries = None, 0
 

@@ -926,9 +926,16 @@ class TestRefusals:
         "script-entry-not-role-keyed": (
             {"script.json": '{"p": ["FINAL_ANSWER: 7"]}'}, BENCH, EXIT_DATA,
             "fixture['p']: expected an object with 'decomposer'/'evaluator' lists"),
-        "script-replies-not-strings": (
-            {"script.json": '{"decomposer": [7]}'}, BENCH, EXIT_DATA,
-            "fixture: decomposer script must be a list of strings"),
+        # A string or an object joins as text, so it is refused for not being a
+        # list; a reply that is a number, null, a boolean or a list fails the join.
+        **{f"script-replies-{name}": (
+            {"script.json": f'{{"decomposer": {script}}}'}, argv, EXIT_DATA,
+            "fixture: decomposer script must be a list of strings")
+           for argv in [BENCH]
+           for name, script in [("not-strings", "[7]"), ("a-string", '"STEP: Add 3 + 4."'),
+                                ("an-object", '{"STEP: Add 3 + 4.": 1}'), ("null", "[null]"),
+                                ("true", '["STEP: Add 3 + 4.", true]'),
+                                ("nested-list", '[["STEP: Add 3 + 4."]]')]},
         "live-without-both-models": (
             {"config.json": '{"api_base": "http://127.0.0.1:9", "decomposer_model": "d"}'},
             ["bench", "problems.jsonl", "--config", "config.json"], EXIT_CONFIG,

@@ -18,6 +18,7 @@ from dualtrack.dataset import (
     write_instances,
 )
 from dualtrack.agents import Role, ScriptedBackend
+from dualtrack.harness import load_problems
 from dualtrack.protocol import (
     MissingMarker,
     Problem,
@@ -257,6 +258,32 @@ class TestLoaders:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_gsm8k_examples(tmp_path / "absent.jsonl")
+
+    # JSON takes these raw inside a string, and json.dumps(..., ensure_ascii=False)
+    # writes them raw; str.splitlines() would end a record at each.
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_records_split_only_at_newlines(self, tmp_path, separator):
+        question = f"Tom has 3 apples.{separator}He buys 4 more. How many now?"
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps({"question": question, "answer": "3 + 4 = 7\n#### 7"},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        assert separator in path.read_text(encoding="utf-8")
+        assert load_gsm8k_examples(path) == [RawExample(question, "3 + 4 = 7\n#### 7")]
+        path.write_text(json.dumps({"id": "p", "question": question, "gold_answer": "7"},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        (problem,) = load_problems(path)
+        assert (problem.id, problem.question, str(problem.gold_answer)) == ("p", question, "7")
+
+    def test_crlf_records_keep_their_line_numbers(self, tmp_path):
+        good = json.dumps({"id": "p", "question": "q?", "gold_answer": "1", "answer": "#### 1"})
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(f"{good}\r\n\r\n{{broken\r\n".encode("utf-8"))
+        for load in (load_gsm8k_examples, load_problems):
+            with pytest.raises(DataError, match=":3: invalid JSON"):
+                load(path)
+        path.write_bytes(f"{good}\r\n\r\n".encode("utf-8"))
+        assert [example.question for example in load_gsm8k_examples(path)] == ["q?"]
+        assert [problem.id for problem in load_problems(path)] == ["p"]
 
 
 class TestReadText:

@@ -477,14 +477,34 @@ class TestNormalizeAnswer:
             ("50%", "50"),
             ("40 - 15 = 25", "25"),
             (".5", "0.5"),
+            # Digits that are not ASCII, and texts with more than digits, take
+            # the literal regex's path: its \d matches any decimal digit.
+            ("९", "९"),
+            ("٣", "٣"),
+            ("１７", "１７"),
+            ("-17", "-17"),
+            ("1,000", "1000"),
+            ("17.", "17"),
         ],
     )
     def test_examples(self, text, expected):
         assert normalize_answer(text) == CanonicalNumber(expected)
 
-    def test_no_number_raises(self):
+    # "²" is a digit to str.isdigit() but no decimal digit.
+    @pytest.mark.parametrize("text", ["no digits here", "²"])
+    def test_no_number_raises(self, text):
         with pytest.raises(NoNumberFound):
-            normalize_answer("no digits here")
+            normalize_answer(text)
+
+    @given(
+        zeros=st.text(alphabet="0", max_size=4),
+        digits=st.text(alphabet="0123456789", min_size=1, max_size=12),
+        before=st.text(alphabet=" \t\n\r\u2028\xa0", max_size=3),
+        after=st.text(alphabet=" \t\n\r\u2028\xa0", max_size=3),
+    )
+    def test_ascii_digit_run_is_its_own_literal(self, zeros, digits, before, after):
+        assert normalize_answer(f"{before}{zeros}{digits}{after}") == (
+            CanonicalNumber.from_literal(zeros + digits))
 
     def test_literal_that_is_not_a_number_raises(self):
         with pytest.raises(NoNumberFound):
@@ -513,6 +533,9 @@ class TestExtractGoldAnswer:
 
     def test_comma_normalization(self):
         assert parse_worked_solution("#### 1,234")[1] == CanonicalNumber("1234")
+
+    def test_leading_zeros_dropped(self):
+        assert parse_worked_solution("x\n#### 0072") == (["x"], CanonicalNumber("72"))
 
     def test_missing_marker(self):
         with pytest.raises(MissingMarker):
