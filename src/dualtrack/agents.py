@@ -1,6 +1,7 @@
 """Agent backends with uniform token accounting.
 
-Interchangeable backends expose ``complete(role, prompt, params)``:
+Interchangeable backends expose ``complete(role, prompt, params)``, where a
+role's string value and its :class:`Role` member name the same backend state:
 
 * :class:`ScriptedBackend` replays canned replies per role — the
   deterministic test/replay double.
@@ -118,12 +119,10 @@ class ScriptedBackend:
     def complete(
         self, role: Role | str, prompt: str, params: DecodeParams | None = None
     ) -> AgentReply:
-        if not isinstance(role, Role):
-            role = Role(role)
         replies = self._scripts.get(role, ())
         served = self._cursor.get(role, 0)
         if served >= len(replies):
-            raise ScriptExhausted(f"{role.value} script exhausted after {served} replies")
+            raise ScriptExhausted(f"{Role(role).value} script exhausted after {served} replies")
         self._cursor[role] = served + 1
         text = replies[served]
         return new_record(AgentReply, (text, estimate_tokens(prompt), estimate_tokens(text)))
@@ -183,8 +182,8 @@ class HTTPBackend:
 
         self._http = requests
         self._local = threading.local()  # this thread's Session, as .session
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
+        self._url = base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self.timeout = timeout
         self._models = {Role(r): m for r, m in (models or {}).items()}
         self._system_prompts = dict(DEFAULT_SYSTEM_PROMPTS)
@@ -195,12 +194,10 @@ class HTTPBackend:
     def complete(
         self, role: Role | str, prompt: str, params: DecodeParams | None = None
     ) -> AgentReply:
-        role = Role(role)
         params = params or DecodeParams()
         model = self._models.get(role)
         if model is None:
-            raise BackendError(f"no model configured for role {role.value!r}")
-        url = self.base_url + CHAT_COMPLETIONS_PATH
+            raise BackendError(f"no model configured for role {Role(role).value!r}")
         body = {
             "model": model,
             "messages": [
@@ -210,16 +207,13 @@ class HTTPBackend:
             "temperature": params.temperature,
             "max_tokens": params.max_new_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = self._http.Session()
         for attempt in range(2):
             try:
-                response = session.post(url, json=body, headers=headers, timeout=self.timeout)
+                response = session.post(self._url, json=body, headers=self._headers,
+                                        timeout=self.timeout)
             except self._http.Timeout:
                 error = BackendTimeout(f"no response within {self.timeout}s")
                 continue

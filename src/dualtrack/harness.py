@@ -80,7 +80,7 @@ class RunResult(NamedTuple):
         return {
             **self._asdict(),
             "predicted": str(self.predicted) if self.predicted else None,
-            "outcome": self.outcome.value,
+            "outcome": self.outcome._value_,
         }
 
 
@@ -146,7 +146,7 @@ def _summary(scores: Sequence[tuple], *, method: str, budget: int, cache: bool) 
         ci_high=interval.high,
         mean_tokens=sum(tokens) / n,
         evaluator_calls=sum(evaluator_calls),
-        outcomes={outcome.value: count for outcome, count in Counter(outcomes).items()},
+        outcomes={outcome._value_: count for outcome, count in Counter(outcomes).items()},
     )
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import defaultdict
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -83,7 +84,7 @@ class Decision(str, Enum):
 
 # The members the solve loop uses, bound once: on Python 3.11 every
 # ``EnumClass.MEMBER`` lookup is a descriptor call, as is ``member.value``, so
-# the loop reads a member's string as ``member._value_``.
+# the loop and the serializers read a member's string as ``member._value_``.
 _SOLVED, _STEP_LIMIT = Outcome.SOLVED, Outcome.STEP_LIMIT
 _BUDGET_EXHAUSTED, _BACKEND_FAILURE = Outcome.BUDGET_EXHAUSTED, Outcome.BACKEND_FAILURE
 _GENERATED, _EVALUATED, _CACHE_REJECTED = (
@@ -161,7 +162,7 @@ class TraceEvent(NamedTuple):
     tokens_charged: int = 0
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "payload": self.payload,
+        return {"kind": self.kind._value_, "payload": self.payload,
                 "tokens_charged": self.tokens_charged}
 
 
@@ -197,10 +198,10 @@ class SolveTrace(NamedTuple):
         trace = self._asdict()
         trace["events"] = [event.to_dict() for event in self.events]
         trace["accepted_steps"] = [
-            {**step._asdict(), "kind": step.kind.value} for step in self.accepted_steps
+            {**step._asdict(), "kind": step.kind._value_} for step in self.accepted_steps
         ]
         trace["final_answer"] = str(self.final_answer) if self.final_answer else None
-        trace["outcome"] = self.outcome.value if self.outcome else None
+        trace["outcome"] = self.outcome._value_ if self.outcome else None
         trace["labels"] = []
         return trace
 
@@ -276,14 +277,9 @@ class ReplayBackend:
 
     def __init__(self, calls: Sequence[tuple], decomposer, evaluator, relay: bool = False):
         # Each request's logged replies, in call order; serving one pops it.
-        self._replies = replies = {}
+        self._replies = replies = defaultdict(list)
         for role, prompt, params, reply in calls:
-            key = (role, prompt, params)
-            logged = replies.get(key)
-            if logged is None:
-                replies[key] = [reply]
-            else:
-                logged.append(reply)
+            replies[role, prompt, params].append(reply)
         self._live, self._relay = {_DECOMPOSER: decomposer, _EVALUATOR: evaluator}, relay
 
     def complete(self, role: Role, prompt: str, params: DecodeParams | None = None) -> AgentReply:

@@ -361,6 +361,7 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.server
         with server.lock:
             server.requests.append((self.headers, body))
+            server.paths.append(self.path)
             action = (server.responder(body) if server.responder
                       else server.actions[min(server.received, len(server.actions)) - 1])
         if action in ("close", "stall"):
@@ -383,7 +384,7 @@ class LocalEndpoint(ThreadingHTTPServer):
     """A chat-completions endpoint on 127.0.0.1; the last action repeats, or,
     with a ``responder`` set, each request gets the action it returns for the
     request's body. ``requests`` holds each request's headers and JSON body,
-    in arrival order."""
+    and ``paths`` its request path, in arrival order."""
 
     daemon_threads = True
 
@@ -392,6 +393,7 @@ class LocalEndpoint(ThreadingHTTPServer):
         self.lock = threading.Lock()
         self.released = threading.Event()
         self.requests: list = []
+        self.paths: list = []
         self.actions: list = []
         self.responder = None
 

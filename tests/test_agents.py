@@ -10,6 +10,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from dualtrack.agents import (
+    DEFAULT_SYSTEM_PROMPTS,
     AgentReply,
     BackendError,
     BackendTimeout,
@@ -138,6 +139,19 @@ class TestScriptedBackend:
             assert (backend.calls("decomposer"), backend.calls(Role.EVALUATOR)) == (2, 2)
             with pytest.raises(ScriptExhausted):
                 backend.complete("evaluator", "p")
+
+    @pytest.mark.parametrize("role", ["decomposer", Role.DECOMPOSER], ids=["string", "member"])
+    def test_exhaustion_names_the_role_however_it_is_given(self, role):
+        backend = ScriptedBackend({"decomposer": ["STEP: a"]})
+        backend.complete(role, "p")
+        with pytest.raises(ScriptExhausted) as excinfo:
+            backend.complete(role, "p")
+        assert str(excinfo.value) == "decomposer script exhausted after 1 replies"
+
+    def test_unknown_role_is_a_value_error(self):
+        backend = ScriptedBackend({"decomposer": ["STEP: a"]})
+        with pytest.raises(ValueError):
+            backend.complete("planner", "p")
 
 
 class _FakeResponse:
@@ -362,6 +376,35 @@ class TestHTTPBackendAgainstLocalServer:
         assert str(excinfo.value) == "HTTP 429: slow down"
         assert sleeps == [3.0]
         assert endpoint.received == 2
+
+    @pytest.mark.parametrize("api_key", ["k", None], ids=["key", "no-key"])
+    def test_wire_request(self, endpoint, api_key):
+        endpoint.actions = [chat_ok("STEP: fine")]
+        backend = HTTPBackend(base_url=endpoint.url + "/", api_key=api_key,
+                              models={Role.DECOMPOSER: "decomposer-8b"})
+        params = DecodeParams(temperature=0.5, max_new_tokens=64)
+        assert backend.complete("decomposer", "the prompt", params).raw_text == "STEP: fine"
+        assert endpoint.paths == ["/v1/chat/completions"]
+        [(headers, body)] = endpoint.requests
+        assert headers["Content-Type"] == "application/json"
+        assert headers.get("Authorization") == (None if api_key is None else "Bearer k")
+        assert body == {
+            "model": "decomposer-8b",
+            "messages": [{"role": "system", "content": DEFAULT_SYSTEM_PROMPTS[Role.DECOMPOSER]},
+                         {"role": "user", "content": "the prompt"}],
+            "temperature": 0.5,
+            "max_tokens": 64,
+        }
+
+    @pytest.mark.parametrize("role, error, message", [
+        ("evaluator", BackendError, "'evaluator'"),
+        ("planner", ValueError, "planner"),
+    ], ids=["unconfigured", "unknown"])
+    def test_role_without_a_model_sends_nothing(self, endpoint, role, error, message):
+        backend = HTTPBackend(base_url=endpoint.url, models={Role.DECOMPOSER: "decomposer-8b"})
+        with pytest.raises(error, match=message):
+            backend.complete(role, "p")
+        assert endpoint.requests == [] and endpoint.paths == []
 
     @pytest.mark.parametrize("usage", [[1], "12", 7], ids=["list", "string", "number"])
     def test_usage_that_is_not_an_object_is_estimated(self, endpoint, usage):
