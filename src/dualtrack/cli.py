@@ -227,12 +227,16 @@ def _http_backend(config: RunConfig) -> HTTPBackend:
             f"api_base: set it in the config file or via {API_BASE_ENV} "
             "(or pass --script for a scripted run)"
         )
+    # HTTPBackend appends its path to the base, where a query or fragment would hide it.
     try:
         url = urlsplit(config.api_base)
-    except ValueError:  # an unclosed IPv6 bracket
-        url = None
-    if not (url and url.scheme in ("http", "https") and url.hostname):
-        raise ConfigError(f"api_base: {config.api_base!r} is not an http(s):// URL with a host")
+        usable = (url.scheme in ("http", "https") and url.hostname and url.port != 0
+                  and not any(mark in config.api_base for mark in "?#"))
+    except ValueError:  # an unclosed IPv6 bracket, or a port out of range or not a number
+        usable = False
+    if not usable:
+        raise ConfigError(f"api_base: {config.api_base!r} is not an http(s):// URL with a "
+                          "host, a valid port if any, and no query or fragment")
     models = {role: getattr(config, f"{role.value}_model") for role in Role}
     if not all(models.values()):
         raise ConfigError("decomposer_model/evaluator_model: required for live endpoints")

@@ -129,10 +129,11 @@ def load_gsm8k_examples(path: str | Path) -> list[RawExample]:
 
 
 def read_text(path: str | Path, name: str = "") -> str:
-    """The UTF-8 text of ``path``. A file that cannot be read or is not UTF-8
-    is a ``DataError`` naming it, as ``name`` (say "config file") if given."""
+    """The UTF-8 text of ``path``, less one leading byte-order mark. A file that
+    cannot be read or is not UTF-8 is a ``DataError`` naming it, as ``name``
+    (say "config file") if given."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {name or path}: {exc}") from None
 

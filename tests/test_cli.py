@@ -22,11 +22,12 @@ from dualtrack.cli import (
     KNOWN_KEYS,
     ConfigError,
     RunConfig,
+    _http_backend,
     build_parser,
     load_run_config,
     main,
 )
-from dualtrack.agents import Role, ScriptedBackend
+from dualtrack.agents import HTTPBackend, Role, ScriptedBackend
 from dualtrack.harness import config_hash, rows_to_csv, run_benchmark
 from dualtrack.protocol import (DECOMPOSER_SYSTEM_PROMPT, EVALUATOR_SYSTEM_PROMPT, CanonicalNumber,
                                 Problem)
@@ -734,6 +735,33 @@ class TestUnusableFiles:
         assert f"{error}: 'utf-8' codec can't decode byte 0xe9" in err
         assert "Traceback" not in err
 
+    # Some editors save UTF-8 with a leading byte-order mark, which RFC 8259
+    # lets a JSON reader ignore; each input file is read past it.
+    @pytest.mark.parametrize("with_bom", ["problems", "gsm8k", "config", "fixture"])
+    def test_input_that_starts_with_a_utf8_bom_is_read(self, tmp_path, capsys, with_bom):
+        problem = Problem(id="henry", question=HENRY_QUESTION, gold_answer=CanonicalNumber("25"))
+        files = {"problems": write_problems(tmp_path / "problems.jsonl", [problem]),
+                 "fixture": write_json(tmp_path / "scripts.json", HENRY_SCRIPTS),
+                 "config": write_json(tmp_path / "config.json", {"method": "dual"}),
+                 "gsm8k": write_json(tmp_path / "gsm8k.jsonl",
+                                     {"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER})}
+        bom_file = Path(files[with_bom])
+        bom_file.write_bytes(b"\xef\xbb\xbf" + bom_file.read_bytes())
+        if with_bom == "gsm8k":
+            output = tmp_path / "prepped"
+            assert main(["prep", files["gsm8k"], str(output)]) == EXIT_OK
+            assert json.loads((output / "stats.json").read_text(encoding="utf-8"))["examples"] == 1
+        else:
+            out_dir = tmp_path / "runs"
+            argv = ["bench", files["problems"], "--script", files["fixture"],
+                    "--config", files["config"], "--out", str(out_dir)]
+            assert main(argv) == EXIT_OK
+            (run_dir,) = out_dir.iterdir()
+            (result,) = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+            assert json.loads(result)["problem_id"] == "henry"
+            assert json.loads(result)["correct"] is True
+        assert "error" not in capsys.readouterr().err
+
     # "\ud800" is valid JSON but decodes to a lone surrogate, which has no
     # UTF-8 encoding: no trace, output file or hash can take it.
     @pytest.mark.parametrize("command", ["bench", "solve"])
@@ -882,7 +910,12 @@ class TestConfigText:
             assert printed.endswith(
                 f"wrote {shown}{os.sep}train.jsonl and {shown}{os.sep}val.jsonl\n")
 
-    @pytest.mark.parametrize("api_base", ["localhost:8000", "http://", "http://[::1"])
+    # HTTPBackend appends /v1/chat/completions to the base: a port no socket
+    # can take fails every call, and a query or fragment moves the path.
+    @pytest.mark.parametrize("api_base", [
+        "localhost:8000", "http://", "http://[::1", "http://127.0.0.1:99999", "http://h:abc",
+        "http://127.0.0.1:0", "http://127.0.0.1:8000/?a=1", "http://127.0.0.1:8000#x",
+        "http://127.0.0.1:8000?"])
     def test_api_base_that_is_not_an_http_url_is_refused_before_any_call(
             self, tmp_path, capsys, monkeypatch, bench_files, api_base):
         problems_file, _ = bench_files
@@ -896,6 +929,12 @@ class TestConfigText:
         assert f"config error: api_base: {api_base!r} is not an http(s):// URL" in err
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    # An IPv6 host in brackets, and an empty port (the scheme's default), stay valid.
+    @pytest.mark.parametrize("api_base", ["http://[::1]:8000", "http://host:"])
+    def test_api_base_with_an_ipv6_host_or_an_empty_port_is_accepted(self, api_base):
+        config = RunConfig(api_base=api_base, decomposer_model="d", evaluator_model="e")
+        assert isinstance(_http_backend(config), HTTPBackend)
 
 
 class TestRefusals:

@@ -293,6 +293,11 @@ class TestReadText:
         assert read_text(path) == "café costs €3\n"
         assert read_text(str(path), "note") == "café costs €3\n"
 
+    def test_one_leading_bom_is_dropped_and_any_other_kept(self, tmp_path):
+        path = tmp_path / "note.txt"
+        path.write_bytes("\ufeff\ufeffa\ufeffb".encode("utf-8"))
+        assert read_text(path) == "\ufeffa\ufeffb"
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_file_is_data_error_naming_the_path(self, tmp_path, kind):
         path = tmp_path / "input.jsonl"
