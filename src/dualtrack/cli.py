@@ -394,6 +394,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"{'budget':>6}  {'cache':>5}  accuracy")
     for row in rows:
         print(f"{row.budget:>6}  {'on' if row.cache else 'off':>5}  {row.accuracy_line()}")
+    if failed := sum(Outcome.BACKEND_FAILURE._value_ in row.outcomes for row in rows):
+        print(f"backend_failure in {failed} of {len(rows)} cells; see errors.txt", file=sys.stderr)
     return EXIT_OK
 
 

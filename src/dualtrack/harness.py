@@ -273,12 +273,11 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
     One task per problem solves the trunk at ``max(budgets)`` under the last
     setting and writes its trace to ``trace_dir`` if given. A cache-off setting
     before it forks from that trace if it has a fork point, looking each request
-    up in the trunk's call log: the whole log on one shared pair, the calls
-    before the fork point on a provider's pair, which may answer by position (a
-    script) and so is sent every call (PROTOCOL.md, Budget sweep). After a trunk
-    error it solves anew. An error propagates unless ``continue_on_error`` is
-    set. A trace never leaves its ``run``, so the trunk's is freed before the
-    fork asks for its pair; the log holds requests and replies, not the trace.
+    up in the calls the trunk's events keep: all of them on one shared pair, the
+    events before the fork point on a provider's pair, which may answer by
+    position (a script) and so is sent every call (PROTOCOL.md, Budget sweep).
+    After a trunk error it solves anew. An error propagates unless
+    ``continue_on_error`` is set. Only the trunk's events leave its ``run``.
     """
     shared = not callable(backends)
     provider = (lambda problem: backends) if shared else backends
@@ -288,15 +287,14 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
 
     def run(problem: Problem, cache: bool, recorded: Sequence | None = None,
             trace_path: Path | None = None) -> tuple:
-        """A scored solve and, for a sweep's trunk with a fork point, the calls its
+        """A scored solve and, for a sweep's trunk with a fork point, the events its
         cache-off fork looks up, else None; or its caught error and None. With
         ``recorded``, it is that fork."""
-        calls = [] if sweep and cache else None  # the trunk's call log
         try:
             backends = provider(problem)
             if recorded is not None:
                 backends = (ReplayBackend(recorded, *backends, relay=not shared),) * 2
-            trace = solve(problem, configs[cache], *backends, calls)
+            trace = solve(problem, configs[cache], *backends)
         except Exception as exc:
             if not continue_on_error:
                 raise
@@ -305,9 +303,9 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
         result = _result(problem, trace, cuts.totals, trace_path)
         if trace_path is not None:
             trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
-        fork = None if calls is None else cuts.fork
+        fork = cuts.fork if sweep and cache else None
         return ((result, cuts.scores(budgets, _score(result))),
-                None if fork is None else calls if shared else calls[:fork])
+                None if fork is None else trace.events if shared else trace.events[:fork])
 
     def task(problem: Problem) -> tuple:
         """The problem's scored solves, one per setting."""
@@ -389,7 +387,8 @@ def budget_sweep(
     one pair shared by all problems, the fork is sent only the requests the
     cache-on solve did not make as often.
     An error in a solve, or the provider's error for it, fails every cell of
-    its cache setting; with ``continue_on_error`` those cells are logged.
+    its cache setting; with ``continue_on_error`` those cells are logged. A cell
+    whose solves include a ``backend_failure`` is logged too, with their count.
     """
     if not budgets:
         raise ValueError("budgets must be non-empty")
@@ -407,8 +406,12 @@ def budget_sweep(
             if isinstance(cell, Exception):
                 errors.append(f"budget={budget} cache={cache_enabled}: {cell}")
                 continue
-            rows.append(_summary([scores[index] for _, scores in cell], method=method,
-                                 budget=budget, cache=cache_enabled))
+            row = _summary([scores[index] for _, scores in cell], method=method, budget=budget,
+                           cache=cache_enabled)
+            rows.append(row)
+            if failed := row.outcomes.get(Outcome.BACKEND_FAILURE._value_):
+                errors.append(f"budget={budget} cache={cache_enabled}: {failed} of {row.n}"
+                              " solves ended in backend_failure")
     if run_dir is not None:
         (run_dir / "sweep.csv").write_text(rows_to_csv(rows), encoding="utf-8")
         if errors:

@@ -16,10 +16,9 @@ total spend can overshoot the limit by at most the cost of the final call,
 and a solve at a smaller budget is the one at a larger budget stopped at its
 first check at or above the smaller one (PROTOCOL.md, Budget sweep).
 
-Given a ``calls`` list, a solve also logs each agent call that returned as
-``(role, prompt, params, reply)``, in call order: the requests and replies
-a sweep's cache-off fork looks up in ``ReplayBackend``, and nothing of the
-trace.
+Each such event also keeps, in memory, the call itself as ``(role, prompt,
+params, reply)``: the requests and replies a sweep's cache-off fork looks up
+in ``ReplayBackend``. No trace file holds it.
 """
 
 from __future__ import annotations
@@ -160,6 +159,7 @@ class TraceEvent(NamedTuple):
     kind: EventKind
     payload: dict
     tokens_charged: int = 0
+    call: tuple | None = None  # an agent call's (role, prompt, params, reply); never written
 
     def to_dict(self) -> dict:
         return {"kind": self.kind._value_, "payload": self.payload,
@@ -216,10 +216,10 @@ class BudgetCuts:
 
     The walk tells agent calls (``generated`` and non-synthetic ``evaluated``
     events) from the rest. It also keeps ``totals``, the trace's
-    ``(tokens_spent, evaluator_calls)``, and ``fork``, how many agent calls
-    come before the cache-off fork point: the first ``cache_rejected`` event,
-    else the end of a trace whose last call raised and left no event, else
-    None (the trace is the cache-off solve).
+    ``(tokens_spent, evaluator_calls)``, and ``fork``, the position in
+    ``trace.events`` of the cache-off fork point: the first ``cache_rejected``
+    event, else the end of a trace whose last call raised and left no event,
+    else None (the trace is the cache-off solve).
     """
 
     def __init__(self, trace: SolveTrace):
@@ -228,7 +228,7 @@ class BudgetCuts:
         self._spends, self._evaluations = spends, evaluations = [], []
         spent = evaluator_calls = 0
         fork = None
-        for event in trace.events:
+        for position, event in enumerate(trace.events):
             kind = event.kind
             if kind is _GENERATED or (
                     kind is _EVALUATED and event.payload.get("synthetic") is None):
@@ -236,13 +236,13 @@ class BudgetCuts:
                 evaluations.append(evaluator_calls)
                 evaluator_calls += kind is _EVALUATED
             elif fork is None and kind is _CACHE_REJECTED:
-                fork = len(spends)
+                fork = position
             spent += event.tokens_charged  # 0 unless the event is an agent call
         if trace.outcome is _BACKEND_FAILURE:
             # A last call that raised left no event: the end is one more check.
             last = trace.events[-1] if trace.events else None
             if not (last and last.kind is _EVALUATED and last.payload["score"] is None):
-                fork = len(spends) if fork is None else fork
+                fork = len(trace.events) if fork is None else fork
                 spends.append(spent)
                 evaluations.append(evaluator_calls)
         self.totals, self.fork = (spent, evaluator_calls), fork
@@ -265,21 +265,22 @@ class BudgetCuts:
 
 
 class ReplayBackend:
-    """Both roles' backend in the cache-off fork, over a trunk's call log as
-    ``solve`` keeps it: the n-th time the fork makes a request ``(role, prompt,
-    params)`` it gets the reply the log holds for the trunk's n-th such
-    request, if it holds one, and every other call goes to its role's live
+    """Both roles' backend in the cache-off fork, over the calls a trunk's
+    events keep: the n-th time the fork makes a request ``(role, prompt,
+    params)`` it gets the reply the events hold for the trunk's n-th such
+    request, if they hold one, and every other call goes to its role's live
     backend (PROTOCOL.md, Budget sweep). With ``relay``, a call served from
-    the log is made on its live backend too and that reply dropped, so a
+    the events is made on its live backend too and that reply dropped, so a
     backend that answers by position (a script) stays in step. Single-owner,
     like ScriptedBackend.
     """
 
-    def __init__(self, calls: Sequence[tuple], decomposer, evaluator, relay: bool = False):
+    def __init__(self, events: Sequence[TraceEvent], decomposer, evaluator, relay: bool = False):
         # Each request's logged replies, in call order; serving one pops it.
         self._replies = replies = defaultdict(list)
-        for role, prompt, params, reply in calls:
-            replies[role, prompt, params].append(reply)
+        for event in events:
+            if (call := event.call) is not None:
+                replies[call[:3]].append(call[3])
         self._live, self._relay = {_DECOMPOSER: decomposer, _EVALUATOR: evaluator}, relay
 
     def complete(self, role: Role, prompt: str, params: DecodeParams | None = None) -> AgentReply:
@@ -305,7 +306,6 @@ def solve(
     config: SolverConfig,
     decomposer_backend,
     evaluator_backend,
-    calls: list | None = None,
 ) -> SolveTrace:
     """Run the full Decomposer-Evaluator loop on one problem.
 
@@ -315,8 +315,8 @@ def solve(
     generation and the Evaluator's scoring; a cache hit or a synthetic
     evaluation makes no call and is not checked. Backend failures end the
     solve with outcome ``backend_failure`` and the partial trace preserved.
-    Each call that returns is appended to ``calls``, if given, as ``(role,
-    prompt, params, reply)``.
+    Each call that returns leaves its ``(role, prompt, params, reply)`` as its
+    event's ``call``.
     """
     events: list[TraceEvent] = []
     accepted: list[AcceptedStep] = []
@@ -333,7 +333,8 @@ def solve(
     while True:
         slot = len(accepted) + 1
         if spent >= budget:
-            emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0)))
+            emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0,
+                                         None)))
             outcome = _BUDGET_EXHAUSTED
             break
         prompt = build_decomposer_prompt(block, hint)
@@ -342,11 +343,9 @@ def solve(
         except BackendError as exc:
             outcome, error = _BACKEND_FAILURE, f"decomposer: {exc}"
             break
-        if calls is not None:
-            calls.append((_DECOMPOSER, prompt, decomposer_params, reply))
         raw, tokens = reply.raw_text, reply.total_tokens
         emit(new_record(TraceEvent, (_GENERATED, {"slot": slot, "attempt": retries, "raw": raw},
-                                     tokens)))
+                                     tokens, (_DECOMPOSER, prompt, decomposer_params, reply))))
         spent += tokens
 
         # Judge the generation: a synthetic zero if it does not parse, else the
@@ -362,14 +361,15 @@ def solve(
         if synthetic is not None:
             candidate, fp, score = None, "", 0
             payload = {"score": 0, "feedback": feedback, "fingerprint": "", "synthetic": synthetic}
-            emit(new_record(TraceEvent, (_EVALUATED, payload, 0)))
+            emit(new_record(TraceEvent, (_EVALUATED, payload, 0, None)))
         elif cache is not None and (hit := cache.check(fp)) is not _MISS:
             score, feedback = 0, REJECTION_FEEDBACK[hit]
             payload = {"decision": hit._value_, "fingerprint": fp, "score": 0, "feedback": feedback}
-            emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0)))
+            emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0, None)))
         else:
             if spent >= budget:
-                emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget}, 0)))
+                emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget},
+                                             0, None)))
                 outcome = _BUDGET_EXHAUSTED
                 break
             prompt = build_evaluator_prompt(block, candidate)
@@ -378,13 +378,12 @@ def solve(
             except BackendError as exc:
                 outcome, error = _BACKEND_FAILURE, f"evaluator: {exc}"
                 break
-            if calls is not None:
-                calls.append((_EVALUATOR, prompt, evaluator_params, reply))
             verdict, tokens = reply.raw_text, reply.total_tokens
             # score and feedback stay null in the trace if the reply fails to parse
             payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None,
                        "raw": verdict}
-            emit(new_record(TraceEvent, (_EVALUATED, payload, tokens)))
+            emit(new_record(TraceEvent, (_EVALUATED, payload, tokens,
+                                         (_EVALUATOR, prompt, evaluator_params, reply))))
             spent += tokens
             try:
                 evaluation = parse_evaluation(verdict)
@@ -400,7 +399,7 @@ def solve(
         if decision is _RETRY:
             retries += 1
             emit(new_record(TraceEvent, (_RETRIED, {"slot": slot, "hint": feedback,
-                                                    "retries_used": retries}, 0)))
+                                                    "retries_used": retries}, 0, None)))
             hint = feedback or None
             continue
 
@@ -417,16 +416,16 @@ def solve(
             cache.record(fp, _DUPLICATE_ACCEPTED)
         emit(new_record(TraceEvent, (_FORCED_ACCEPT if forced else _ACCEPTED,
                                      {"index": slot, "kind": kind._value_, "text": text,
-                                      "fingerprint": fp, "score": score}, 0)))
+                                      "fingerprint": fp, "score": score}, 0, None)))
         hint, retries = None, 0
 
         if kind is _FINAL:
             final_answer = candidate.answer
-            emit(new_record(TraceEvent, (_FINISHED, {"final_answer": str(final_answer)}, 0)))
+            emit(new_record(TraceEvent, (_FINISHED, {"final_answer": str(final_answer)}, 0, None)))
             outcome = _SOLVED
             break
         if slot >= max_steps:
-            emit(new_record(TraceEvent, (_STEP_LIMIT_STOP, {"steps": slot}, 0)))
+            emit(new_record(TraceEvent, (_STEP_LIMIT_STOP, {"steps": slot}, 0, None)))
             outcome = _STEP_LIMIT
             break
         block = extend_problem_block(block, slot, text)

@@ -576,6 +576,43 @@ class TestLiveEndpoint:
                  for budget in budgets for cache in (False, True)]
         assert sweep_csv == rows_to_csv(cells)
 
+    def test_sweep_names_cells_whose_solves_a_failing_endpoint_ended(
+        self, tmp_path, capsys, monkeypatch, endpoint
+    ):
+        # Every request about cart 2 gets a 503 on both asks, so the transport
+        # retry does not outlive it; cart 1 is answered at once.
+        problems = [Problem(id=f"n{n}", question=f"How many apples are on cart {n}?",
+                            gold_answer=CanonicalNumber("7")) for n in (1, 2)]
+
+        def respond(body):
+            if "cart 2?" in body["messages"][-1]["content"]:
+                return 503, b'{"error": "overloaded"}'
+            return chat_ok("FINAL_ANSWER: 7" if body["model"] == "decomposer-8b"
+                           else "Score: 3\nFeedback: Ok.")
+
+        endpoint.responder = respond
+        problems_file = write_problems(tmp_path / "problems.jsonl", problems)
+        config_file = write_json(tmp_path / "config.json", {
+            "api_base": endpoint.url, "decomposer_model": "decomposer-8b",
+            "evaluator_model": "evaluator-8b"})
+        monkeypatch.delenv("DUALTRACK_API_BASE", raising=False)
+        monkeypatch.delenv("DUALTRACK_API_KEY", raising=False)
+        out_dir = tmp_path / "runs"
+        argv = ["sweep", problems_file, "--config", config_file, "--budgets", "150,900",
+                "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        # Cart 2's cache-on solve asked twice, and its cache-off fork, with no
+        # reply to reuse, twice more.
+        assert sum("cart 2?" in body["messages"][-1]["content"]
+                   for _, body in endpoint.requests) == 4
+        assert captured.err == "backend_failure in 4 of 4 cells; see errors.txt\n"
+        assert captured.out.count("50.0%") == 4
+        (run_dir,) = out_dir.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == "".join(
+            f"budget={budget} cache={cache}: 1 of 2 solves ended in backend_failure\n"
+            for budget in (150, 900) for cache in (False, True))
+
     @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
     @pytest.mark.parametrize("key", ["sk-\u20acuro", "sk-1\nX-Injected: 1"])
     def test_key_no_http_header_can_carry_is_config_error_before_any_call(
@@ -619,11 +656,33 @@ class TestSweep:
             ]
         )
         assert code == EXIT_OK
-        output = capsys.readouterr().out
-        assert "budget" in output and "cache" in output
+        captured = capsys.readouterr()
+        assert "budget" in captured.out and "cache" in captured.out
+        # No solve failed: nothing on stderr and no errors.txt.
+        assert captured.err == ""
         sweep_dirs = list(out_dir.glob("*-sweep-*"))
+        assert not (sweep_dirs[0] / "errors.txt").exists()
         csv_lines = (sweep_dirs[0] / "sweep.csv").read_text().splitlines()
         assert len(csv_lines) == 5  # header + 2 budgets x cache off/on
+
+    def test_backend_failures_are_named_on_stderr_and_in_errors_txt(self, tmp_path, capsys):
+        problems, fixture = build_sweep_case(count=3)
+        # s002's Evaluator script runs out before its final answer is scored.
+        fixture["s002"]["evaluator"].pop()
+        problems_file = write_problems(tmp_path / "problems.jsonl", problems)
+        fixture_file = write_json(tmp_path / "scripts.json", fixture)
+        out_dir = tmp_path / "runs"
+        argv = ["sweep", problems_file, "--script", fixture_file, "--budgets", "200,1500",
+                "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "backend_failure in 2 of 4 cells; see errors.txt\n"
+        (run_dir,) = out_dir.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+            "budget=1500 cache=False: 1 of 3 solves ended in backend_failure\n"
+            "budget=1500 cache=True: 1 of 3 solves ended in backend_failure\n"
+        )
+        assert len((run_dir / "sweep.csv").read_text().splitlines()) == 5
 
     def test_default_grid_makes_twelve_rows(self, tmp_path, capsys):
         problems, fixture = build_sweep_case(count=2)

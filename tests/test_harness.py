@@ -408,7 +408,9 @@ class TestBudgetSweep:
         (run_dir,) = tmp_path.glob("*-sweep-*")
         assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
             f"budget=150 cache=False: endpoint down for {failed_id}\n"
+            "budget=150 cache=True: 2 of 40 solves ended in backend_failure\n"
             f"budget=600 cache=False: endpoint down for {failed_id}\n"
+            "budget=600 cache=True: 10 of 40 solves ended in backend_failure\n"
         )
         assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
 
@@ -444,7 +446,9 @@ class TestBudgetSweep:
         (run_dir,) = tmp_path.glob("*-sweep-*")
         assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
             "budget=150 cache=False: no backends for r000\n"
+            "budget=150 cache=True: 2 of 40 solves ended in backend_failure\n"
             "budget=600 cache=False: no backends for r000\n"
+            "budget=600 cache=True: 10 of 40 solves ended in backend_failure\n"
         )
         served.clear()
         with pytest.raises(BackendError, match="^no backends for r000$"):
@@ -480,7 +484,9 @@ class TestBudgetSweep:
         (run_dir,) = tmp_path.glob("*-sweep-*")
         assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
             f"budget=100 cache=False: no backends for {failed_id}\n"
+            "budget=100 cache=True: 2 of 40 solves ended in backend_failure\n"
             f"budget=300 cache=False: no backends for {failed_id}\n"
+            "budget=300 cache=True: 6 of 40 solves ended in backend_failure\n"
         )
 
     @pytest.mark.parametrize("failing", [(0,), (13,), (39,), (39, 13)],
@@ -520,9 +526,28 @@ class TestBudgetSweep:
             first_id = problems[min(failing)].id
             (run_dir,) = out_dir.glob("*-sweep-*")
             assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+                "budget=150 cache=False: 2 of 40 solves ended in backend_failure\n"
                 f"budget=150 cache=True: endpoint down for {first_id}\n"
+                "budget=600 cache=False: 11 of 40 solves ended in backend_failure\n"
                 f"budget=600 cache=True: endpoint down for {first_id}\n"
             )
+
+    def test_cells_with_backend_failures_are_named_in_errors_txt(self, tmp_path):
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        rows = budget_sweep(problems, (150, 600), config, scripted_provider(fixture),
+                            out_dir=tmp_path)
+        # A script that runs out ends its solve in backend_failure. Each cell
+        # that holds one gets a line, in sweep order, and keeps its row.
+        assert [row.outcomes.get("backend_failure") for row in rows] == [2, 2, 11, 10]
+        (run_dir,) = tmp_path.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+            "budget=150 cache=False: 2 of 40 solves ended in backend_failure\n"
+            "budget=150 cache=True: 2 of 40 solves ended in backend_failure\n"
+            "budget=600 cache=False: 11 of 40 solves ended in backend_failure\n"
+            "budget=600 cache=True: 10 of 40 solves ended in backend_failure\n"
+        )
+        assert (run_dir / "sweep.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
 
     def test_sweep_csv_written(self, tmp_path):
         problems, fixture = build_sweep_case(count=2)
@@ -539,6 +564,9 @@ class TestBudgetSweep:
         lines = csv_text.strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+        # No solve failed, so there is no errors.txt.
+        assert sorted(path.name for path in sweep_dirs[0].iterdir()) == [
+            "run_meta.json", "sweep.csv"]
 
 
 def _per_cell_rows(problems, budgets, config, provider, workers):

@@ -290,13 +290,13 @@ class TestRecordContract:
                 TraceEvent(kind=EventKind.GENERATED, payload={"raw": "STEP: x"},
                            tokens_charged=3),
                 "TraceEvent(kind=<EventKind.GENERATED: 'generated'>, payload={'raw': 'STEP: x'},"
-                " tokens_charged=3)",
+                " tokens_charged=3, call=None)",
             ),
             (
                 TraceEvent(EventKind.FINISHED, {"final_answer": "5"}),
                 TraceEvent(kind=EventKind.FINISHED, payload={"final_answer": "5"}),
                 "TraceEvent(kind=<EventKind.FINISHED: 'finished'>,"
-                " payload={'final_answer': '5'}, tokens_charged=0)",
+                " payload={'final_answer': '5'}, tokens_charged=0, call=None)",
             ),
             (WilsonInterval(0.25, 0.75), WilsonInterval(low=0.25, high=0.75),
              "WilsonInterval(low=0.25, high=0.75)"),
@@ -377,7 +377,7 @@ class TestRecordContract:
                            final_answer=CanonicalNumber("5"), outcome=Outcome.SOLVED),
                 "SolveTrace(problem_id='p1', config={'token_budget': 5},"
                 " events=[TraceEvent(kind=<EventKind.FINISHED: 'finished'>,"
-                " payload={'final_answer': '5'}, tokens_charged=0)],"
+                " payload={'final_answer': '5'}, tokens_charged=0, call=None)],"
                 " accepted_steps=[AcceptedStep(index=1, kind=<StepKind.FINAL: 'final'>, text='5',"
                 " fingerprint='5', score=3, forced=False)], final_answer=CanonicalNumber(text='5'),"
                 " outcome=<Outcome.SOLVED: 'solved'>, error=None)",

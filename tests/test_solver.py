@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -632,14 +633,14 @@ def _event(kind, **payload):
 # and, for every budget from 1 up, the budget stop it scores as: a list of (the
 # last budget it applies to, (spent, evaluator_calls) or None for the whole
 # solve's score). The spend before each agent call is worked out in the comments.
-# Then the totals and the agent calls before the cache-off fork point.
+# Then the totals and the position of the cache-off fork point in the events.
 HAND_TRACES = {
     "solved": (16, Outcome.SOLVED, [
         _generated(3),  # 0: spend before 0
         _evaluated(2),  # 1: 3
         _event(EventKind.ACCEPTED),
         _generated(4),  # 3: 5, after 1 Evaluator call
-        _event(EventKind.CACHE_REJECTED, decision="duplicate"),  # the fork, after 3 calls
+        _event(EventKind.CACHE_REJECTED, decision="duplicate"),  # 4: the fork, after 3 calls
         _event(EventKind.RETRIED),
         _generated(3),  # 6: 9
         _event(EventKind.EVALUATED, score=0, feedback="", fingerprint="",
@@ -650,7 +651,7 @@ HAND_TRACES = {
         _event(EventKind.ACCEPTED),
         _event(EventKind.FINISHED, final_answer="1"),
     ], [(3, (3, 0)), (5, (5, 1)), (9, (9, 1)), (12, (12, 1)), (14, (14, 1)), (16, None)],
-        (15, 2), 3),
+        (15, 2), 4),
     # The solve's own stop, at spend 11, is the whole score of every budget
     # that no check before it stops: budget_exhausted, spent 11.
     "budget_stop": (10, Outcome.BUDGET_EXHAUSTED, [
@@ -658,18 +659,18 @@ HAND_TRACES = {
         _evaluated(3, score=0),  # 1: 4
         _event(EventKind.RETRIED),
         _generated(4),  # 3: 7
-        _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # the fork, after 3 calls
+        _event(EventKind.CACHE_REJECTED, decision="known_bad"),  # 4: the fork, after 3 calls
         _event(EventKind.RETRIED),
         _event(EventKind.BUDGET_STOP, spent=11, limit=10),
-    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 3),
+    ], [(4, (4, 0)), (7, (7, 1)), (10, None)], (11, 1), 4),
     # The Evaluator call after event 3 raised and left no event, so the end,
-    # at spend 13, is a check, and the fork point: every call is before it.
+    # at spend 13, is a check, and the fork point, 4: every event is before it.
     "raised call": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
         _evaluated(2),  # 1: 5
         _event(EventKind.ACCEPTED),
         _generated(6),  # 3: 7
-    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 3),
+    ], [(5, (5, 0)), (7, (7, 1)), (13, (13, 1)), (20, None)], (13, 1), 4),
     # The Evaluator's reply left its event, so the end is no check.
     "unparsed reply": (20, Outcome.BACKEND_FAILURE, [
         _generated(5),  # 0: 0
@@ -709,9 +710,8 @@ class TestBudgetCuts:
 
     @pytest.mark.parametrize("retries", [1, 3])
     @pytest.mark.parametrize("seed", [606, 707, 808])
-    def test_fork_replies_equal_those_before_the_fork_event(self, seed, retries):
-        """The replies of the solve's call log up to the fork point, taken as a
-        count, against the agent-call replies before the event where the fork
+    def test_fork_is_the_position_where_the_fork_leaves_the_trace(self, seed, retries):
+        """The fork point against the position of the event where the fork
         leaves the trace: its first cache_rejected event, else the end of a
         trace whose last call raised and left no event. Both kinds of fork must
         be reached."""
@@ -719,8 +719,8 @@ class TestBudgetCuts:
         base = config(max_steps=40, max_retries_per_step=retries, cache_enabled=True)
         forks = Counter()
         for problem in problems:
-            backend, calls = ScriptedBackend(fixture[problem.id]), []
-            trace = solve(problem, base, backend, backend, calls)
+            backend = ScriptedBackend(fixture[problem.id])
+            trace = solve(problem, base, backend, backend)
             kinds = [event.kind for event in trace.events]
             last = trace.events[-1] if trace.events else None
             if EventKind.CACHE_REJECTED in kinds:
@@ -730,15 +730,7 @@ class TestBudgetCuts:
                 end, forks["raised call"] = len(kinds), True
             else:
                 end = None
-            cuts = BudgetCuts(trace)
-            if end is None:
-                assert cuts.fork is None, problem.id
-                continue
-            expected = [(event.payload["raw"], event.tokens_charged)
-                        for event in trace.events[:end] if event.kind is EventKind.GENERATED
-                        or event.kind is EventKind.EVALUATED and event.payload["synthetic"] is None]
-            assert [(reply.raw_text, reply.total_tokens)
-                    for *_, reply in calls[:cuts.fork]] == expected, problem.id
+            assert BudgetCuts(trace).fork == end, problem.id
         assert len(forks) == 2, forks
 
     def test_cut_equals_a_real_solve_at_that_budget(self):
@@ -779,7 +771,6 @@ class TestBudgetCuts:
         assert ends["budget_stop"] > 0 and ends["failed_call"] > 0, ends
 
 
-# SHA-256 over the traces of TestTraceDigest's corpus, one JSON line each.
 class _Counting:
     """A prompt-keyed backend that counts the calls that reach it."""
 
@@ -792,22 +783,24 @@ class _Counting:
 
 
 class TestReplayBackend:
-    """The cache-off fork's backend, over a real cache-on solve's call log: its
-    second generation repeats its first, so the fork point is 3 calls in."""
+    """The cache-off fork's backend, over the events of a real cache-on solve:
+    its second generation repeats its first, so the fork point is event 4, after
+    3 calls."""
 
     SCRIPTS = {"decomposer": TestCacheIntegration.DUPLICATE_SCRIPTS["decomposer"],
                "evaluator": [f"Score: 3\nFeedback: {word}." for word in ("a", "b", "c", "d")]}
 
-    def _log(self):
-        backend, calls = ScriptedBackend(self.SCRIPTS), []
-        cuts = BudgetCuts(solve(Problem(id="p", question="q?"), config(), backend, backend, calls))
-        assert cuts.fork == 3
-        return calls
+    def _events(self):
+        backend = ScriptedBackend(self.SCRIPTS)
+        trace = solve(Problem(id="p", question="q?"), config(), backend, backend)
+        assert BudgetCuts(trace).fork == 4
+        return trace.events
 
     def test_serves_each_logged_request_then_delegates(self):
-        calls = self._log()
+        events = self._events()
+        calls = [event.call for event in events if event.call is not None]
         decomposer, evaluator = _Counting(), _Counting()
-        replay = ReplayBackend(calls, decomposer, evaluator)
+        replay = ReplayBackend(events, decomposer, evaluator)
         # A logged request gets its logged reply, charged as it was, and
         # reaches no backend.
         served = [replay.complete(role, prompt, params) for role, prompt, params, _ in calls]
@@ -823,29 +816,38 @@ class TestReplayBackend:
         assert evaluator.calls == [(Role.EVALUATOR, "p4")]
 
     def test_nth_repeat_of_a_request_gets_the_nth_logged_reply(self):
-        params, live = DecodeParams(), _Counting()
-        first, second = (AgentReply(f"STEP: draw {n}", 2, 2) for n in (1, 2))
-        calls = [(Role.DECOMPOSER, "p", params, first), (Role.EVALUATOR, "q", params, first),
-                 (Role.DECOMPOSER, "p", params, second)]
-        replay = ReplayBackend(calls, live, live)
+        # The Evaluator gives the same feedback twice, so the Decomposer's
+        # second and third requests are the same; no step is a cache hit.
+        backend = ScriptedBackend({
+            "decomposer": ["STEP: 1 + 1 = 2.", "STEP: 2 + 2 = 4.", "STEP: 3 + 3 = 6.",
+                           "FINAL_ANSWER: 6"],
+            "evaluator": ["Score: 0\nFeedback: redo."] * 2 + ["Score: 3\nFeedback: ok."] * 2})
+        trace = solve(Problem(id="p", question="q?"), config(), backend, backend)
+        assert BudgetCuts(trace).fork is None
+        (_, opening, _, _), (role, prompt, params, second), (_, again, _, third), _ = [
+            event.call for event in trace.events_of(EventKind.GENERATED)]
+        assert again == prompt != opening and second.raw_text != third.raw_text
+        live = _Counting()
+        replay = ReplayBackend(trace.events, live, live)
         # The string role names the same request as the Role.
-        assert [replay.complete(role, "p", params) for role in (Role.DECOMPOSER, "decomposer")
-                ] == [first, second]
+        served = [replay.complete(role, prompt, params) for role in (Role.DECOMPOSER, "decomposer")]
+        assert served[0] is second and served[1] is third
         assert live.calls == []
-        assert replay.complete(Role.DECOMPOSER, "p", params).raw_text == "live p"
-        assert live.calls == [(Role.DECOMPOSER, "p")]
+        assert replay.complete(Role.DECOMPOSER, prompt, params).raw_text == f"live {prompt}"
+        assert live.calls == [(Role.DECOMPOSER, prompt)]
 
     def test_relay_sends_the_recorded_calls_to_a_positional_backend_too(self):
-        calls, live = self._log()[:3], _Counting()
+        # A provider's fork gets the events before the fork point: 3 calls.
+        events, live = self._events()[:4], _Counting()
         # A relayed call reaches the live backend, but its reply is the logged one.
-        role, prompt, params, logged = calls[0]
-        reply = ReplayBackend(calls, live, live, relay=True).complete(role, prompt, params)
+        role, prompt, params, logged = events[0].call
+        reply = ReplayBackend(events, live, live, relay=True).complete(role, prompt, params)
         assert reply is logged
         assert live.calls == [(Role.DECOMPOSER, prompt)]
         problem, off = Problem(id="p", question="q?"), config(cache_enabled=False)
         script = RecordingBackend(ScriptedBackend(self.SCRIPTS))
         fresh = ScriptedBackend(self.SCRIPTS)
-        replay = ReplayBackend(calls, script, script, relay=True)
+        replay = ReplayBackend(events, script, script, relay=True)
         # The fork's cache-off solve is the one from scratch: the script gets
         # every call, and the 3 logged ones are charged at the same totals.
         assert solve(problem, off, replay, replay) == solve(problem, off, fresh, fresh)
@@ -853,28 +855,41 @@ class TestReplayBackend:
 
 
 class TestCallLog:
-    def test_log_holds_each_returned_calls_request_and_reply_and_no_event(self):
+    def test_each_agent_call_event_keeps_the_call_its_backend_saw(self):
         problems, fixture = build_random_case(random.Random(606), 40)
-        base = config(max_steps=40, evaluator_params=DecodeParams(max_new_tokens=64))
-        raised = 0
-        for problem in problems:
-            backend, calls = RecordingBackend(ScriptedBackend(fixture[problem.id])), []
-            trace = solve(problem, base, backend, backend, calls)
-            # A call that raised is the solve's last and is not logged.
+        params = DecodeParams(max_new_tokens=64)
+        # Long solves, and solves that a budget or the step limit stops.
+        bases = [config(max_steps=40, evaluator_params=params),
+                 config(token_budget=400, max_steps=2, evaluator_params=params)]
+        seen = Counter()
+        for problem, base in itertools.product(problems, bases):
+            backend = RecordingBackend(ScriptedBackend(fixture[problem.id]))
+            trace = solve(problem, base, backend, backend)
+            calls = [event.call for event in trace.events if event.call is not None]
+            # A call that raised is the solve's last, and leaves no event and no call.
             returned = backend.attempts[:len(backend.replies)]
-            raised += len(backend.attempts) > len(returned)
+            seen["raised"] += len(backend.attempts) > len(returned)
             assert [(role, prompt) for role, prompt, _, _ in calls] == returned
             assert all(mine is reply for (*_, mine), (_, reply) in zip(calls, backend.replies))
             assert [params for _, _, params, _ in calls] == [
                 base.decomposer_params if role is Role.DECOMPOSER else base.evaluator_params
                 for role, _ in returned]
-            assert not any(isinstance(item, TraceEvent) for call in calls for item in call)
-            # The log changes nothing in the trace.
-            again = ScriptedBackend(fixture[problem.id])
-            assert solve(problem, base, again, again) == trace
-        assert raised > 0
+            # Only agent calls carry one: no cache hit, synthetic evaluation or
+            # other event does.
+            for event in trace.events:
+                synthetic = event.kind is EventKind.EVALUATED and event.payload["synthetic"]
+                seen[event.kind, bool(synthetic)] += 1
+                agent_call = event.kind is EventKind.GENERATED or (
+                    event.kind is EventKind.EVALUATED and not synthetic)
+                assert (event.call is not None) is agent_call, (problem.id, event)
+            # The call is never written.
+            bare = [event._replace(call=None) for event in trace.events]
+            assert trace._replace(events=bare).to_json() == trace.to_json()
+        assert seen["raised"] and seen[EventKind.EVALUATED, True], seen
+        assert all(seen[kind, False] for kind in EventKind), seen
 
 
+# SHA-256 over the traces of TestTraceDigest's corpus, one JSON line each.
 TRACE_CORPUS_DIGEST = "5e0d55632d5cbca08dd6332c9f009a76703e33dca389b84d021a65681db4c3c7"
 
 
