@@ -75,6 +75,8 @@ class DecodeParams(_DecodeParamsFields):
 
     def __new__(cls, *args, **kwargs) -> "DecodeParams":
         self = super().__new__(cls, *args, **kwargs)
+        if isinstance(self.temperature, int):  # 0 == 0.0: one setting, one hash, one JSON
+            self = super().__new__(cls, float(self.temperature), self.max_new_tokens)
         if not self.temperature >= 0:  # NaN too
             raise ValueError("temperature must be non-negative")
         if self.max_new_tokens < 1:

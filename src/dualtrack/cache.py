@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from enum import Enum
 
+from .protocol import ascii_digits
+
 FINGERPRINT_ALPHABET = "0123456789.+-*/=%()"
 
 DUPLICATE_FEEDBACK = (
@@ -64,7 +66,8 @@ def fingerprint(step_text: str) -> str:
         text = _BARE_DOT_RE.sub("", text)
     if text.isascii():
         return text.encode().translate(None, _ASCII_DELETE).decode()
-    return _NON_ALPHABET_RE.sub("", text)
+    # The passes above match any script's digits alike, so they keep their value here.
+    return _NON_ALPHABET_RE.sub("", ascii_digits(text))
 
 
 class RejectionCache:

@@ -102,6 +102,7 @@ _CURRENCY_RE = re.compile(r"[$€£¥,%]")
 # A literal may not butt up against a preceding digit or dot, so the "15"
 # in "3.15" or the minus in "3-15" are not misread as standalone numbers.
 _NUMBER_RE = re.compile(r"(?<![\d.])-?(?:\d+(?:\.\d+)?|\.\d+)")
+_DIGIT_RE = re.compile(r"\d")  # a decimal digit of any script
 
 
 # Records are NamedTuples: immutable, and built with no setattr per field. One
@@ -119,6 +120,12 @@ def make_checked(cls, iterable):
     if len(fields) != len(cls._fields):
         raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
     return cls(*fields)
+
+
+def ascii_digits(text: str) -> str:
+    """``text`` with each decimal digit of any script (``١``, ``१``, ``１``) as
+    the ASCII digit of its value; ASCII text is returned as it is."""
+    return text if text.isascii() else _DIGIT_RE.sub(lambda digit: str(int(digit[0])), text)
 
 
 def is_unicode(text: str) -> bool:
@@ -143,7 +150,7 @@ class CanonicalNumber(NamedTuple):
 
     @classmethod
     def from_literal(cls, literal: str) -> "CanonicalNumber":
-        match = _LITERAL_RE.match(literal.strip())
+        match = _LITERAL_RE.match(ascii_digits(literal).strip())
         if not match or not (match.group(2) or match.group(3)):
             raise NoNumberFound(f"not a numeric literal: {literal!r}")
         sign, int_part, frac_part = match.groups()

@@ -75,6 +75,14 @@ class TestDecodeParams:
         with pytest.raises(ValueError):
             DecodeParams(float("nan"))
 
+    @pytest.mark.parametrize("temperature", [0, 1, True])
+    def test_integer_temperature_is_stored_as_the_float_it_equals(self, temperature):
+        params = DecodeParams(temperature)
+        assert type(params.temperature) is float and params.temperature == temperature
+        assert params == DecodeParams(float(temperature))
+        assert json.dumps(params._asdict()) == json.dumps(DecodeParams(float(temperature))._asdict())
+        assert type(params._replace(temperature=0).temperature) is float
+
     def test_zero_max_new_tokens_rejected(self):
         with pytest.raises(ValueError):
             DecodeParams(max_new_tokens=0)

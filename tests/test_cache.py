@@ -45,7 +45,8 @@ GATE_TEXT = st.text(
 
 def _ungated_fingerprint(step_text: str) -> str:
     """The fingerprint chain with every regex pass run, as PROTOCOL.md lists it."""
-    text = step_text.replace("<<", "").replace(">>", "").replace("÷", "/")
+    text = re.sub(r"\d", lambda match: str(int(match[0])), step_text)
+    text = text.replace("<<", "").replace(">>", "").replace("÷", "/")
     text = re.sub(r"(\d)\s*[x×·]\s*(?=\d)", r"\1*", text)
     text = re.sub(r"(?<!\d)\.|\.(?!\d)", "", text)
     return re.sub(f"[^{re.escape(FINGERPRINT_ALPHABET)}]", "", text)
@@ -64,6 +65,17 @@ class TestFingerprint:
     def test_distinguishes_different_results(self):
         assert fingerprint("10 + 20 = 30") != fingerprint("10 + 20 = 40")
         assert fingerprint("10 + 20 = 30") == "10+20=30"
+
+    def test_digits_that_are_not_ascii_are_kept_as_ascii(self):
+        # Deleting them would leave only the operators, so different sums would collide.
+        assert fingerprint("１２ x ３ = ３６ apples.") == "12*3=36"
+        assert fingerprint("４ x ５ = ２０ pens.") == "4*5=20"
+        assert fingerprint("٣.٥ + ١ = ٤.٥") == fingerprint("3.5 + 1 = 4.5") == "3.5+1=4.5"
+
+    @given(digits=st.text(alphabet=st.characters(categories=("Nd",)), max_size=12))
+    def test_a_digit_counts_by_its_value_in_any_script(self, digits):
+        ascii_digits = "".join(str(int(digit)) for digit in digits)
+        assert fingerprint(f"{digits} + 1.") == fingerprint(f"{ascii_digits} + 1.")
 
     def test_x_between_digits_is_multiplication(self):
         assert fingerprint("she earned 0.2 x 50 = 10") == "0.2*50=10"

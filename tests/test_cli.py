@@ -1140,6 +1140,17 @@ class TestRunConfig:
         config = self.load(tmp_path, {"api_base": "http://file.example"})
         assert config.api_base == "http://env.example"
 
+    @pytest.mark.parametrize("key", ["temperature", "decomposer_temperature",
+                                     "evaluator_temperature"])
+    def test_integer_temperature_hashes_like_the_default(self, tmp_path, key):
+        # A config that equals the default names the same run, and writes the same config.
+        default = self.load(tmp_path, {}).solver_config()
+        solver = self.load(tmp_path, {key: 0}).solver_config()
+        assert solver == default
+        assert solver.to_dict() == default.to_dict()
+        assert json.dumps(solver.to_dict()) == json.dumps(default.to_dict())
+        assert config_hash(solver, "dual_cot") == config_hash(default, "dual_cot")
+
     def test_decoding_settings_fall_back_to_both_roles(self, tmp_path):
         shared = {"temperature": 0.5, "max_new_tokens": 64}
         solver = self.load(tmp_path, shared).solver_config()
@@ -1330,12 +1341,15 @@ class TestCommandParsers:
             reference = parse_outcome(build_parser.__wrapped__().parse_args, argv, capsys)
             assert parse_outcome(build_parser().parse_args, argv, capsys) == reference, argv
 
-    def test_usage_line_lists_every_command_after_a_one_command_build(self, capsys):
+    # A usage error after a command names all four commands, and so does a line with none.
+    @pytest.mark.parametrize("argv", [["bench", "p.jsonl", "--bogus"], []],
+                             ids=["bench", "no-command"])
+    def test_usage_line_lists_every_command_after_a_one_command_build(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["bench", "p.jsonl", "--bogus"])
+            build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         usage = capsys.readouterr().err.splitlines()[0]
-        assert usage.startswith("usage: dualtrack ") and "{prep,solve,bench,sweep}" in usage
+        assert usage == "usage: dualtrack [-h] {prep,solve,bench,sweep} ..."
 
     def test_line_from_sys_argv(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["dualtrack", "bench", "p.jsonl", "--workers", "2"])

@@ -105,6 +105,15 @@ class TestWilsonInterval:
                 assert 0.0 <= interval.low <= interval.high <= 1.0
 
 
+class TestConfigHash:
+    def test_equal_configs_hash_alike(self):
+        integer = SolverConfig(600, decomposer_params=DecodeParams(0),
+                               evaluator_params=DecodeParams(1, 64))
+        default = SolverConfig(600, evaluator_params=DecodeParams(1.0, 64))
+        assert integer == default
+        assert harness.config_hash(integer, "m") == harness.config_hash(default, "m")
+
+
 class TestRunBenchmark:
     def test_engineered_36_of_50(self, tmp_path):
         problems, fixture = build_bench_case(n=50, n_correct=36)
@@ -216,13 +225,33 @@ class TestRunBenchmark:
         )
         assert report.summary.evaluator_calls == 3
 
-    def test_worker_parallelism_preserves_results(self):
+    def test_worker_parallelism_preserves_results(self, tmp_path):
         problems, fixture = build_bench_case(n=12, n_correct=7)
         config = SolverConfig(token_budget=BIG_BUDGET)
-        serial = run_benchmark(problems, config, scripted_provider(fixture), workers=1)
-        parallel = run_benchmark(problems, config, scripted_provider(fixture), workers=4)
-        assert [r.to_dict() for r in serial.results] == [r.to_dict() for r in parallel.results]
+        serial, parallel = (
+            run_benchmark(problems, config, scripted_provider(fixture),
+                          out_dir=tmp_path / str(workers), workers=workers)
+            for workers in (1, 4)
+        )
+        # Equal apart from each result's path into its own run directory; the
+        # files too: every trace and both summaries byte for byte.
+        def unplaced(report):
+            return [result._replace(trace_path=None) for result in report.results]
+
+        assert unplaced(serial) == unplaced(parallel)
         assert serial.summary.to_dict() == parallel.summary.to_dict()
+
+        def results(run_dir):
+            lines = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+            return [{**json.loads(line), "trace_path": None} for line in lines]
+
+        serial_dir, parallel_dir = serial.run_dir, parallel.run_dir
+        traces = sorted(path.name for path in (serial_dir / "traces").iterdir())
+        assert len(traces) == 12
+        assert sorted(path.name for path in (parallel_dir / "traces").iterdir()) == traces
+        for name in [f"traces/{trace}" for trace in traces] + ["summary.csv", "summary.json"]:
+            assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes(), name
+        assert results(serial_dir) == results(parallel_dir)
 
     def test_shared_backend_pair_accepted(self):
         problems, fixture = build_bench_case(n=1, n_correct=1)

@@ -478,10 +478,10 @@ class TestNormalizeAnswer:
             ("40 - 15 = 25", "25"),
             (".5", "0.5"),
             # Digits that are not ASCII, and texts with more than digits, take
-            # the literal regex's path: its \d matches any decimal digit.
-            ("९", "९"),
-            ("٣", "٣"),
-            ("１７", "１７"),
+            # the literal regex's path: each decimal digit reads as its value.
+            ("९", "9"),
+            ("٣", "3"),
+            ("１７", "17"),
             ("-17", "-17"),
             ("1,000", "1000"),
             ("17.", "17"),
@@ -489,6 +489,24 @@ class TestNormalizeAnswer:
     )
     def test_examples(self, text, expected):
         assert normalize_answer(text) == CanonicalNumber(expected)
+
+    # One canonical number per value, whatever script its digits are in.
+    @pytest.mark.parametrize("text,expected", [
+        ("１２", "12"),
+        ("it costs ١٢٠.٥٠ in all", "120.5"),
+        ("-००७", "-7"),
+        ("3.१४", "3.14"),
+        ("total: ０", "0"),
+    ])
+    def test_digits_that_are_not_ascii_read_as_ascii(self, text, expected):
+        assert normalize_answer(text) == CanonicalNumber(expected)
+        assert normalize_answer(text).text.isascii()
+
+    @given(digits=st.text(alphabet=st.characters(categories=("Nd",)), min_size=1, max_size=12))
+    def test_a_number_is_one_canonical_number_in_any_script(self, digits):
+        ascii_text = "".join(str(int(digit)) for digit in digits)
+        assert normalize_answer(f"= {digits}") == normalize_answer(ascii_text)
+        assert CanonicalNumber.from_literal(digits) == normalize_answer(ascii_text)
 
     # "²" is a digit to str.isdigit() but no decimal digit.
     @pytest.mark.parametrize("text", ["no digits here", "²"])
