@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -132,7 +131,8 @@ def _check_type(key: str, value) -> None:
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}")
-    if kind is float and not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+    # json reads NaN, Infinity, 1e400 and ints past any float (math.isfinite overflows on those)
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     if kind is str and not is_unicode(value):
         raise ConfigError(f"{key}: {value!r} is not valid Unicode")

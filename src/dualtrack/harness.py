@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dataset import DataError, _read_jsonl
 from .protocol import CanonicalNumber, Problem, is_unicode, normalize_answer, parse_worked_solution
-from .solver import BudgetCuts, Outcome, ReplayBackend, SolverConfig, SolveTrace, solve
+from .solver import Outcome, ReplayBackend, SolverConfig, SolveTrace, solve
 
 SWEEP_BUDGETS = (100, 200, 300, 400, 500, 600)
 
@@ -184,12 +184,10 @@ def load_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
-def _result(problem: Problem, trace: SolveTrace, totals: tuple[int, int],
-            trace_path: Path | None) -> RunResult:
-    """Score one solve whose ``(tokens_spent, evaluator_calls)`` are ``totals``:
-    its answer counts only if the solve finished."""
+def _result(problem: Problem, trace: SolveTrace, trace_path: Path | None) -> RunResult:
+    """Score one solve: its answer counts only if the solve finished."""
     predicted = trace.final_answer if trace.outcome is Outcome.SOLVED else None
-    spent, evaluator_calls = totals
+    spent, evaluator_calls = trace.cuts.totals
     correct = predicted is not None and predicted == problem.gold_answer
     return RunResult(problem.id, predicted, correct, spent, trace.outcome, evaluator_calls,
                      None if trace_path is None else str(trace_path))
@@ -299,8 +297,8 @@ def _solve_all(problems: Sequence[Problem], config: SolverConfig,
             if not continue_on_error:
                 raise
             return exc, None
-        cuts = BudgetCuts(trace)
-        result = _result(problem, trace, cuts.totals, trace_path)
+        cuts = trace.cuts
+        result = _result(problem, trace, trace_path)
         if trace_path is not None:
             trace_path.write_text(trace.to_json() + "\n", encoding="utf-8")
         fork = cuts.fork if sweep and cache else None

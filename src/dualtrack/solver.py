@@ -18,7 +18,8 @@ first check at or above the smaller one (PROTOCOL.md, Budget sweep).
 
 Each such event also keeps, in memory, the call itself as ``(role, prompt,
 params, reply)``: the requests and replies a sweep's cache-off fork looks up
-in ``ReplayBackend``. No trace file holds it.
+in ``ReplayBackend``; the trace's ``BudgetCuts`` is the loop's own record of
+each check it passed and of the fork point. No trace file holds either.
 """
 
 from __future__ import annotations
@@ -181,21 +182,30 @@ class SolveTrace(NamedTuple):
     final_answer: CanonicalNumber | None = None
     outcome: Outcome | None = None
     error: str | None = None
+    cuts: BudgetCuts | None = None  # the loop's own record of its budget checks; never written
 
     def events_of(self, kind: EventKind) -> list[TraceEvent]:
         return [event for event in self.events if event.kind is kind]
 
+    # A trace that ``solve`` did not return (one built by hand or read from a
+    # file) has no ``cuts``: its totals are summed from its events.
     @property
     def evaluator_calls(self) -> int:
         """Real Evaluator calls: evaluated events that are not synthetic."""
-        return BudgetCuts(self).totals[1]
+        if self.cuts is None:
+            return sum(event.kind is _EVALUATED and event.payload.get("synthetic") is None
+                       for event in self.events)
+        return self.cuts.totals[1]
 
     @property
     def tokens_spent(self) -> int:
-        return BudgetCuts(self).totals[0]
+        if self.cuts is None:
+            return sum(event.tokens_charged for event in self.events)
+        return self.cuts.totals[0]
 
     def to_dict(self) -> dict:
         trace = self._asdict()
+        del trace["cuts"]
         trace["events"] = [event.to_dict() for event in self.events]
         trace["accepted_steps"] = [
             {**step._asdict(), "kind": step.kind._value_} for step in self.accepted_steps
@@ -209,43 +219,21 @@ class SolveTrace(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
 
 
-class BudgetCuts:
-    """The score each budget up to a trace's own gives the same solve, by the
-    cut rule of PROTOCOL.md "Budget sweep": one walk notes the spend before
-    each budget check, and a budget stops the solve at the first at or above it.
+class BudgetCuts(NamedTuple):
+    """The budget checks one solve's loop passed, and the score each budget up
+    to its own gives that solve by the cut rule of PROTOCOL.md "Budget sweep":
+    a budget stops the solve at the first check whose spend is at or above it.
 
-    The walk tells agent calls (``generated`` and non-synthetic ``evaluated``
-    events) from the rest. It also keeps ``totals``, the trace's
-    ``(tokens_spent, evaluator_calls)``, and ``fork``, the position in
-    ``trace.events`` of the cache-off fork point: the first ``cache_rejected``
-    event, else the end of a trace whose last call raised and left no event,
-    else None (the trace is the cache-off solve).
+    ``checks``: ``(spend, evaluator_calls)`` before each check passed, one whose
+    call raised included. ``totals``: the solve's ``(tokens_spent,
+    evaluator_calls)``. ``fork``, the cache-off fork point: the position of the
+    first ``cache_rejected`` event, else the end if a call raised, else None.
     """
 
-    def __init__(self, trace: SolveTrace):
-        self._limit: int = trace.config["token_budget"]
-        # Per budget check: the spend before it and the Evaluator calls before it.
-        self._spends, self._evaluations = spends, evaluations = [], []
-        spent = evaluator_calls = 0
-        fork = None
-        for position, event in enumerate(trace.events):
-            kind = event.kind
-            if kind is _GENERATED or (
-                    kind is _EVALUATED and event.payload.get("synthetic") is None):
-                spends.append(spent)
-                evaluations.append(evaluator_calls)
-                evaluator_calls += kind is _EVALUATED
-            elif fork is None and kind is _CACHE_REJECTED:
-                fork = position
-            spent += event.tokens_charged  # 0 unless the event is an agent call
-        if trace.outcome is _BACKEND_FAILURE:
-            # A last call that raised left no event: the end is one more check.
-            last = trace.events[-1] if trace.events else None
-            if not (last and last.kind is _EVALUATED and last.payload["score"] is None):
-                fork = len(trace.events) if fork is None else fork
-                spends.append(spent)
-                evaluations.append(evaluator_calls)
-        self.totals, self.fork = (spent, evaluator_calls), fork
+    limit: int
+    checks: list[tuple[int, int]]
+    totals: tuple[int, int]
+    fork: int | None
 
     def scores(self, budgets: Sequence[int], whole: tuple) -> list[tuple]:
         """Each budget's score, in order: ``whole`` where the budget lets the
@@ -255,13 +243,12 @@ class BudgetCuts:
         Raises:
             ValueError: a budget exceeds the budget the trace was solved at.
         """
-        if budgets and max(budgets) > self._limit:
-            raise ValueError(f"cannot cut a trace solved at {self._limit} at {max(budgets)}")
-        spends, evaluations = self._spends, self._evaluations
-        checks = len(spends)
-        return [whole if (index := bisect_left(spends, budget)) == checks
-                else (_BUDGET_EXHAUSTED, False, spends[index], evaluations[index])
-                for budget in budgets]
+        if budgets and max(budgets) > self.limit:
+            raise ValueError(f"cannot cut a trace solved at {self.limit} at {max(budgets)}")
+        checks, count = self.checks, len(self.checks)
+        # (budget,) sorts before every check whose spend is the budget.
+        return [whole if (index := bisect_left(checks, (budget,))) == count
+                else (_BUDGET_EXHAUSTED, False, *checks[index]) for budget in budgets]
 
 
 class ReplayBackend:
@@ -316,11 +303,12 @@ def solve(
     evaluation makes no call and is not checked. Backend failures end the
     solve with outcome ``backend_failure`` and the partial trace preserved.
     Each call that returns leaves its ``(role, prompt, params, reply)`` as its
-    event's ``call``.
+    event's ``call``, and the trace's ``cuts`` records each budget check passed.
     """
     events: list[TraceEvent] = []
     accepted: list[AcceptedStep] = []
-    emit, final_answer, error = events.append, None, None
+    checks: list[tuple[int, int]] = []  # (spend, Evaluator calls) before each check that passed
+    emit, check, final_answer, error, fork = events.append, checks.append, None, None, None
     cache = RejectionCache() if config.cache_enabled else None
     budget, bad_threshold, max_steps = (
         config.token_budget, config.cache_bad_threshold, config.max_steps)
@@ -329,7 +317,7 @@ def solve(
     # The problem and its accepted steps, one line longer after each accepted step.
     block = render_problem_block(problem.question, ())
     hint: str | None = None
-    spent = retries = 0
+    spent = retries = evaluator_calls = 0
     while True:
         slot = len(accepted) + 1
         if spent >= budget:
@@ -337,11 +325,12 @@ def solve(
                                          None)))
             outcome = _BUDGET_EXHAUSTED
             break
+        check((spent, evaluator_calls))
         prompt = build_decomposer_prompt(block, hint)
         try:
             reply = generate(_DECOMPOSER, prompt, decomposer_params)
         except BackendError as exc:
-            outcome, error = _BACKEND_FAILURE, f"decomposer: {exc}"
+            outcome, error, fork = _BACKEND_FAILURE, f"decomposer: {exc}", fork or len(events)
             break
         raw, tokens = reply.raw_text, reply.total_tokens
         emit(new_record(TraceEvent, (_GENERATED, {"slot": slot, "attempt": retries, "raw": raw},
@@ -363,7 +352,7 @@ def solve(
             payload = {"score": 0, "feedback": feedback, "fingerprint": "", "synthetic": synthetic}
             emit(new_record(TraceEvent, (_EVALUATED, payload, 0, None)))
         elif cache is not None and (hit := cache.check(fp)) is not _MISS:
-            score, feedback = 0, REJECTION_FEEDBACK[hit]
+            score, feedback, fork = 0, REJECTION_FEEDBACK[hit], fork or len(events)  # never 0
             payload = {"decision": hit._value_, "fingerprint": fp, "score": 0, "feedback": feedback}
             emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0, None)))
         else:
@@ -372,11 +361,12 @@ def solve(
                                              0, None)))
                 outcome = _BUDGET_EXHAUSTED
                 break
+            check((spent, evaluator_calls))
             prompt = build_evaluator_prompt(block, candidate)
             try:
                 reply = evaluate(_EVALUATOR, prompt, evaluator_params)
             except BackendError as exc:
-                outcome, error = _BACKEND_FAILURE, f"evaluator: {exc}"
+                outcome, error, fork = _BACKEND_FAILURE, f"evaluator: {exc}", fork or len(events)
                 break
             verdict, tokens = reply.raw_text, reply.total_tokens
             # score and feedback stay null in the trace if the reply fails to parse
@@ -385,6 +375,7 @@ def solve(
             emit(new_record(TraceEvent, (_EVALUATED, payload, tokens,
                                          (_EVALUATOR, prompt, evaluator_params, reply))))
             spent += tokens
+            evaluator_calls += 1
             try:
                 evaluation = parse_evaluation(verdict)
             except ProtocolError as exc:
@@ -429,5 +420,6 @@ def solve(
             outcome = _STEP_LIMIT
             break
         block = extend_problem_block(block, slot, text)
+    cuts = new_record(BudgetCuts, (budget, checks, (spent, evaluator_calls), fork))
     return new_record(SolveTrace, (problem.id, config.to_dict(), events, accepted, final_answer,
-                                   outcome, error))
+                                   outcome, error, cuts))

@@ -1070,6 +1070,15 @@ class TestRefusals:
                 '"evaluator_model": "e", ', ["sweep", "problems.jsonl", "--config", "config.json"]),
                ("temperature", "", BENCH)]
            for token in ["NaN", "Infinity", "-Infinity", "1e400"]},
+        # An integer too large for a float is no finite number either.
+        **{f"{key}-integer-past-float": (
+            {"config.json": f'{{{live}"{key}": 1{"0" * 400}}}'},
+            ["solve", "How many apples?", *argv, "--config", "config.json"], EXIT_CONFIG,
+            f"{key}: expected a finite number, got 1{'0' * 400}")
+           for key, live, argv in [
+               ("timeout", '"api_base": "http://127.0.0.1:9", "decomposer_model": "d", '
+                '"evaluator_model": "e", ', []),
+               ("temperature", "", ["--script", "script.json"])]},
     }
 
     @pytest.mark.parametrize("files, argv, code, message", ROWS.values(), ids=ROWS)

@@ -46,7 +46,7 @@ from conftest import (
 
 def _result_of(problem, trace):
     """The RunResult of a whole solve, from the trace's own totals."""
-    return harness._result(problem, trace, (trace.tokens_spent, trace.evaluator_calls), None)
+    return harness._result(problem, trace, None)
 
 
 def _wilson_center(correct, n, z=1.96):
@@ -483,6 +483,47 @@ class TestBudgetSweep:
         with pytest.raises(BackendError, match="^no backends for r000$"):
             budget_sweep(problems, budgets, config, provider)
 
+    def test_fork_pair_error_on_a_relayed_call_is_the_forks_backend_failure(self, tmp_path):
+        """r000's fork pair raises BackendError on its first call, one the fork
+        serves from its trunk's events and relays to the pair. That ends the
+        fork's solve as backend_failure, as a cache-off solve on that pair
+        ends, and fails no cell."""
+        problems, fixture = build_random_case(random.Random(606), 40)
+        config = SolverConfig(token_budget=BIG_BUDGET, max_steps=40)
+        budgets = (150, 600)
+        calls = []
+
+        class Down:
+            def complete(self, role, prompt, params=None):
+                calls.append(role)
+                raise BackendError("endpoint down")
+
+        def down_for_r000(problem):
+            return (Down(),) * 2 if problem.id == "r000" else scripted_provider(fixture)(problem)
+
+        served = Counter()
+
+        def provider(problem):
+            served[problem.id] += 1
+            return (down_for_r000 if served[problem.id] == 2 else scripted_provider(fixture))(
+                problem)
+
+        rows = budget_sweep(
+            problems, budgets, config, provider, out_dir=tmp_path, continue_on_error=True
+        )
+        assert served["r000"] == 2 and calls == [Role.DECOMPOSER]
+        healthy = _per_cell_rows(problems, budgets, config, scripted_provider(fixture), 1)
+        down = _per_cell_rows(problems, budgets, config, down_for_r000, 1)
+        assert [row.to_dict() for row in rows] == [
+            cells[index].to_dict() for index, cells in enumerate([down, healthy] * 2)]
+        (run_dir,) = tmp_path.glob("*-sweep-*")
+        assert (run_dir / "errors.txt").read_text(encoding="utf-8") == (
+            "budget=150 cache=False: 3 of 40 solves ended in backend_failure\n"
+            "budget=150 cache=True: 2 of 40 solves ended in backend_failure\n"
+            "budget=600 cache=False: 12 of 40 solves ended in backend_failure\n"
+            "budget=600 cache=True: 10 of 40 solves ended in backend_failure\n"
+        )
+
     def test_provider_error_for_a_fork_the_budget_stops_fails_the_cache_off_cells(
             self, tmp_path):
         problems, fixture = build_random_case(random.Random(606), 40)
@@ -635,7 +676,7 @@ def _has_fork(problems, config, fixture):
     """Per problem, whether its cache-on solve at ``config``'s budget has a
     fork point: a sweep asks the provider for a pair for its cache-off fork."""
     on = config.with_overrides(cache_enabled=True)
-    return [BudgetCuts(solve(problem, on, *scripted_provider(fixture)(problem))).fork
+    return [solve(problem, on, *scripted_provider(fixture)(problem)).cuts.fork
             is not None for problem in problems]
 
 
@@ -963,6 +1004,66 @@ class TestDerivedSweep:
             lambda problem: (ScriptedBackend(HENRY_SCRIPTS),) * 2, 1)[0].to_dict()
         assert off_row.correct == 1
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-pair", "provider"])
+    def test_fork_after_a_raised_decomposer_call_forks_at_the_end(self, shared):
+        """A trunk whose Decomposer call raised right after a ``retried`` or an
+        ``accepted`` event has its fork point at the end of its events, after an
+        event that is not ``generated``. Past the trunk's calls its fork makes
+        only the raised one, and every cache-off cell equals a real cache-off
+        solve at its budget."""
+        wrong, right = "STEP: He adds 12 + 30 = 41 apples.", "STEP: He adds 12 + 30 = 42 apples."
+        verdicts = ["Score: 0\nFeedback: 12 + 30 is 42.", "Score: 3\nFeedback: fine."]
+        # Each problem's script runs out at its next Decomposer call.
+        scripts = {"accepted": {"decomposer": [wrong, right], "evaluator": verdicts},
+                   "retried": {"decomposer": [wrong], "evaluator": verdicts[:1]}}
+        problems = [Problem(id=name, question=f"How many apples are on the cart? ({name})",
+                            gold_answer=CanonicalNumber("42")) for name in scripts]
+
+        class Keyed:
+            """Answers each request as its problem's script does, and raises
+            where the script runs out, whatever came before."""
+
+            def complete(self, role, prompt, params=None):
+                replies = scripts[re.search(r"\((\w+)\)$", prompt, re.M)[1]][Role(role).value]
+                if role == "evaluator":
+                    index = int(right in prompt)
+                else:
+                    index = 2 if "\nSTEP 1: " in prompt else int("HINT:" in prompt)
+                if index >= len(replies):
+                    raise BackendError("script exhausted")
+                return ScriptedBackend({role: [replies[index]]}).complete(role, prompt, params)
+
+        config = SolverConfig(token_budget=BIG_BUDGET)
+        ends = set()
+        for problem in problems:
+            model = RecordingBackend(Keyed())
+            trunk = solve(problem, config, model, model)
+            asked = list(model.attempts)  # the raised call last
+            ends.add(trunk.events[-1].kind)
+            assert trunk.cuts.fork == len(trunk.events)
+            # Every spend before a check, and one more, up to the trunk's whole spend.
+            budgets = sorted({budget for spend, _ in trunk.cuts.checks
+                              for budget in (spend, spend + 1) if budget > 0} | {BIG_BUDGET})
+            served = []
+
+            def provider(problem):
+                backend = RecordingBackend(ScriptedBackend(scripts[problem.id]))
+                served.append(backend)
+                return backend, backend
+
+            model.attempts.clear()
+            rows = budget_sweep([problem], budgets, config, (model, model) if shared else provider)
+            reference = (Keyed(), Keyed()) if shared else scripted_provider(scripts)
+            assert [row.to_dict() for row in rows] == [row.to_dict() for row in _per_cell_rows(
+                [problem], budgets, config, reference, 1)], problem.id
+            assert rows[-2].outcomes == {"backend_failure": 1}
+            # One pair: the trunk's calls, then the fork's only live call, the
+            # raised one. A provider's pairs: the fork's is sent the trunk's
+            # calls again, the raised one last.
+            sent = [model.attempts] if shared else [backend.attempts for backend in served]
+            assert sent == ([asked + asked[-1:]] if shared else [asked, asked]), problem.id
+        assert ends == {EventKind.RETRIED, EventKind.ACCEPTED}
+
     def test_trace_ending_in_an_unparsed_evaluator_reply_is_the_cache_off_solve(
             self, monkeypatch):
         problems, fixture = build_sweep_case(count=3)
@@ -1193,18 +1294,18 @@ class TestSweepResultsPerProblem:
                               max_retries_per_step=retries)
         scored = {}  # cache setting -> the scores its solve gave, one per budget
 
-        class Recording(BudgetCuts):
-            """Cuts that record the scores they give under their trace's cache setting."""
+        def recording_solve(problem, config, *args):
+            """``solve``, with cuts that record the scores they give under its cache setting."""
 
-            def __init__(self, trace):
-                super().__init__(trace)
-                self.cache = trace.config["cache_enabled"]
+            class Recording(BudgetCuts):
+                def scores(self, budgets, whole):
+                    scored[config.cache_enabled] = scores = super().scores(budgets, whole)
+                    return scores
 
-            def scores(self, budgets, whole):
-                scored[self.cache] = scores = super().scores(budgets, whole)
-                return scores
+            trace = solve(problem, config, *args)
+            return trace._replace(cuts=Recording(*trace.cuts))
 
-        monkeypatch.setattr(harness, "BudgetCuts", Recording)
+        monkeypatch.setattr(harness, "solve", recording_solve)
         rng = random.Random(seed)
         reached = Counter()
         for problem in problems:

@@ -380,14 +380,14 @@ class TestRecordContract:
                 " payload={'final_answer': '5'}, tokens_charged=0, call=None)],"
                 " accepted_steps=[AcceptedStep(index=1, kind=<StepKind.FINAL: 'final'>, text='5',"
                 " fingerprint='5', score=3, forced=False)], final_answer=CanonicalNumber(text='5'),"
-                " outcome=<Outcome.SOLVED: 'solved'>, error=None)",
+                " outcome=<Outcome.SOLVED: 'solved'>, error=None, cuts=None)",
             ),
             (
                 SolveTrace("p1", {}),
                 SolveTrace(problem_id="p1", config={}, events=(), accepted_steps=(),
                            final_answer=None, outcome=None, error=None),
                 "SolveTrace(problem_id='p1', config={}, events=(), accepted_steps=(),"
-                " final_answer=None, outcome=None, error=None)",
+                " final_answer=None, outcome=None, error=None, cuts=None)",
             ),
         ],
     )

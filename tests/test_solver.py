@@ -629,6 +629,31 @@ def _event(kind, **payload):
     return TraceEvent(kind, payload)
 
 
+def walked_cuts(trace) -> BudgetCuts:
+    """The reference for the ``cuts`` that ``solve`` records: one walk over a
+    trace's events. It tells agent calls (``generated`` and non-synthetic
+    ``evaluated`` events) from the rest and notes the spend and Evaluator calls
+    before each; the fork point is the first ``cache_rejected`` event. A trace
+    whose last call raised and left no event ends in one more check, and there
+    is its fork point if it has none before."""
+    checks, spent, evaluator_calls, fork = [], 0, 0, None
+    for position, event in enumerate(trace.events):
+        kind = event.kind
+        if kind is EventKind.GENERATED or (
+                kind is EventKind.EVALUATED and event.payload.get("synthetic") is None):
+            checks.append((spent, evaluator_calls))
+            evaluator_calls += kind is EventKind.EVALUATED
+        elif fork is None and kind is EventKind.CACHE_REJECTED:
+            fork = position
+        spent += event.tokens_charged  # 0 unless the event is an agent call
+    if trace.outcome is Outcome.BACKEND_FAILURE:
+        last = trace.events[-1] if trace.events else None
+        if not (last and last.kind is EventKind.EVALUATED and last.payload["score"] is None):
+            fork = len(trace.events) if fork is None else fork
+            checks.append((spent, evaluator_calls))
+    return BudgetCuts(trace.config["token_budget"], checks, (spent, evaluator_calls), fork)
+
+
 # Hand-built traces that end four ways, each with the budget it was solved at
 # and, for every budget from 1 up, the budget stop it scores as: a list of (the
 # last budget it applies to, (spent, evaluator_calls) or None for the whole
@@ -690,8 +715,9 @@ class TestBudgetCuts:
     @pytest.mark.parametrize("name", list(HAND_TRACES))
     def test_every_budget_cuts_where_worked_out_by_hand(self, name):
         limit, outcome, events, spans, totals, fork = HAND_TRACES[name]
-        cuts = BudgetCuts(SolveTrace(problem_id="p", config={"token_budget": limit},
-                                     events=events, outcome=outcome))
+        trace = SolveTrace(problem_id="p", config={"token_budget": limit}, events=events,
+                           outcome=outcome)
+        cuts = walked_cuts(trace)
         whole = (outcome, outcome is Outcome.SOLVED, *totals)
         expected, budget = [], 1
         for last, stop in spans:
@@ -701,6 +727,8 @@ class TestBudgetCuts:
         assert len(expected) == limit
         assert cuts.scores(range(1, limit + 1), whole) == expected
         assert (cuts.totals, cuts.fork) == (totals, fork)
+        # A trace built by hand has no cuts; its totals are summed from its events.
+        assert (trace.tokens_spent, trace.evaluator_calls) == totals
         # Repeated and unsorted budgets are scored in the order given.
         budgets = [limit, *range(1, limit + 1), 1]
         assert cuts.scores(budgets, whole) == [expected[budget - 1] for budget in budgets]
@@ -730,8 +758,30 @@ class TestBudgetCuts:
                 end, forks["raised call"] = len(kinds), True
             else:
                 end = None
-            assert BudgetCuts(trace).fork == end, problem.id
+            assert trace.cuts.fork == end, problem.id
         assert len(forks) == 2, forks
+
+    @pytest.mark.parametrize("retries", [1, 3])
+    @pytest.mark.parametrize("seed", [606, 707, 808])
+    def test_recorded_checks_equal_the_walk(self, seed, retries):
+        """The checks, totals and fork point the loop records against the walk
+        over its events, for solves that end every way, cache off and on."""
+        problems, fixture = build_random_case(random.Random(seed), 40)
+        seen = Counter()
+        # (token_budget, max_steps): whole solves, budget stops and step limits
+        limits = ((BIG_BUDGET, 40), (600, 40), (300, 40), (100, 40), (BIG_BUDGET, 2))
+        for problem, cache, (budget, steps) in itertools.product(problems, (False, True), limits):
+            backend = ScriptedBackend(fixture[problem.id])
+            trace = solve(problem, config(max_steps=steps, max_retries_per_step=retries,
+                                          cache_enabled=cache, token_budget=budget),
+                          backend, backend)
+            walked = walked_cuts(trace)
+            assert trace.cuts == walked, (problem.id, cache, budget)
+            assert (trace.tokens_spent, trace.evaluator_calls) == walked.totals
+            seen[trace.outcome] += 1
+            seen["fork", cache] += trace.cuts.fork is not None
+        assert all(seen[outcome] for outcome in Outcome), seen
+        assert seen["fork", True] > seen["fork", False] > 0, seen
 
     def test_cut_equals_a_real_solve_at_that_budget(self):
         """Random scripts with malformed replies and short scripts, solved at
@@ -759,7 +809,7 @@ class TestBudgetCuts:
                         solved = run(top)
                         below = sorted(b for b in budgets if 0 < b <= top)
                         reals = [run(budget) for budget in below]
-                        assert BudgetCuts(solved).scores(below, _score(problem, solved)) == [
+                        assert solved.cuts.scores(below, _score(problem, solved)) == [
                             _score(problem, real) for real in reals]
                         for real in reals:
                             assert_budget_prefix(real, solved)
@@ -793,7 +843,7 @@ class TestReplayBackend:
     def _events(self):
         backend = ScriptedBackend(self.SCRIPTS)
         trace = solve(Problem(id="p", question="q?"), config(), backend, backend)
-        assert BudgetCuts(trace).fork == 4
+        assert trace.cuts.fork == 4
         return trace.events
 
     def test_serves_each_logged_request_then_delegates(self):
@@ -823,7 +873,7 @@ class TestReplayBackend:
                            "FINAL_ANSWER: 6"],
             "evaluator": ["Score: 0\nFeedback: redo."] * 2 + ["Score: 3\nFeedback: ok."] * 2})
         trace = solve(Problem(id="p", question="q?"), config(), backend, backend)
-        assert BudgetCuts(trace).fork is None
+        assert trace.cuts.fork is None
         (_, opening, _, _), (role, prompt, params, second), (_, again, _, third), _ = [
             event.call for event in trace.events_of(EventKind.GENERATED)]
         assert again == prompt != opening and second.raw_text != third.raw_text
