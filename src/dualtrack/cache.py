@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .protocol import ascii_digits
+from .protocol import ascii_numerals
 
 FINGERPRINT_ALPHABET = "0123456789.+-*/=%()"
 
@@ -53,11 +53,12 @@ def fingerprint(step_text: str) -> str:
     """Reduce a step to its math pattern.
 
     Inline ``<<...>>`` annotation delimiters are stripped (content kept),
-    multiplication/division glyphs are normalized, and every character
-    outside the fingerprint alphabet is deleted, preserving order (on ASCII
-    text by a byte table). Steps with no math content yield "".
+    digits and minus signs become ASCII, multiplication/division glyphs are
+    normalized, and every character outside the fingerprint alphabet is
+    deleted, preserving order (on ASCII text by a byte table). Steps with
+    no math content yield "".
     """
-    text = step_text.replace("<<", "").replace(">>", "")
+    text = ascii_numerals(step_text).replace("<<", "").replace(">>", "")
     text = text.replace("÷", "/")
     # A pass cannot match a text without its trigger character, so it is skipped.
     if "x" in text or "×" in text or "·" in text:
@@ -66,8 +67,7 @@ def fingerprint(step_text: str) -> str:
         text = _BARE_DOT_RE.sub("", text)
     if text.isascii():
         return text.encode().translate(None, _ASCII_DELETE).decode()
-    # The passes above match any script's digits alike, so they keep their value here.
-    return _NON_ALPHABET_RE.sub("", ascii_digits(text))
+    return _NON_ALPHABET_RE.sub("", text)
 
 
 class RejectionCache:

@@ -293,9 +293,12 @@ def cmd_prep(args: argparse.Namespace) -> int:
     if not 0 <= args.split_ratio <= 1:
         raise ConfigError(f"split_ratio: must be within [0, 1], got {args.split_ratio}")
     _check_output_dir(args.output, "output")
+    out_dir = Path(args.output)
+    for path in (out_dir / "train.jsonl", out_dir / "val.jsonl", out_dir / "stats.json"):
+        if path.is_dir():
+            raise ConfigError(f"output: {str(path)!r} is a directory")
     examples = load_gsm8k_examples(args.input)
     train, val = split_examples(examples, val_fraction=args.split_ratio, seed=args.seed)
-    out_dir = Path(args.output)
     train_count = write_instances(
         (instance for example in train for instance in make_instances(example)),
         out_dir / "train.jsonl",

@@ -122,10 +122,14 @@ def make_checked(cls, iterable):
     return cls(*fields)
 
 
-def ascii_digits(text: str) -> str:
+def ascii_numerals(text: str) -> str:
     """``text`` with each decimal digit of any script (``١``, ``१``, ``１``) as
-    the ASCII digit of its value; ASCII text is returned as it is."""
-    return text if text.isascii() else _DIGIT_RE.sub(lambda digit: str(int(digit[0])), text)
+    the ASCII digit of its value, and each minus sign ``−`` and ``－`` as
+    ``-``; ASCII text is returned as it is."""
+    if text.isascii():
+        return text
+    text = text.replace("\u2212", "-").replace("\uff0d", "-")  # MINUS SIGN, FULLWIDTH HYPHEN-MINUS
+    return _DIGIT_RE.sub(lambda digit: str(int(digit[0])), text)
 
 
 def is_unicode(text: str) -> bool:
@@ -150,7 +154,7 @@ class CanonicalNumber(NamedTuple):
 
     @classmethod
     def from_literal(cls, literal: str) -> "CanonicalNumber":
-        match = _LITERAL_RE.match(ascii_digits(literal).strip())
+        match = _LITERAL_RE.match(ascii_numerals(literal).strip())
         if not match or not (match.group(2) or match.group(3)):
             raise NoNumberFound(f"not a numeric literal: {literal!r}")
         sign, int_part, frac_part = match.groups()
@@ -340,9 +344,10 @@ def parse_evaluation(raw: str) -> Evaluation:
 def normalize_answer(text: str) -> CanonicalNumber:
     """Extract and canonicalize the last numeric literal in ``text``.
 
-    Currency symbols, commas, and percent signs are stripped before
-    extraction; surrounding words are ignored. Models often prepend
-    units or restate the question, so the last literal is the answer.
+    Currency symbols, commas, and percent signs are stripped, and ``−`` and
+    ``－`` read as ``-``, before extraction; surrounding words are ignored.
+    Models often prepend units or restate the question, so the last literal
+    is the answer.
 
     Raises:
         NoNumberFound: the text contains no numeric literal.
@@ -350,7 +355,7 @@ def normalize_answer(text: str) -> CanonicalNumber:
     digits = text.strip()
     if digits.isdigit() and digits.isascii():  # its own last literal, as most answers are
         return new_record(CanonicalNumber, (digits.lstrip("0") or "0",))
-    cleaned = _CURRENCY_RE.sub("", text)
+    cleaned = _CURRENCY_RE.sub("", ascii_numerals(text))
     literals = _NUMBER_RE.findall(cleaned)
     if not literals:
         raise NoNumberFound(f"no numeric literal in {text!r}")

@@ -5,6 +5,7 @@ import random
 import re
 import string
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from dualtrack.cache import (
@@ -36,7 +37,7 @@ WORDS = [
 # the ASCII and the non-ASCII deletion paths are reached.
 GATE_TEXT = st.text(
     alphabet=st.one_of(
-        st.sampled_from(string.printable + FINGERPRINT_ALPHABET + "×·÷€"),
+        st.sampled_from(string.printable + FINGERPRINT_ALPHABET + "×·÷€\u2212\uff0d\u2013"),
         st.characters(categories=("Lu", "Ll", "Nd", "Zs")),
     ),
     max_size=60,
@@ -45,7 +46,8 @@ GATE_TEXT = st.text(
 
 def _ungated_fingerprint(step_text: str) -> str:
     """The fingerprint chain with every regex pass run, as PROTOCOL.md lists it."""
-    text = re.sub(r"\d", lambda match: str(int(match[0])), step_text)
+    text = step_text.replace("\u2212", "-").replace("\uff0d", "-")
+    text = re.sub(r"\d", lambda match: str(int(match[0])), text)
     text = text.replace("<<", "").replace(">>", "").replace("÷", "/")
     text = re.sub(r"(\d)\s*[x×·]\s*(?=\d)", r"\1*", text)
     text = re.sub(r"(?<!\d)\.|\.(?!\d)", "", text)
@@ -77,6 +79,18 @@ class TestFingerprint:
         ascii_digits = "".join(str(int(digit)) for digit in digits)
         assert fingerprint(f"{digits} + 1.") == fingerprint(f"{ascii_digits} + 1.")
 
+    # U+2212 MINUS SIGN and U+FF0D FULLWIDTH HYPHEN-MINUS are the ASCII minus,
+    # so the same computation written with either glyph hits the cache; an en
+    # dash is no minus sign and is deleted.
+    @pytest.mark.parametrize("text,expected", [
+        ("50 \u2212 20 = 30 apples", "50-20=30"),
+        ("50 \uff0d 20 = 30 apples", "50-20=30"),
+        ("\uff15\uff10 \uff0d \uff12\uff10 = \uff13\uff10 apples", "50-20=30"),
+        ("2\u20133 hours", "23"),
+    ])
+    def test_minus_sign_glyphs_are_subtraction(self, text, expected):
+        assert fingerprint(text) == expected
+
     def test_x_between_digits_is_multiplication(self):
         assert fingerprint("she earned 0.2 x 50 = 10") == "0.2*50=10"
 
@@ -106,6 +120,7 @@ class TestFingerprint:
     @example("1..2")
     @example("3 . 4")
     @example("١.٢")
+    @example("7 \u2212 2 = 5. then \uff0d3")
     @example("a.b")
     def test_gated_passes_match_the_ungated_chain(self, text):
         assert fingerprint(text) == _ungated_fingerprint(text)

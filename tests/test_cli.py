@@ -894,6 +894,24 @@ class TestUnusableFiles:
         assert "Traceback" not in err
         assert output.read_text(encoding="utf-8") == ""
 
+    # An input that is not UTF-8 would be a data error if it were read first.
+    @pytest.mark.parametrize("readable", [True, False], ids=["gsm8k", "not-utf8"])
+    @pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl", "stats.json"])
+    def test_prep_output_file_that_is_a_directory_is_config_error_before_any_file(
+        self, tmp_path, capsys, name, readable
+    ):
+        data = tmp_path / "gsm8k.jsonl"
+        example = json.dumps({"question": NATALIA_QUESTION, "answer": NATALIA_ANSWER}) + "\n"
+        data.write_bytes(example.encode("utf-8") * 2 if readable else b"\xe9")
+        output = tmp_path / "prepped"
+        (output / name).mkdir(parents=True)
+        assert main(["prep", str(data), str(output), "--split-ratio", "0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: output: {str(output / name)!r} is a directory" in err
+        assert "Traceback" not in err
+        assert [path.name for path in output.iterdir()] == [name]
+        assert list((output / name).iterdir()) == []
+
 
 class TestConfigText:
     """Run settings that no report, path or request can take are config errors
@@ -1432,7 +1450,9 @@ class TestEntryPoint:
         for command in ("prep", "solve", "bench", "sweep"):
             assert command in result.stdout
 
-    def test_scripted_commands_load_no_http_stack_or_thread_pool(self, tmp_path):
+    def test_help_and_scripted_commands_load_no_http_stack_thread_pool_or_dataclasses(
+        self, tmp_path
+    ):
         problems, fixture = build_sweep_case(count=2)
         problems_file = write_problems(tmp_path / "problems.jsonl", problems)
         fixture_file = write_json(tmp_path / "scripts.json", fixture)
@@ -1441,33 +1461,49 @@ class TestEntryPoint:
                         + "\n", encoding="utf-8")
         out = str(tmp_path / "runs")
         commands = [
+            ["--help"],
             ["bench", problems_file, "--script", fixture_file, "--out", out],
             ["sweep", problems_file, "--script", fixture_file, "--budgets", "200",
              "--out", out],
             ["prep", str(data), str(tmp_path / "prepped"), "--split-ratio", "0"],
         ]
-        # Each command in a fresh interpreter, with ``requests`` importable and
-        # with it blocked; the last stdout line reports the exit codes and the
-        # start-up modules that got loaded.
+        # requests loads with an HTTPBackend and concurrent.futures only for
+        # --workers above 1; records are NamedTuples, so dataclasses, and the
+        # inspect it pulls in, are never needed.
+        unneeded = ["requests", "concurrent.futures", "dataclasses", "inspect"]
+        # The commands run in turn in a fresh interpreter, with ``requests``
+        # importable and with it blocked. The last stdout line reports which
+        # unneeded modules the bare interpreter loaded (site's .pth files may
+        # import some), then, after each command, its exit code and which are
+        # loaded by then.
         program = (
             "import json, sys\n"
-            "if sys.argv[1] == 'blocked':\n"
+            "def loaded():\n"
+            "    return [name for name in json.loads(sys.argv[1])\n"
+            "            if sys.modules.get(name) is not None]\n"
+            "if sys.argv[2] == 'blocked':\n"
             "    sys.modules['requests'] = None\n"
+            "report = [[None, loaded()]]\n"
             "from dualtrack.cli import main\n"
-            "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
-            "loaded = [name for name in ('requests', 'concurrent.futures')\n"
-            "          if sys.modules.get(name) is not None]\n"
-            "print(json.dumps([codes, loaded]))\n"
+            "for argv in json.loads(sys.argv[3]):\n"
+            "    try:\n"
+            "        code = main(argv)\n"
+            "    except SystemExit as exc:  # after the help\n"
+            "        code = exc.code\n"
+            "    report.append([code, loaded()])\n"
+            "print(json.dumps(report))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for mode in ("importable", "blocked"):
             result = subprocess.run(
-                [sys.executable, "-c", program, mode, json.dumps(commands)],
+                [sys.executable, "-c", program, json.dumps(unneeded), mode, json.dumps(commands)],
                 capture_output=True, text=True, env=env, check=False,
             )
             assert result.returncode == 0, result.stderr
-            codes, loaded = json.loads(result.stdout.splitlines()[-1])
-            assert codes == [EXIT_OK] * 3, result.stderr
-            assert loaded == []
+            (_, bare), *after = json.loads(result.stdout.splitlines()[-1])
+            assert [code for code, _ in after] == [EXIT_OK] * 4, result.stderr
+            extra = {argv[0]: [name for name in names if name not in bare]
+                     for argv, (_, names) in zip(commands, after)}
+            assert extra == {argv[0]: [] for argv in commands}

@@ -113,6 +113,12 @@ class TestParseAgentStep:
         candidate = parse_agent_step("STEP:\nSTEP: real content")
         assert candidate.text == "real content"
 
+    # U+2212 MINUS SIGN and U+FF0D FULLWIDTH HYPHEN-MINUS are minus signs, so a
+    # negative answer keeps its sign and is not scored as its absolute value.
+    @pytest.mark.parametrize("line", ["FINAL_ANSWER: \u22127", "FINAL_ANSWER: \uff0d\uff17"])
+    def test_final_answer_keeps_a_minus_sign_of_any_glyph(self, line):
+        assert parse_agent_step(line).answer == CanonicalNumber("-7")
+
     def test_final_without_number_is_flagged(self):
         candidate = parse_agent_step("FINAL_ANSWER: I cannot tell")
         assert candidate.kind is StepKind.FINAL
@@ -485,6 +491,15 @@ class TestNormalizeAnswer:
             ("-17", "-17"),
             ("1,000", "1000"),
             ("17.", "17"),
+            # U+2212 MINUS SIGN and U+FF0D FULLWIDTH HYPHEN-MINUS read as "-";
+            # an en dash is no minus sign, so "2–3" is a range ending in 3.
+            ("\u22125", "-5"),
+            ("\uff0d\uff15", "-5"),
+            ("it fell to \u22123.50 degrees", "-3.5"),
+            ("\u22120", "0"),
+            ("50 \u2212 20 = 30", "30"),
+            ("3\u221215", "15"),
+            ("2\u20133 hours", "3"),
         ],
     )
     def test_examples(self, text, expected):
@@ -507,6 +522,10 @@ class TestNormalizeAnswer:
         ascii_text = "".join(str(int(digit)) for digit in digits)
         assert normalize_answer(f"= {digits}") == normalize_answer(ascii_text)
         assert CanonicalNumber.from_literal(digits) == normalize_answer(ascii_text)
+
+    @pytest.mark.parametrize("literal", ["\u22125", "\uff0d5", "\uff0d\uff15", " \u22125.0 "])
+    def test_literal_with_a_minus_sign_glyph_is_negative(self, literal):
+        assert CanonicalNumber.from_literal(literal) == CanonicalNumber("-5")
 
     # "²" is a digit to str.isdigit() but no decimal digit.
     @pytest.mark.parametrize("text", ["no digits here", "²"])
