@@ -52,14 +52,13 @@ _MISS = CacheDecision.MISS  # bound once, as in solver
 def fingerprint(step_text: str) -> str:
     """Reduce a step to its math pattern.
 
-    Inline ``<<...>>`` annotation delimiters are stripped (content kept),
-    digits and minus signs become ASCII, multiplication/division glyphs are
-    normalized, and every character outside the fingerprint alphabet is
-    deleted, preserving order (on ASCII text by a byte table). Steps with
-    no math content yield "".
+    Digits, minus signs and fullwidth forms become ASCII, inline ``<<...>>``
+    annotation delimiters are stripped (content kept), multiplication and
+    division glyphs are normalized, and every character outside the
+    fingerprint alphabet is deleted, preserving order (on ASCII text by a byte
+    table). Steps with no math content yield "".
     """
     text = ascii_numerals(step_text).replace("<<", "").replace(">>", "")
-    text = text.replace("÷", "/")
     # A pass cannot match a text without its trigger character, so it is skipped.
     if "x" in text or "×" in text or "·" in text:
         text = _MULT_GLYPH_RE.sub(r"\1*", text)

@@ -103,6 +103,8 @@ _CURRENCY_RE = re.compile(r"[$€£¥,%]")
 # in "3.15" or the minus in "3-15" are not misread as standalone numbers.
 _NUMBER_RE = re.compile(r"(?<![\d.])-?(?:\d+(?:\.\d+)?|\.\d+)")
 _DIGIT_RE = re.compile(r"\d")  # a decimal digit of any script
+# U+FF01..U+FF5E, the fullwidth forms, are ASCII "!".."~" shifted by 0xFEE0.
+_ASCII_FORMS = {code: code - 0xFEE0 for code in range(0xFF01, 0xFF5F)} | {0x2212: "-", 0xF7: "/"}
 
 
 # Records are NamedTuples: immutable, and built with no setattr per field. One
@@ -124,12 +126,12 @@ def make_checked(cls, iterable):
 
 def ascii_numerals(text: str) -> str:
     """``text`` with each decimal digit of any script (``١``, ``१``, ``１``) as
-    the ASCII digit of its value, and each minus sign ``−`` and ``－`` as
-    ``-``; ASCII text is returned as it is."""
+    the ASCII digit of its value, each fullwidth form (``＋``, ``．``, ``，``)
+    as its ASCII character, ``−`` as ``-`` and ``÷`` as ``/``; ASCII text is
+    returned as it is."""
     if text.isascii():
         return text
-    text = text.replace("\u2212", "-").replace("\uff0d", "-")  # MINUS SIGN, FULLWIDTH HYPHEN-MINUS
-    return _DIGIT_RE.sub(lambda digit: str(int(digit[0])), text)
+    return _DIGIT_RE.sub(lambda digit: str(int(digit[0])), text.translate(_ASCII_FORMS))
 
 
 def is_unicode(text: str) -> bool:
@@ -344,8 +346,8 @@ def parse_evaluation(raw: str) -> Evaluation:
 def normalize_answer(text: str) -> CanonicalNumber:
     """Extract and canonicalize the last numeric literal in ``text``.
 
-    Currency symbols, commas, and percent signs are stripped, and ``−`` and
-    ``－`` read as ``-``, before extraction; surrounding words are ignored.
+    Fullwidth forms read as ASCII and ``−`` as ``-``, then currency symbols,
+    commas, and percent signs are stripped; surrounding words are ignored.
     Models often prepend units or restate the question, so the last literal
     is the answer.
 

@@ -10,11 +10,11 @@ on a backend failure, and records every event in a replayable trace.
 Budget discipline: every agent call leaves exactly one event
 (``generated`` or ``evaluated``) carrying its raw reply and the tokens
 it charged, and spend is the sum of those events. The loop makes agent
-calls in two places, the Decomposer's generation and the Evaluator's
-scoring, and checks the budget right before each and never mid-call, so
-total spend can overshoot the limit by at most the cost of the final call,
-and a solve at a smaller budget is the one at a larger budget stopped at its
-first check at or above the smaller one (PROTOCOL.md, Budget sweep).
+calls at one site, one call a pass (the Evaluator's if a screened step awaits
+it, else the Decomposer's), and checks the budget right before it and never
+mid-call, so total spend can overshoot the limit by at most the cost of the
+final call, and a solve at a smaller budget is the one at a larger budget
+stopped at its first check at or above the smaller one (PROTOCOL.md, Budget sweep).
 
 Each such event also keeps, in memory, the call itself as ``(role, prompt,
 params, reply)``: the requests and replies a sweep's cache-off fork looks up
@@ -258,8 +258,10 @@ class ReplayBackend:
     request, if they hold one, and every other call goes to its role's live
     backend (PROTOCOL.md, Budget sweep). With ``relay``, a call served from
     the events is made on its live backend too and that reply dropped, so a
-    backend that answers by position (a script) stays in step. Single-owner,
-    like ScriptedBackend.
+    backend that answers by position (a script) stays in step. A provider's
+    fork replays, not solves afresh: a trunk reused only where the cache never
+    fired biases a sampled cache-off column (PROTOCOL.md, Budget sweep).
+    Single-owner, like ScriptedBackend.
     """
 
     def __init__(self, events: Sequence[TraceEvent], decomposer, evaluator, relay: bool = False):
@@ -297,11 +299,12 @@ def solve(
     """Run the full Decomposer-Evaluator loop on one problem.
 
     Deterministic for deterministic backends: identical (problem,
-    config, scripts) yield a byte-identical trace. The budget is checked
-    right before each of the loop's two agent calls, the Decomposer's
-    generation and the Evaluator's scoring; a cache hit or a synthetic
-    evaluation makes no call and is not checked. Backend failures end the
-    solve with outcome ``backend_failure`` and the partial trace preserved.
+    config, scripts) yield a byte-identical trace. Each pass of the loop makes
+    at most one agent call, at one site, the Decomposer's generation or the
+    Evaluator's scoring, and the budget is checked right before it; a cache hit
+    or a synthetic evaluation makes no call and is not checked. Backend
+    failures end the solve with outcome ``backend_failure`` and the partial
+    trace preserved.
     Each call that returns leaves its ``(role, prompt, params, reply)`` as its
     event's ``call``, and the trace's ``cuts`` records each budget check passed.
     """
@@ -312,12 +315,13 @@ def solve(
     cache = RejectionCache() if config.cache_enabled else None
     budget, bad_threshold, max_steps = (
         config.token_budget, config.cache_bad_threshold, config.max_steps)
-    generate, decomposer_params = decomposer_backend.complete, config.decomposer_params
-    evaluate, evaluator_params = evaluator_backend.complete, config.evaluator_params
+    decomposer = (_DECOMPOSER, _GENERATED, decomposer_backend.complete, config.decomposer_params)
+    evaluator = (_EVALUATOR, _EVALUATED, evaluator_backend.complete, config.evaluator_params)
     # The problem and its accepted steps, one line longer after each accepted step.
     block = render_problem_block(problem.question, ())
     hint: str | None = None
     spent = retries = evaluator_calls = 0
+    screened = False  # whether a parsed step passed the cache screen and awaits its score
     while True:
         slot = len(accepted) + 1
         if spent >= budget:
@@ -326,58 +330,30 @@ def solve(
             outcome = _BUDGET_EXHAUSTED
             break
         check((spent, evaluator_calls))
-        prompt = build_decomposer_prompt(block, hint)
+        # This pass's one agent call: the Evaluator's if a step awaits it, else the Decomposer's.
+        if screened:
+            role, kind, complete, params = evaluator
+            payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None}
+            prompt = build_evaluator_prompt(block, candidate)
+        else:
+            role, kind, complete, params = decomposer
+            payload = {"slot": slot, "attempt": retries}
+            prompt = build_decomposer_prompt(block, hint)
         try:
-            reply = generate(_DECOMPOSER, prompt, decomposer_params)
+            reply = complete(role, prompt, params)
         except BackendError as exc:
-            outcome, error, fork = _BACKEND_FAILURE, f"decomposer: {exc}", fork or len(events)
+            outcome, error, fork = _BACKEND_FAILURE, f"{role._value_}: {exc}", fork or len(events)
             break
-        raw, tokens = reply.raw_text, reply.total_tokens
-        emit(new_record(TraceEvent, (_GENERATED, {"slot": slot, "attempt": retries, "raw": raw},
-                                     tokens, (_DECOMPOSER, prompt, decomposer_params, reply))))
+        payload["raw"] = raw = reply.raw_text
+        tokens = reply.total_tokens
+        emit(new_record(TraceEvent, (kind, payload, tokens, (role, prompt, params, reply))))
         spent += tokens
 
-        # Judge the generation: a synthetic zero if it does not parse, else the
-        # cache's rejection or the Evaluator's score.
-        try:
-            candidate, synthetic = parse_agent_step(raw), None
-            if candidate.kind is _FINAL and candidate.answer is None:
-                synthetic, feedback = "unparseable_final", UNPARSEABLE_FINAL_FEEDBACK
-            else:
-                fp = fingerprint(candidate.text)
-        except MalformedStep:
-            synthetic, feedback = "malformed_step", MALFORMED_STEP_FEEDBACK
-        if synthetic is not None:
-            candidate, fp, score = None, "", 0
-            payload = {"score": 0, "feedback": feedback, "fingerprint": "", "synthetic": synthetic}
-            emit(new_record(TraceEvent, (_EVALUATED, payload, 0, None)))
-        elif cache is not None and (hit := cache.check(fp)) is not _MISS:
-            score, feedback, fork = 0, REJECTION_FEEDBACK[hit], fork or len(events)  # never 0
-            payload = {"decision": hit._value_, "fingerprint": fp, "score": 0, "feedback": feedback}
-            emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0, None)))
-        else:
-            if spent >= budget:
-                emit(new_record(TraceEvent, (_BUDGET_STOP, {"spent": spent, "limit": budget},
-                                             0, None)))
-                outcome = _BUDGET_EXHAUSTED
-                break
-            check((spent, evaluator_calls))
-            prompt = build_evaluator_prompt(block, candidate)
-            try:
-                reply = evaluate(_EVALUATOR, prompt, evaluator_params)
-            except BackendError as exc:
-                outcome, error, fork = _BACKEND_FAILURE, f"evaluator: {exc}", fork or len(events)
-                break
-            verdict, tokens = reply.raw_text, reply.total_tokens
+        if screened:
             # score and feedback stay null in the trace if the reply fails to parse
-            payload = {"score": None, "feedback": None, "fingerprint": fp, "synthetic": None,
-                       "raw": verdict}
-            emit(new_record(TraceEvent, (_EVALUATED, payload, tokens,
-                                         (_EVALUATOR, prompt, evaluator_params, reply))))
-            spent += tokens
-            evaluator_calls += 1
+            screened, evaluator_calls = False, evaluator_calls + 1
             try:
-                evaluation = parse_evaluation(verdict)
+                evaluation = parse_evaluation(raw)
             except ProtocolError as exc:
                 outcome, error = _BACKEND_FAILURE, f"evaluator protocol violation: {exc}"
                 break
@@ -385,6 +361,30 @@ def solve(
             payload["feedback"] = feedback = evaluation.feedback
             if cache is not None and score <= bad_threshold:
                 cache.record(fp, _KNOWN_BAD)
+        else:
+            # Judge the generation: a synthetic zero if it does not parse, else
+            # the cache's rejection, else wait for the Evaluator's score.
+            try:
+                candidate, synthetic = parse_agent_step(raw), None
+                if candidate.kind is _FINAL and candidate.answer is None:
+                    synthetic, feedback = "unparseable_final", UNPARSEABLE_FINAL_FEEDBACK
+                else:
+                    fp = fingerprint(candidate.text)
+            except MalformedStep:
+                synthetic, feedback = "malformed_step", MALFORMED_STEP_FEEDBACK
+            if synthetic is not None:
+                candidate, fp, score = None, "", 0
+                payload = {"score": 0, "feedback": feedback, "fingerprint": "",
+                           "synthetic": synthetic}
+                emit(new_record(TraceEvent, (_EVALUATED, payload, 0, None)))
+            elif cache is not None and (hit := cache.check(fp)) is not _MISS:
+                score, feedback, fork = 0, REJECTION_FEEDBACK[hit], fork or len(events)  # never 0
+                payload = {"decision": hit._value_, "fingerprint": fp, "score": 0,
+                           "feedback": feedback}
+                emit(new_record(TraceEvent, (_CACHE_REJECTED, payload, 0, None)))
+            else:
+                screened = True
+                continue
 
         decision = step_decision(score, retries, config)
         if decision is _RETRY:

@@ -37,7 +37,8 @@ WORDS = [
 # the ASCII and the non-ASCII deletion paths are reached.
 GATE_TEXT = st.text(
     alphabet=st.one_of(
-        st.sampled_from(string.printable + FINGERPRINT_ALPHABET + "×·÷€\u2212\uff0d\u2013"),
+        st.sampled_from(string.printable + FINGERPRINT_ALPHABET
+                        + "×·÷€\u2212\uff0d\u2013＋＝（）．，＜＞ｘ"),
         st.characters(categories=("Lu", "Ll", "Nd", "Zs")),
     ),
     max_size=60,
@@ -46,9 +47,11 @@ GATE_TEXT = st.text(
 
 def _ungated_fingerprint(step_text: str) -> str:
     """The fingerprint chain with every regex pass run, as PROTOCOL.md lists it."""
-    text = step_text.replace("\u2212", "-").replace("\uff0d", "-")
+    text = "".join(chr(ord(char) - 0xFEE0) if "\uff01" <= char <= "\uff5e" else char
+                   for char in step_text)
+    text = text.replace("\u2212", "-").replace("÷", "/")
     text = re.sub(r"\d", lambda match: str(int(match[0])), text)
-    text = text.replace("<<", "").replace(">>", "").replace("÷", "/")
+    text = text.replace("<<", "").replace(">>", "")
     text = re.sub(r"(\d)\s*[x×·]\s*(?=\d)", r"\1*", text)
     text = re.sub(r"(?<!\d)\.|\.(?!\d)", "", text)
     return re.sub(f"[^{re.escape(FINGERPRINT_ALPHABET)}]", "", text)
@@ -89,6 +92,16 @@ class TestFingerprint:
         ("2\u20133 hours", "23"),
     ])
     def test_minus_sign_glyphs_are_subtraction(self, text, expected):
+        assert fingerprint(text) == expected
+
+    # Fullwidth operators and parentheses are their ASCII forms, so "５＋３＝８"
+    # does not collide with another computation on the same digits.
+    @pytest.mark.parametrize("text,expected", [
+        ("５＋３＝８", "5+3=8"),
+        ("（１２＋３）＊４／２＝３０", "(12+3)*4/2=30"),
+        ("１，２００ － ２００ ＝ １，０００．", "1200-200=1000"),
+    ])
+    def test_fullwidth_operators_are_ascii(self, text, expected):
         assert fingerprint(text) == expected
 
     def test_x_between_digits_is_multiplication(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualtrack.agents import DecodeParams
+from dualtrack.cache import fingerprint
 from dualtrack.cli import RunConfig
 from dualtrack.dataset import RawExample, TrainingInstance
 from dualtrack.harness import BenchmarkReport, RunResult, SummaryRow, WilsonInterval
@@ -522,6 +523,29 @@ class TestNormalizeAnswer:
         ascii_text = "".join(str(int(digit)) for digit in digits)
         assert normalize_answer(f"= {digits}") == normalize_answer(ascii_text)
         assert CanonicalNumber.from_literal(digits) == normalize_answer(ascii_text)
+
+    # Fullwidth punctuation reads as its ASCII form: "，" separates thousands
+    # and "．" is a decimal point, not a break between two literals.
+    @pytest.mark.parametrize("text,expected", [
+        ("１，０００", "1000"),
+        ("３．５", "3.5"),
+        ("＄１，２００．５０", "1200.5"),
+    ])
+    def test_fullwidth_punctuation_reads_as_ascii(self, text, expected):
+        assert normalize_answer(text) == CanonicalNumber(expected)
+
+    # Compared by exception type: a NoNumberFound message quotes its input.
+    @given(text=st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E)))
+    def test_fullwidth_text_reads_as_its_ascii_form(self, text):
+        wide = text.translate({code: code + 0xFEE0 for code in range(0x21, 0x7F)})
+        assert fingerprint(wide) == fingerprint(text)
+        results = []
+        for form in (text, wide):
+            try:
+                results.append(normalize_answer(form))
+            except NoNumberFound as exc:
+                results.append(type(exc))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("literal", ["\u22125", "\uff0d5", "\uff0d\uff15", " \u22125.0 "])
     def test_literal_with_a_minus_sign_glyph_is_negative(self, literal):
